@@ -23,7 +23,6 @@ from .encoder import (
     FeatureGrid,
     ImageDescriptor,
     LayerConfig,
-    concat_cells,
     encode_image,
     encode_image_bof,
     encode_layer,
@@ -48,7 +47,6 @@ from .images import (
     IntensityImage,
     PatchGrid,
     extract_patches,
-    group_into_cells,
     load_image,
     read_manifest,
     resize_max_side,

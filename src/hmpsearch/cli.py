@@ -10,7 +10,6 @@ control verbosity.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import configparser
 import hashlib
 import logging
@@ -55,7 +54,6 @@ class RunConfig:
     ground_truth: str = ""
     report: str = ""
     seed: int = 0
-    threads: int = 1
     resize_max_side: int = 0
     baseline: bool = False
     use_idf: bool = False
@@ -94,7 +92,6 @@ def load_run_config(path) -> RunConfig:
             ground_truth=resolve("ground_truth"),
             report=resolve("report"),
             seed=section.getint("seed", 0),
-            threads=section.getint("threads", 1),
             resize_max_side=section.getint("resize_max_side", 0),
             baseline=section.getboolean("baseline", False),
             use_idf=section.getboolean("use_idf", False),
@@ -264,16 +261,7 @@ def cmd_encode(cfg: RunConfig) -> int:
         arch = attach_dictionaries(arch, lambda ref: load_dictionary(_dict_path(cfg, ref)))
     images = _load_corpus(cfg)
     os.makedirs(cfg.descriptor_dir, exist_ok=True)
-
-    def work(record):
-        image_id, img = record
-        return _encode_one(cfg, arch, dictionary, image_id, img)
-
-    if cfg.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            descriptors = list(pool.map(work, images))
-    else:
-        descriptors = [work(record) for record in images]
+    descriptors = [_encode_one(cfg, arch, dictionary, image_id, img) for image_id, img in images]
     total_nnz = 0
     for desc in descriptors:
         save_descriptor(desc, os.path.join(cfg.descriptor_dir, safe_filename(desc.image_id) + ".hmpv"))
@@ -358,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", required=True, help="run config file")
     parser.add_argument("--seed", type=int, help="override [run] seed")
-    parser.add_argument("--threads", type=int, help="override [run] threads")
     parser.add_argument(
         "--baseline", action="store_true", help="bag-of-features pipeline instead of layered coding"
     )
@@ -389,8 +376,6 @@ def main(argv=None) -> int:
         cfg = load_run_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        if args.threads is not None:
-            cfg = replace(cfg, threads=args.threads)
         if args.baseline:
             cfg = replace(cfg, baseline=True)
         if args.command == "train-dict":

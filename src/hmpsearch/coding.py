@@ -1,12 +1,15 @@
 """Sparse encoders over a fixed codebook.
 
-Two coding rules are provided. `omp_encode` is greedy orthogonal matching
+Two coding rules are provided, each as one batch kernel over the columns of
+a D x N signal matrix. `omp_encode_batch` is greedy orthogonal matching
 pursuit: it repeatedly selects the atom most correlated with the current
 residual, re-solves least squares on the selected support, and stops after
-`sparsity` atoms or once the residual is negligible. `vq_encode` is hard
-assignment to the single nearest atom, the coding rule of bag-of-features
-pipelines. Both are pure functions; a `Dictionary` is immutable and safe to
-share across threads.
+`sparsity` atoms or once the residual is negligible; it returns an N x K
+code matrix. `vq_encode_batch` is hard assignment to the single nearest
+atom, the coding rule of bag-of-features pipelines; it returns one atom
+index per signal. `omp_encode` and `vq_encode` run the same kernels on one
+signal and return a `SparseCode`. All are pure functions; a `Dictionary` is
+immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -102,26 +105,26 @@ class SparseCode:
         return out
 
 
-def _check_signal(dictionary: Dictionary, signal: np.ndarray) -> np.ndarray:
-    y = np.asarray(signal, dtype=np.float64)
-    if y.ndim != 1 or y.shape[0] != dictionary.signal_dim:
+def _check_signals(dictionary: Dictionary, signals: np.ndarray) -> np.ndarray:
+    mat = np.asarray(signals, dtype=np.float64)
+    if mat.ndim != 2 or mat.shape[0] != dictionary.signal_dim:
         raise InvalidInputError(
-            f"signal length {y.shape} does not match dictionary dimension {dictionary.signal_dim}"
+            f"signals of shape {mat.shape} do not match dictionary dimension"
+            f" {dictionary.signal_dim}; expected {dictionary.signal_dim} x N"
         )
-    if not np.all(np.isfinite(y)):
-        raise InvalidInputError("signal contains non-finite values")
-    return y
+    if not np.all(np.isfinite(mat)):
+        raise InvalidInputError("signals contain non-finite values")
+    return mat
 
 
-def _code_from_support(length: int, support: list[int], coef: np.ndarray) -> SparseCode:
-    order = np.argsort(support)
-    idx = np.asarray(support, dtype=np.int64)[order]
-    val = np.asarray(coef, dtype=np.float64)[order]
-    keep = val != 0.0
-    return SparseCode(length, idx[keep], val[keep])
+def _as_column(signal: np.ndarray) -> np.ndarray:
+    y = np.asarray(signal, dtype=np.float64)
+    if y.ndim != 1:
+        raise InvalidInputError(f"signal must be 1-D, got shape {y.shape}")
+    return y[:, None]
 
 
-def _omp(atoms: np.ndarray, atoms_t: np.ndarray, y: np.ndarray, sparsity: int) -> SparseCode:
+def _omp(atoms: np.ndarray, atoms_t: np.ndarray, y: np.ndarray, sparsity: int):
     support: list[int] = []
     coef = np.empty(0)
     residual = y
@@ -146,52 +149,56 @@ def _omp(atoms: np.ndarray, atoms_t: np.ndarray, y: np.ndarray, sparsity: int) -
             # singular support: minimum-norm least squares instead of a crash
             coef = np.linalg.lstsq(sub, y, rcond=None)[0]
         residual = y - sub @ coef
-    return _code_from_support(atoms.shape[1], support, coef)
+    return support, coef
 
 
-def omp_encode(dictionary: Dictionary, signal: np.ndarray, sparsity: int) -> SparseCode:
-    """Greedy sparse approximation of `signal` with at most `sparsity` atoms.
+def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int) -> np.ndarray:
+    """Greedy sparse approximation of each column of `signals` (D x N).
 
-    Atom selection ties break toward the lowest index; coding stops early
-    once the residual norm falls under RESIDUAL_STOP.
+    Returns the N x K code matrix, one row per signal. Each signal is coded
+    in the memory layout it is passed in, so a row depends only on its own
+    signal and never on the rest of the batch. Atom selection ties break
+    toward the lowest index; coding stops early once the residual norm falls
+    under RESIDUAL_STOP, leaving fewer than `sparsity` nonzeros.
     """
-    y = _check_signal(dictionary, signal)
+    mat = _check_signals(dictionary, signals)
     if not 1 <= sparsity <= min(dictionary.signal_dim, dictionary.size):
         raise InvalidInputError(
             f"sparsity must be in [1, min(D, K)] = [1, {min(dictionary.signal_dim, dictionary.size)}],"
             f" got {sparsity}"
         )
-    return _omp(dictionary.atoms, dictionary._atoms_t, y, sparsity)
+    codes = np.zeros((mat.shape[1], dictionary.size))
+    for i in range(mat.shape[1]):
+        support, coef = _omp(dictionary.atoms, dictionary._atoms_t, mat[:, i], sparsity)
+        codes[i, support] = coef
+    return codes
 
 
-def omp_encode_batch(
-    dictionary: Dictionary, signals: np.ndarray, sparsity: int
-) -> list[SparseCode]:
-    """Encode the columns of `signals` (D x N); identical to per-signal calls."""
-    mat = np.asarray(signals, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != dictionary.signal_dim:
-        raise InvalidInputError(
-            f"signals must be {dictionary.signal_dim} x N, got shape {mat.shape}"
-        )
-    return [omp_encode(dictionary, mat[:, i], sparsity) for i in range(mat.shape[1])]
+def omp_encode(dictionary: Dictionary, signal: np.ndarray, sparsity: int) -> SparseCode:
+    """`omp_encode_batch` on one signal, as a sparse code."""
+    code = omp_encode_batch(dictionary, _as_column(signal), sparsity)[0]
+    nz = np.flatnonzero(code)
+    return SparseCode(dictionary.size, nz, code[nz])
+
+
+def vq_encode_batch(dictionary: Dictionary, signals: np.ndarray) -> np.ndarray:
+    """Index of the nearest atom to each column of `signals` (D x N).
+
+    Squared distances accumulate over the D signal rows in order; ties break
+    toward the lowest atom index.
+    """
+    mat = _check_signals(dictionary, signals)
+    dist2 = np.zeros((mat.shape[1], dictionary.size))
+    for d in range(mat.shape[0]):
+        diff = dictionary.atoms[d] - mat[d][:, None]
+        dist2 += diff * diff
+    return np.argmin(dist2, axis=1)
 
 
 def vq_encode(dictionary: Dictionary, signal: np.ndarray) -> SparseCode:
     """Indicator of the nearest atom; ties break toward the lowest index."""
-    y = _check_signal(dictionary, signal)
-    diff = dictionary.atoms - y[:, None]
-    dist2 = np.einsum("dk,dk->k", diff, diff)
-    best = int(np.argmin(dist2))
-    return SparseCode(dictionary.size, np.array([best]), np.array([1.0]))
-
-
-def vq_encode_batch(dictionary: Dictionary, signals: np.ndarray) -> list[SparseCode]:
-    mat = np.asarray(signals, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != dictionary.signal_dim:
-        raise InvalidInputError(
-            f"signals must be {dictionary.signal_dim} x N, got shape {mat.shape}"
-        )
-    return [vq_encode(dictionary, mat[:, i]) for i in range(mat.shape[1])]
+    best = vq_encode_batch(dictionary, _as_column(signal))
+    return SparseCode(dictionary.size, best, np.array([1.0]))
 
 
 def l2_normalize(vector: np.ndarray) -> np.ndarray:
@@ -232,4 +239,7 @@ def load_dictionary(path) -> Dictionary:
     if len(raw) != expected:
         raise DecodeError(f"{path}: truncated codebook ({len(raw)} bytes, expected {expected})")
     atoms = np.frombuffer(raw, dtype="<f8", offset=13).reshape((d, k), order="F")
-    return Dictionary(atoms)
+    try:
+        return Dictionary(atoms)
+    except InvalidInputError as exc:
+        raise DecodeError(f"{path}: invalid codebook: {exc}") from exc

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import Dictionary, omp_encode
+from .coding import Dictionary, omp_encode_batch
 from .errors import InvalidInputError
 
 
@@ -131,10 +131,9 @@ def _code_pass(signals, atoms, codes, cfg) -> None:
     dictionary = Dictionary(atoms)
     sparsity = min(cfg.sparsity, dictionary.signal_dim, dictionary.size)
     for i in range(signals.shape[1]):
-        fresh = omp_encode(dictionary, signals[:, i], sparsity)
+        # one column at a time: a whole N x K code matrix costs memory
+        new_col = omp_encode_batch(dictionary, signals[:, i : i + 1], sparsity)[0]
         old_res = np.linalg.norm(signals[:, i] - atoms @ codes[:, i])
-        new_col = np.zeros(codes.shape[0])
-        new_col[fresh.indices] = fresh.values
         new_res = np.linalg.norm(signals[:, i] - atoms @ new_col)
         if new_res <= old_res:
             codes[:, i] = new_col

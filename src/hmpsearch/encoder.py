@@ -2,18 +2,21 @@
 
 An image is turned into one descriptor by stacking one to three coding
 layers. Layer 1 codes small mean-subtracted patches. Every interior layer
-then tiles the image plane into square coding units, splits each unit into a
-cell grid, pools the codes inside each cell with `signed_max_pool`,
-concatenates the cell features row-major, and normalizes the unit feature,
-which becomes the signal grid of the next layer. The last layer's codes skip
-the unit machinery: they are pooled over whole-image spatial pyramid regions
-and the concatenation is normalized once, giving a descriptor of length
+then tiles the image plane into square coding units and splits each unit
+into a cell grid; every code gets one label naming its unit and cell, and
+one `signed_max_pool` call pools all cells of the image at once. The rows of
+the pooled matrix, read unit by unit, are the cell features concatenated
+row-major; each unit feature is normalized and becomes one signal of the
+next layer. The last layer's codes skip the unit machinery: they are pooled
+over whole-image spatial pyramid regions and the concatenation is
+normalized once, giving a descriptor of length
 2 * K_final * sum(g^2 for g in pyramid).
 
-All geometry lives in original-image pixel coordinates: every feature carries
-the pixel center of the area it summarizes, and units, cells, and pyramid
-regions claim features by center. Units that do not fit whole at the border
-are dropped.
+Codes travel as dense N x K matrices, one row per feature. All geometry
+lives in original-image pixel coordinates: every feature carries the pixel
+center of the area it summarizes, and units, cells, and pyramid regions
+claim features by center. Units that do not fit whole at the border are
+dropped.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coding import Dictionary, SparseCode, l2_normalize, omp_encode, vq_encode
+from .coding import Dictionary, l2_normalize, omp_encode_batch, vq_encode_batch
 from .errors import ConfigError, DecodeError, ImageTooSmallError, InvalidInputError
 from .images import IntensityImage, assign_to_cells, extract_patches
 
@@ -159,16 +162,20 @@ class FeatureGrid:
 
 @dataclass(frozen=True)
 class CodeGrid:
-    """Spatial grid of sparse codes with pixel centers."""
+    """Spatial grid of codes with pixel centers; `codes` is N x K, one row
+    per center."""
 
     centers: np.ndarray
-    codes: list[SparseCode]
-    code_length: int
+    codes: np.ndarray
     extent: tuple[int, int]
 
     @property
     def count(self) -> int:
-        return len(self.codes)
+        return self.codes.shape[0]
+
+    @property
+    def code_length(self) -> int:
+        return self.codes.shape[1]
 
 
 @dataclass(frozen=True)
@@ -216,97 +223,69 @@ def descriptor_from_dense(image_id: str, dense: np.ndarray) -> ImageDescriptor:
     return ImageDescriptor(image_id, int(dense.size), nz, dense[nz])
 
 
-def signed_max_pool(codes, code_length: int) -> np.ndarray:
-    """Per-dimension maxima of the positive and negative code parts.
+def signed_max_pool(codes: np.ndarray, labels: np.ndarray, count: int) -> np.ndarray:
+    """Per-group maxima of the positive and negative code parts.
 
-    Output slot m holds the largest positive coefficient seen at dimension m
-    across all codes, and slot code_length + m the largest magnitude among
-    negative ones; an empty code list pools to the zero vector.
+    Row i of `codes` (N x K) belongs to group `labels[i]` in [0, count).
+    Row g of the count x 2K result holds at slot m the largest positive
+    coefficient at dimension m among the group's codes, and at slot K + m
+    the largest magnitude among negative ones; a group without codes pools
+    to the zero vector.
     """
-    out = np.zeros(2 * code_length)
-    for code in codes:
-        if code.length != code_length:
-            raise InvalidInputError(
-                f"code of length {code.length} mixed into pooling over {code_length}"
-            )
-        pos = code.values > 0.0
-        if pos.any():
-            idx = code.indices[pos]
-            np.maximum.at(out, idx, code.values[pos])
-        if (~pos).any():
-            idx = code.indices[~pos] + code_length
-            np.maximum.at(out, idx, -code.values[~pos])
+    codes = np.asarray(codes, dtype=np.float64)
+    labels = np.asarray(labels)
+    if codes.ndim != 2 or labels.shape != codes.shape[:1]:
+        raise InvalidInputError(
+            f"need one label per code row, got codes {codes.shape} and labels {labels.shape}"
+        )
+    if labels.size and (labels.min() < 0 or labels.max() >= count):
+        raise InvalidInputError(f"labels must lie in [0, {count})")
+    # np.where, not np.maximum, so that no -0.0 enters the pooled features
+    parts = np.hstack([np.where(codes > 0.0, codes, 0.0), np.where(codes < 0.0, -codes, 0.0)])
+    out = np.zeros((count, parts.shape[1]))
+    np.maximum.at(out, labels, parts)
     return out
-
-
-def concat_cells(cell_features) -> np.ndarray:
-    """Concatenate per-cell features in the given (row-major) cell order."""
-    feats = [np.asarray(f, dtype=np.float64) for f in cell_features]
-    if not feats:
-        raise InvalidInputError("no cell features to concatenate")
-    length = feats[0].shape[0]
-    for i, f in enumerate(feats):
-        if f.ndim != 1 or f.shape[0] != length:
-            raise InvalidInputError(
-                f"cell {i} has length {f.shape}, expected ({length},)"
-            )
-    return np.concatenate(feats)
 
 
 def _code_grid(features: FeatureGrid, layer: LayerConfig) -> CodeGrid:
     if layer.dictionary is None:
         raise ConfigError("layer has no dictionary attached")
-    dim = layer.dictionary.signal_dim
-    if features.count and features.vectors.shape[1] != dim:
-        raise InvalidInputError(
-            f"feature dimension {features.vectors.shape[1]} does not match"
-            f" dictionary dimension {dim}"
-        )
-    sparsity = min(layer.sparsity, dim, layer.dictionary.size)
-    codes = [
-        omp_encode(layer.dictionary, features.vectors[i], sparsity)
-        for i in range(features.count)
-    ]
-    return CodeGrid(features.centers, codes, layer.dictionary.size, features.extent)
+    sparsity = min(layer.sparsity, layer.dictionary.signal_dim, layer.dictionary.size)
+    codes = omp_encode_batch(layer.dictionary, features.vectors.T, sparsity)
+    return CodeGrid(features.centers, codes, features.extent)
 
 
 def encode_layer(features: FeatureGrid, layer: LayerConfig) -> FeatureGrid:
     """One interior coding layer: code, pool per cell, concatenate, normalize.
 
-    Returns one feature per whole coding unit that fits in the extent; its
-    center is the unit's center so the next layer sees the coarser grid.
+    Returns one feature per whole coding unit that fits in the extent, in
+    row-major unit order; its center is the unit's center so the next layer
+    sees the coarser grid.
     """
     unit = layer.coding_unit_size
-    if unit % layer.cell_grid != 0:
-        raise InvalidInputError(
-            f"coding_unit_size {unit} is not divisible by cell_grid {layer.cell_grid}"
-        )
     grid = _code_grid(features, layer)
     h, w = grid.extent
     units_r, units_c = h // unit, w // unit
-    k = grid.code_length
-    out_dim = 2 * k * layer.cells
-    vectors = np.zeros((units_r * units_c, out_dim))
-    centers = np.zeros((units_r * units_c, 2))
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i in range(grid.count):
-        ur = int(grid.centers[i, 0] // unit)
-        uc = int(grid.centers[i, 1] // unit)
-        if 0 <= ur < units_r and 0 <= uc < units_c:
-            buckets.setdefault((ur, uc), []).append(i)
-    for ur in range(units_r):
-        for uc in range(units_c):
-            slot = ur * units_c + uc
-            centers[slot] = ((ur + 0.5) * unit, (uc + 0.5) * unit)
-            members = buckets.get((ur, uc), [])
-            origin = (ur * unit, uc * unit)
-            cells = assign_to_cells(grid.centers[members], unit, layer.cell_grid, origin)
-            pooled = [
-                signed_max_pool([grid.codes[members[j]] for j in cell], k)
-                for cell in cells
-            ]
-            vectors[slot] = l2_normalize(concat_cells(pooled))
+    unit_rc = grid.centers // unit
+    inside = np.all((unit_rc >= 0) & (unit_rc < (units_r, units_c)), axis=1)
+    unit_rc = unit_rc[inside]
+    cells = assign_to_cells(grid.centers[inside] - unit_rc * unit, unit, layer.cell_grid)
+    units = (unit_rc[:, 0] * units_c + unit_rc[:, 1]).astype(np.int64)
+    count = units_r * units_c
+    pooled = signed_max_pool(grid.codes[inside], units * layer.cells + cells, count * layer.cells)
+    pooled = pooled.reshape(count, layer.cells * 2 * grid.code_length)
+    vectors = np.array([l2_normalize(row) for row in pooled]).reshape(pooled.shape)
+    ur, uc = np.meshgrid(np.arange(units_r), np.arange(units_c), indexing="ij")
+    centers = (np.stack([ur.ravel(), uc.ravel()], axis=1) + 0.5) * unit
     return FeatureGrid(centers, vectors, grid.extent)
+
+
+def _pyramid_bins(coords: np.ndarray, side: int, g: int) -> np.ndarray:
+    """Row (or column) of each coordinate in a g-way split of `side`; the
+    last bin keeps the remainder pixels."""
+    if side < g:
+        return np.full(coords.shape, g - 1)
+    return np.minimum(coords // (side // g), g - 1).astype(np.int64)
 
 
 def pyramid_pool(codes: CodeGrid, pyramid, image_id: str = "") -> ImageDescriptor:
@@ -325,14 +304,9 @@ def pyramid_pool(codes: CodeGrid, pyramid, image_id: str = "") -> ImageDescripto
     blocks = []
     for g in pyramid:
         g = int(g)
-        base_r, base_c = h // g, w // g
-        assignments: list[list[SparseCode]] = [[] for _ in range(g * g)]
-        for i in range(codes.count):
-            rr = min(int(codes.centers[i, 0] // base_r), g - 1) if base_r else g - 1
-            cc = min(int(codes.centers[i, 1] // base_c), g - 1) if base_c else g - 1
-            assignments[rr * g + cc].append(codes.codes[i])
-        for region in assignments:
-            blocks.append(signed_max_pool(region, k))
+        rows = _pyramid_bins(codes.centers[:, 0], h, g)
+        cols = _pyramid_bins(codes.centers[:, 1], w, g)
+        blocks.append(signed_max_pool(codes.codes, rows * g + cols, g * g).ravel())
     dense = l2_normalize(np.concatenate(blocks))
     return descriptor_from_dense(image_id, dense)
 
@@ -383,11 +357,8 @@ def encode_image_bof(
             f" least {patch_size}x{patch_size} pixels"
         )
     patches = extract_patches(img, patch_size, stride)
-    hist = np.zeros(dictionary.size)
-    for i in range(patches.count):
-        code = vq_encode(dictionary, patches.patches[i])
-        hist[code.indices[0]] += 1.0
-    hist /= patches.count
+    nearest = vq_encode_batch(dictionary, patches.patches.T)
+    hist = np.bincount(nearest, minlength=dictionary.size) / patches.count
     return descriptor_from_dense(image_id, l2_normalize(hist))
 
 
@@ -419,18 +390,17 @@ def load_descriptor(path) -> ImageDescriptor:
     if raw[4] != _DESC_VERSION:
         raise DecodeError(f"{path}: unsupported descriptor version {raw[4]}")
     (id_len,) = struct.unpack_from("<I", raw, 5)
-    pos = 9
-    ident = raw[pos : pos + id_len].decode("utf-8")
-    pos += id_len
-    length, nnz = struct.unpack_from("<II", raw, pos)
-    pos += 8
-    need = pos + 12 * nnz
-    if len(raw) < need:
-        raise DecodeError(f"{path}: truncated descriptor ({len(raw)} of {need} bytes)")
-    entries = np.frombuffer(raw, dtype=_ENTRY_DTYPE, count=nnz, offset=pos)
-    return ImageDescriptor(
-        ident, int(length), entries["index"].astype(np.int64), entries["value"].astype(np.float64)
-    )
+    pos = 9 + id_len
+    try:
+        length, nnz = struct.unpack_from("<II", raw, pos)
+        if len(raw) != pos + 8 + 12 * nnz:
+            raise InvalidInputError(f"{len(raw)} bytes, the header declares {pos + 8 + 12 * nnz}")
+        entries = np.frombuffer(raw, dtype=_ENTRY_DTYPE, count=nnz, offset=pos + 8)
+        index, value = entries["index"].astype(np.int64), entries["value"].astype(np.float64)
+        return ImageDescriptor(raw[9:pos].decode("utf-8"), int(length), index, value)
+    except (struct.error, ValueError) as exc:
+        # ValueError covers bad UTF-8 and InvalidInputError
+        raise DecodeError(f"{path}: truncated or corrupt descriptor: {exc}") from exc
 
 
 def _layer_from_section(section, depth: int, total: int) -> LayerConfig:

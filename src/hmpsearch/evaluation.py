@@ -98,6 +98,8 @@ def evaluate(
         searcher = index
     else:
         raise InvalidInputError("index must be an InvertedIndex or a searcher callable")
+    if not gt:
+        raise InvalidInputError("ground truth lists no queries")
     missing = [qid for qid in gt if qid not in descriptors]
     if missing:
         raise MissingQueryError(missing)

@@ -3,6 +3,9 @@
 Native support covers binary netpbm files (P5 graymaps, P6 pixmaps). Other
 formats go through an optional adapter backed by Pillow when it is
 installed. Color inputs become luminance with weights 0.299/0.587/0.114.
+Patches come out as one row per patch with its pixel center, and
+`assign_to_cells` labels points with their row-major cell in a square
+region, all points at once.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ class PatchGrid:
 
     patch_size: int
     stride: int
-    origin: tuple[float, float]
     patches: np.ndarray
     centers: np.ndarray
     grid_shape: tuple[int, int]
@@ -191,45 +193,30 @@ def extract_patches(img: IntensityImage, patch_size: int, stride: int = 1) -> Pa
     return PatchGrid(
         patch_size=patch_size,
         stride=stride,
-        origin=(0.0, 0.0),
         patches=flat,
         centers=centers,
         grid_shape=(rows, cols),
     )
 
 
-def assign_to_cells(
-    centers: np.ndarray, region_size: float, cell_grid: int, origin=(0.0, 0.0)
-) -> list[list[int]]:
-    """Partition points into a row-major cell_grid x cell_grid split of the
-    square region at `origin`; every point must fall inside the region."""
+def assign_to_cells(centers: np.ndarray, region_size: float, cell_grid: int) -> np.ndarray:
+    """Row-major cell label of each point in a cell_grid x cell_grid split
+    of the square region [0, region_size)^2; every point must fall inside."""
     if cell_grid < 1:
         raise InvalidInputError(f"cell_grid must be >= 1, got {cell_grid}")
     if region_size <= 0 or region_size % cell_grid != 0:
         raise InvalidInputError(
             f"region size {region_size} is not divisible into a {cell_grid}x{cell_grid} cell grid"
         )
-    width = region_size / cell_grid
-    cells: list[list[int]] = [[] for _ in range(cell_grid * cell_grid)]
-    pts = np.asarray(centers, dtype=np.float64)
-    for i in range(pts.shape[0]):
-        rel_r = pts[i, 0] - origin[0]
-        rel_c = pts[i, 1] - origin[1]
-        if not (0 <= rel_r < region_size and 0 <= rel_c < region_size):
-            raise InvalidInputError(
-                f"point {i} at ({pts[i,0]}, {pts[i,1]}) lies outside the region of size"
-                f" {region_size} at origin {origin}"
-            )
-        cr = int(rel_r // width)
-        cc = int(rel_c // width)
-        cells[cr * cell_grid + cc].append(i)
-    return cells
-
-
-def group_into_cells(grid: PatchGrid, region_size: int, cell_grid: int) -> list[list[int]]:
-    """Assign every patch of `grid` to one cell of the region anchored at the
-    grid origin, by patch center; cells are returned row-major."""
-    return assign_to_cells(grid.centers, region_size, cell_grid, grid.origin)
+    pts = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
+    outside = np.flatnonzero(~np.all((pts >= 0) & (pts < region_size), axis=1))
+    if outside.size:
+        i = outside[0]
+        raise InvalidInputError(
+            f"point {i} at ({pts[i, 0]}, {pts[i, 1]}) lies outside the region of size {region_size}"
+        )
+    cell = (pts // (region_size / cell_grid)).astype(np.int64)
+    return cell[:, 0] * cell_grid + cell[:, 1]
 
 
 def read_manifest(path) -> list[tuple[str, str]]:

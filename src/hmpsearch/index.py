@@ -208,30 +208,34 @@ def load_index(path) -> InvertedIndex:
         raise DecodeError(f"{path}: unsupported index version {raw[4]}")
     dimension, doc_count = struct.unpack_from("<II", raw, 5)
     pos = 13
-    ids = []
     try:
+        idx = InvertedIndex(dimension)
         for _ in range(doc_count):
             (id_len,) = struct.unpack_from("<I", raw, pos)
-            pos += 4
-            ids.append(raw[pos : pos + id_len].decode("utf-8"))
-            pos += id_len
-        idx = InvertedIndex(dimension)
-        idx.ids = ids
-        idx._id_set = set(ids)
+            idx.ids.append(raw[pos + 4 : pos + 4 + id_len].decode("utf-8"))
+            pos += 4 + id_len
+        idx._id_set = set(idx.ids)
+        if len(idx._id_set) != doc_count:
+            raise InvalidInputError("the id table lists an id twice")
         (n_blocks,) = struct.unpack_from("<I", raw, pos)
         pos += 4
         for _ in range(n_blocks):
             dim, n_entries = struct.unpack_from("<II", raw, pos)
-            pos += 8
-            block = np.frombuffer(raw, dtype=_POSTING_DTYPE, count=n_entries, offset=pos)
-            pos += n_entries * 12
-            idx.postings[int(dim)] = [
-                (ids[int(doc)], float(value)) for doc, value in block
-            ]
+            block = np.frombuffer(raw, dtype=_POSTING_DTYPE, count=n_entries, offset=pos + 8)
+            pos += 8 + 12 * n_entries
+            if dim >= dimension or dim in idx.postings or not np.all(np.isfinite(block["value"])):
+                raise InvalidInputError(f"bad posting block for dimension {dim}")
+            idx.postings[dim] = [(idx.ids[doc], float(value)) for doc, value in block]
         (has_idf,) = struct.unpack_from("<B", raw, pos)
         pos += 1
         if has_idf:
             idx.idf = np.frombuffer(raw, dtype="<f8", count=dimension, offset=pos).copy()
-    except (struct.error, IndexError, UnicodeDecodeError) as exc:
+            pos += 8 * dimension
+            if not np.all(np.isfinite(idx.idf)):
+                raise InvalidInputError("non-finite weights")
+        if pos != len(raw):
+            raise InvalidInputError(f"{len(raw) - pos} trailing bytes after the weight flag or weights")
+    except (struct.error, IndexError, ValueError) as exc:
+        # ValueError covers bad UTF-8, blocks past the end and InvalidInputError
         raise DecodeError(f"{path}: truncated or corrupt index: {exc}") from exc
     return idx

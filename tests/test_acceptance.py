@@ -24,7 +24,6 @@ from hmpsearch import (
     evaluate,
     exhaustive_scan,
     extract_patches,
-    group_into_cells,
     index_add,
     l2_normalize,
     load_index,
@@ -36,6 +35,7 @@ from hmpsearch import (
 )
 from hmpsearch.cli import main as cli_main
 from hmpsearch.encoder import FeatureGrid
+from hmpsearch.images import assign_to_cells
 from conftest import (
     arrangement_corpus,
     packed_dictionary,
@@ -367,21 +367,17 @@ def test_criterion_8_invariant_suite():
     rng = np.random.default_rng(800)
 
     # pooling monotonicity and permutation invariance
-    def rand_code(k):
-        from hmpsearch import SparseCode
+    def rand_codes(n, k):
+        return rng.standard_normal((n, k)) * (rng.uniform(size=(n, k)) < 0.5)
 
-        mask = rng.uniform(size=k) < 0.5
-        values = rng.standard_normal(k) * mask
-        nz = np.nonzero(values)[0]
-        return SparseCode(k, nz, values[nz])
+    def pool(codes):
+        return signed_max_pool(codes, np.zeros(codes.shape[0], dtype=np.int64), 1)
 
     for _ in range(20):
-        codes = [rand_code(6) for _ in range(5)]
-        pooled = signed_max_pool(codes, 6)
-        extra = rand_code(6)
-        assert np.all(signed_max_pool(codes + [extra], 6) >= pooled - 1e-15)
-        perm = [codes[i] for i in rng.permutation(len(codes))]
-        npt.assert_array_equal(signed_max_pool(perm, 6), pooled)
+        codes = rand_codes(5, 6)
+        pooled = pool(codes)
+        assert np.all(pool(np.vstack([codes, rand_codes(1, 6)])) >= pooled - 1e-15)
+        npt.assert_array_equal(pool(codes[rng.permutation(len(codes))]), pooled)
 
     # unit-norm law and pipeline determinism
     d1 = random_dictionary(rng, 25, 12)
@@ -402,7 +398,8 @@ def test_criterion_8_invariant_suite():
 
     # partition property of the cell split
     grid = extract_patches(IntensityImage(texture_image(12, side=36)), 5, 1)
-    cells = group_into_cells(grid, 36, 3)
+    labels = assign_to_cells(grid.centers, 36, 3)
+    cells = [np.flatnonzero(labels == c).tolist() for c in range(9)]
     flattened = sorted(i for cell in cells for i in cell)
     assert flattened == list(range(grid.count))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hmpsearch import load_descriptor, load_dictionary, load_index
-from hmpsearch.cli import main
+from hmpsearch.cli import load_run_config, main
 from conftest import texture_image
 
 ARCH_ONE_LAYER = """\
@@ -27,7 +27,6 @@ descriptor_dir = descriptors
 index_path = corpus.hmpi
 ground_truth = gt.tsv
 seed = {seed}
-threads = 1
 train_iterations = 3
 sample_cap = 1200
 """
@@ -63,6 +62,14 @@ def make_workspace(tmp_path, groups=5, members=2, side=40, seed=0, arch=ARCH_ONE
 
 def run_cli(cfg, *args):
     return main(["--config", str(cfg), *args])
+
+
+class TestRunConfig:
+    def test_retired_threads_key_still_loads(self, tmp_path):
+        cfg = make_workspace(tmp_path)
+        cfg.write_text(cfg.read_text() + "threads = 4\n")
+        loaded = load_run_config(cfg)
+        assert loaded.seed == 0 and not hasattr(loaded, "threads")
 
 
 class TestTrainDict:
@@ -171,17 +178,6 @@ class TestIndexAndQuery:
         lines = capsys.readouterr().out.strip().splitlines()
         assert 1 <= len(lines) <= 10
 
-    def test_worker_pool_preserves_descriptor_bytes(self, pipeline):
-        cfg, root = pipeline
-        serial = {
-            p.name: p.read_bytes() for p in sorted((root / "descriptors").glob("*.hmpv"))
-        }
-        assert run_cli(cfg, "--threads", "3", "encode") == 0
-        threaded = {
-            p.name: p.read_bytes() for p in sorted((root / "descriptors").glob("*.hmpv"))
-        }
-        assert serial == threaded
-
     def test_undecodable_query_exits_nonzero(self, pipeline, tmp_path, capsys):
         cfg, root = pipeline
         bad = tmp_path / "broken.pgm"
@@ -219,3 +215,13 @@ class TestEvaluate:
             # timing column varies run to run; compare ids, APs, and the mean
             reports.append([line.split("\t")[:2] for line in lines[1:]])
         assert reports[0] == reports[1]
+
+    def test_empty_ground_truth_exits_with_message(self, tmp_path, capsys):
+        cfg = make_workspace(tmp_path)
+        run_cli(cfg, "train-dict")
+        run_cli(cfg, "encode")
+        run_cli(cfg, "build-index")
+        (tmp_path / "gt.tsv").write_text("\n")
+        capsys.readouterr()
+        assert run_cli(cfg, "evaluate") == 2
+        assert "ground truth" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Sparse encoder tests: greedy pursuit against brute-force oracles."""
 
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -167,10 +169,28 @@ class TestOmpEncode:
         d = random_dictionary(rng, 9, 14)
         signals = rng.standard_normal((9, 25))
         batch = omp_encode_batch(d, signals, 4)
-        for i, code in enumerate(batch):
+        assert batch.shape == (25, 14)
+        for i, row in enumerate(batch):
             single = omp_encode(d, signals[:, i], 4)
-            assert code.indices.tolist() == single.indices.tolist()
-            assert code.values.tobytes() == single.values.tobytes()
+            nz = np.flatnonzero(row)
+            assert nz.tolist() == single.indices.tolist()
+            assert row[nz].tobytes() == single.values.tobytes()
+            # a row depends only on its own signal, never on the batch size
+            assert omp_encode_batch(d, signals[:, i : i + 1], 4)[0].tobytes() == row.tobytes()
+
+    def test_empty_batch_gives_empty_matrix(self):
+        d = Dictionary(np.eye(4))
+        assert omp_encode_batch(d, np.zeros((4, 0)), 2).shape == (0, 4)
+        assert vq_encode_batch(d, np.zeros((4, 0))).shape == (0,)
+
+    def test_batch_rejects_non_finite_signals(self):
+        d = Dictionary(np.eye(3))
+        signals = np.ones((3, 4))
+        signals[1, 2] = np.nan
+        with pytest.raises(InvalidInputError):
+            omp_encode_batch(d, signals, 1)
+        with pytest.raises(InvalidInputError):
+            vq_encode_batch(d, signals)
 
 
 class TestVqEncode:
@@ -226,8 +246,22 @@ class TestVqEncode:
         d = random_dictionary(rng, 5, 9)
         signals = rng.standard_normal((5, 12))
         batch = vq_encode_batch(d, signals)
-        for i, code in enumerate(batch):
-            assert code.indices.tolist() == vq_encode(d, signals[:, i]).indices.tolist()
+        assert batch.shape == (12,)
+        for i, nearest in enumerate(batch):
+            assert vq_encode(d, signals[:, i]).indices.tolist() == [nearest]
+
+    def test_batch_distances_match_per_signal_einsum(self):
+        # distances accumulate over signal rows in the order of the
+        # per-signal reduction, so near-ties resolve identically
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            d = random_dictionary(rng, 25, 64)
+            signals = rng.standard_normal((25, 40))
+            expected = []
+            for i in range(signals.shape[1]):
+                diff = d.atoms - signals[:, i][:, None]
+                expected.append(int(np.argmin(np.einsum("dk,dk->k", diff, diff))))
+            assert vq_encode_batch(d, signals).tolist() == expected
 
 
 class TestL2Normalize:
@@ -283,4 +317,16 @@ class TestDictionaryFile:
         path = tmp_path / "other.bin"
         path.write_bytes(b"NOPE" + bytes(20))
         with pytest.raises(DecodeError):
+            load_dictionary(path)
+
+    @pytest.mark.parametrize(
+        "d, k, atoms",
+        [(0, 3, []), (3, 0, []), (2, 2, [1.0, 0.0, 0.0, 2.0]), (1, 1, [np.nan])],
+        ids=["no-rows", "no-atoms", "non-unit-atom", "nan-atom"],
+    )
+    def test_invalid_codebook_names_path(self, tmp_path, d, k, atoms):
+        path = tmp_path / "bad.hmpd"
+        header = b"HMPD\x01" + struct.pack("<II", d, k)
+        path.write_bytes(header + np.asarray(atoms, dtype="<f8").tobytes())
+        with pytest.raises(DecodeError, match="bad.hmpd"):
             load_dictionary(path)

@@ -14,8 +14,6 @@ from hmpsearch import (
     IntensityImage,
     InvalidInputError,
     LayerConfig,
-    SparseCode,
-    concat_cells,
     encode_image,
     encode_image_bof,
     encode_layer,
@@ -24,92 +22,65 @@ from hmpsearch import (
     load_architecture,
     load_descriptor,
     omp_encode,
+    omp_encode_batch,
     pyramid_pool,
     save_descriptor,
     signed_max_pool,
 )
 from hmpsearch.errors import DecodeError
 from conftest import random_dictionary, texture_image
+import oracles
 
 
-def sparse(length, pairs):
-    if not pairs:
-        return SparseCode(length, np.empty(0, dtype=np.int64), np.empty(0))
-    idx, val = zip(*pairs)
-    return SparseCode(length, np.array(idx), np.array(val, dtype=float))
-
-
-def dense_code(length, values):
-    pairs = [(i, v) for i, v in enumerate(values) if v != 0.0]
-    return sparse(length, pairs)
+def pool_one(codes) -> np.ndarray:
+    """Pool every row of `codes` into one group."""
+    codes = np.asarray(codes, dtype=float)
+    return signed_max_pool(codes, np.zeros(codes.shape[0], dtype=np.int64), 1)[0]
 
 
 class TestSignedMaxPool:
     def test_single_code(self):
-        out = signed_max_pool([dense_code(2, [1.0, -2.0])], 2)
-        npt.assert_array_equal(out, [1.0, 0.0, 0.0, 2.0])
+        npt.assert_array_equal(pool_one([[1.0, -2.0]]), [1.0, 0.0, 0.0, 2.0])
 
     def test_two_codes(self):
-        codes = [dense_code(2, [1.0, -2.0]), dense_code(2, [-3.0, 4.0])]
-        npt.assert_array_equal(signed_max_pool(codes, 2), [1.0, 4.0, 3.0, 2.0])
+        npt.assert_array_equal(pool_one([[1.0, -2.0], [-3.0, 4.0]]), [1.0, 4.0, 3.0, 2.0])
 
     def test_all_zero_codes(self):
-        codes = [sparse(3, []), sparse(3, [])]
-        npt.assert_array_equal(signed_max_pool(codes, 3), np.zeros(6))
+        npt.assert_array_equal(pool_one(np.zeros((2, 3))), np.zeros(6))
 
     def test_empty_list_pools_to_zero(self):
-        npt.assert_array_equal(signed_max_pool([], 4), np.zeros(8))
+        npt.assert_array_equal(pool_one(np.zeros((0, 4))), np.zeros(8))
+        # groups without codes pool to zero too
+        pooled = signed_max_pool(np.array([[1.0, -1.0]]), np.array([2]), 3)
+        npt.assert_array_equal(pooled, [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]])
 
-    def test_mixed_lengths_rejected(self):
-        with pytest.raises(InvalidInputError):
-            signed_max_pool([sparse(2, [(0, 1.0)]), sparse(3, [(0, 1.0)])], 2)
+    def test_mismatched_labels_rejected(self):
+        codes = np.ones((2, 3))
+        for labels, count in (([0], 1), ([0, 1, 0], 2), ([0, 2], 2), ([-1, 0], 2)):
+            with pytest.raises(InvalidInputError):
+                signed_max_pool(codes, np.array(labels), count)
+
+    def test_no_negative_zero_in_output(self):
+        pooled = pool_one([[0.0, -0.0, 2.0], [-0.0, 0.0, -1.0]])
+        assert not np.any(np.signbit(pooled))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            codes = [
-                dense_code(5, rng.standard_normal(5) * (rng.uniform(size=5) > 0.4))
-                for _ in range(6)
-            ]
-            base = signed_max_pool(codes, 5)
-            perm = [codes[i] for i in rng.permutation(6)]
-            npt.assert_array_equal(signed_max_pool(perm, 5), base)
+            codes = rng.standard_normal((6, 5)) * (rng.uniform(size=(6, 5)) > 0.4)
+            labels = rng.integers(0, 3, size=6)
+            base = signed_max_pool(codes, labels, 3)
+            perm = rng.permutation(6)
+            npt.assert_array_equal(signed_max_pool(codes[perm], labels[perm], 3), base)
 
     def test_adding_a_code_never_decreases_coordinates(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            codes = [
-                dense_code(4, rng.standard_normal(4) * (rng.uniform(size=4) > 0.3))
-                for _ in range(4)
-            ]
-            extra = dense_code(4, rng.standard_normal(4))
-            before = signed_max_pool(codes, 4)
-            after = signed_max_pool(codes + [extra], 4)
+            codes = rng.standard_normal((4, 4)) * (rng.uniform(size=(4, 4)) > 0.3)
+            extra = rng.standard_normal((1, 4))
+            before = pool_one(codes)
+            after = pool_one(np.vstack([codes, extra]))
             assert np.all(after >= before - 1e-15)
-
-
-class TestConcatCells:
-    def test_single_cell_is_identity(self):
-        v = np.array([1.0, 2.0, 3.0])
-        npt.assert_array_equal(concat_cells([v]), v)
-
-    def test_four_cells_layout(self):
-        cells = [np.full(4, float(i)) for i in range(4)]
-        out = concat_cells(cells)
-        assert out.shape == (16,)
-        npt.assert_array_equal(out[:4], 0.0)
-        npt.assert_array_equal(out[8:12], 2.0)
-
-    def test_round_trip_slices(self):
-        rng = np.random.default_rng(2)
-        cells = [rng.standard_normal(6) for _ in range(5)]
-        out = concat_cells(cells)
-        for s, cell in enumerate(cells):
-            npt.assert_array_equal(out[6 * s : 6 * (s + 1)], cell)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            concat_cells([np.zeros(3), np.zeros(4)])
 
 
 def feature_grid_from_image(pixels, patch_size=3, stride=1):
@@ -129,8 +100,11 @@ class TestEncodeLayer:
         out = encode_layer(grid, layer)
         assert out.count == 1
         codes = [omp_encode(d, grid.vectors[i], 3) for i in range(grid.count)]
-        expected = l2_normalize(signed_max_pool(codes, 12))
-        npt.assert_allclose(out.vectors[0], expected, atol=1e-12)
+        expected = l2_normalize(oracles.signed_max_pool(codes, 12))
+        npt.assert_array_equal(out.vectors[0], expected)
+        npt.assert_array_equal(
+            out.vectors[0], l2_normalize(pool_one(omp_encode_batch(d, grid.vectors.T, 3)))
+        )
 
     def test_zero_inputs_give_zero_outputs(self):
         rng = np.random.default_rng(4)
@@ -202,11 +176,8 @@ class TestEncodeLayer:
 
 
 def code_grid(rng, k, centers, extent, density=0.6):
-    codes = []
-    for _ in range(len(centers)):
-        values = rng.standard_normal(k) * (rng.uniform(size=k) < density)
-        codes.append(dense_code(k, values))
-    return CodeGrid(np.asarray(centers, dtype=float), codes, k, extent)
+    codes = rng.standard_normal((len(centers), k)) * (rng.uniform(size=(len(centers), k)) < density)
+    return CodeGrid(np.asarray(centers, dtype=float), codes, extent)
 
 
 class TestPyramidPool:
@@ -226,7 +197,7 @@ class TestPyramidPool:
         rng = np.random.default_rng(11)
         grid = code_grid(rng, 6, [[2.0, 2.0]], (8, 8), density=1.0)
         desc = pyramid_pool(grid, [1], "img")
-        expected = l2_normalize(signed_max_pool(grid.codes, 6))
+        expected = l2_normalize(pool_one(grid.codes))
         npt.assert_allclose(desc.to_dense(), expected, atol=1e-12)
 
     def test_regions_partition_by_center_with_remainder_to_last(self):
@@ -238,7 +209,7 @@ class TestPyramidPool:
         grid = code_grid(rng, k, centers, (10, 10), density=1.0)
         desc = pyramid_pool(grid, [3], "img").to_dense()
         blocks = desc.reshape(9, 2 * k)
-        raw = [signed_max_pool([c], k) for c in grid.codes]
+        raw = [pool_one(c[None, :]) for c in grid.codes]
         stacked = np.concatenate(
             [
                 raw[0],
@@ -256,7 +227,7 @@ class TestPyramidPool:
         assert np.any(blocks[0] != 0) and np.any(blocks[3] != 0) and np.any(blocks[8] != 0)
 
     def test_empty_grid_warns_and_zeroes(self):
-        grid = CodeGrid(np.empty((0, 2)), [], 5, (8, 8))
+        grid = CodeGrid(np.empty((0, 2)), np.zeros((0, 5)), (8, 8))
         with pytest.warns(UserWarning):
             desc = pyramid_pool(grid, [1, 2], "blank")
         assert desc.length == 2 * 5 * 5
@@ -425,6 +396,24 @@ class TestDescriptorFile:
         save_descriptor(desc, path)
         path.write_bytes(path.read_bytes()[:-6])
         with pytest.raises(DecodeError):
+            load_descriptor(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda raw: raw[:14],
+            lambda raw: raw[:9] + b"\xff\xfe" + raw[11:],
+            lambda raw: raw + b"\x00",
+            lambda raw: raw[:-8] + np.array([2.0]).tobytes(),
+            lambda raw: raw[:-12] + (9).to_bytes(4, "little") + raw[-8:],
+        ],
+        ids=["header-cut", "id-not-utf8", "trailing-byte", "not-unit-norm", "index-out-of-range"],
+    )
+    def test_malformed_file_names_path(self, tmp_path, edit):
+        path = tmp_path / "d.hmpv"
+        save_descriptor(ImageDescriptor("ab", 4, np.array([2]), np.array([1.0])), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(DecodeError, match="d.hmpv"):
             load_descriptor(path)
 
 

@@ -122,6 +122,14 @@ class TestEvaluate:
             evaluate(idx, docs, gt)
         assert "g0m0" in str(err.value)
 
+    def test_empty_ground_truth_rejected(self):
+        docs, _ = planted_cluster_corpus()
+        idx = InvertedIndex(24)
+        for doc in docs.values():
+            index_add(idx, doc)
+        with pytest.raises(InvalidInputError, match="ground truth"):
+            evaluate(idx, docs, {})
+
     def test_unindexed_relevant_item_scores_zero(self):
         docs, gt = planted_cluster_corpus()
         idx = InvertedIndex(24)

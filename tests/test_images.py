@@ -12,7 +12,6 @@ from hmpsearch import (
     InvalidInputError,
     UnsupportedFormatError,
     extract_patches,
-    group_into_cells,
     load_image,
     read_manifest,
     resize_max_side,
@@ -155,44 +154,47 @@ class TestExtractPatches:
 
 
 class TestGroupIntoCells:
+    """`assign_to_cells` labels each patch center with its row-major cell."""
+
     def test_two_by_two_split_of_sixteen(self):
         rng = np.random.default_rng(4)
         img = IntensityImage(rng.uniform(size=(16, 16)))
         grid = extract_patches(img, 1, 1)
-        cells = group_into_cells(grid, 16, 2)
-        assert len(cells) == 4
+        labels = assign_to_cells(grid.centers, 16, 2)
+        assert labels.shape == (grid.count,)
+        assert set(labels.tolist()) == {0, 1, 2, 3}
         # the patch centered at (3, 3) is index 3*16+3 and lands in cell 0
-        assert 3 * 16 + 3 in cells[0]
-        for idx in cells[0]:
+        assert labels[3 * 16 + 3] == 0
+        for idx in np.flatnonzero(labels == 0):
             assert grid.centers[idx, 0] < 8 and grid.centers[idx, 1] < 8
 
     def test_single_cell_holds_everything(self):
         rng = np.random.default_rng(5)
         img = IntensityImage(rng.uniform(size=(10, 10)))
         grid = extract_patches(img, 3, 1)
-        cells = group_into_cells(grid, 10, 1)
-        assert sorted(cells[0]) == list(range(grid.count))
+        npt.assert_array_equal(assign_to_cells(grid.centers, 10, 1), np.zeros(grid.count))
 
     def test_three_by_three_partition_is_complete(self):
         rng = np.random.default_rng(6)
         img = IntensityImage(rng.uniform(size=(36, 36)))
         grid = extract_patches(img, 5, 1)
-        cells = group_into_cells(grid, 36, 3)
-        assert len(cells) == 9
-        everything = sorted(idx for cell in cells for idx in cell)
-        assert everything == list(range(grid.count))
+        labels = assign_to_cells(grid.centers, 36, 3)
+        cells = [np.flatnonzero(labels == c).tolist() for c in range(9)]
+        assert all(cells)
+        assert sorted(idx for cell in cells for idx in cell) == list(range(grid.count))
 
     def test_indivisible_geometry_rejected(self):
         rng = np.random.default_rng(7)
         img = IntensityImage(rng.uniform(size=(10, 10)))
         grid = extract_patches(img, 3, 1)
         with pytest.raises(InvalidInputError) as err:
-            group_into_cells(grid, 10, 3)
+            assign_to_cells(grid.centers, 10, 3)
         assert "10" in str(err.value) and "3" in str(err.value)
 
     def test_point_outside_region_rejected(self):
-        with pytest.raises(InvalidInputError):
-            assign_to_cells(np.array([[9.0, 1.0]]), 8, 2)
+        for point in ([9.0, 1.0], [1.0, 8.0], [-0.5, 1.0], [np.nan, 1.0]):
+            with pytest.raises(InvalidInputError):
+                assign_to_cells(np.array([[1.0, 1.0], point]), 8, 2)
 
 
 class TestManifest:

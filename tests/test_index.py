@@ -1,12 +1,14 @@
 """Inverted-file tests: posting bookkeeping, oracle equality, persistence."""
 
 import math
+import struct
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from hmpsearch import (
+    DecodeError,
     DuplicateIdError,
     ImageDescriptor,
     InvalidInputError,
@@ -284,3 +286,62 @@ class TestPersistence:
 
         with pytest.raises(DecodeError):
             load_index(path)
+
+
+def index_bytes(dimension, ids, blocks, idf=None):
+    """An index file: `blocks` maps a dimension to (doc ordinal, value) pairs;
+    ids may be given as raw bytes."""
+    out = b"HMPI\x01" + struct.pack("<II", dimension, len(ids))
+    for image_id in ids:
+        raw = image_id if isinstance(image_id, bytes) else image_id.encode()
+        out += struct.pack("<I", len(raw)) + raw
+    out += struct.pack("<I", len(blocks))
+    for dim, entries in blocks.items():
+        out += struct.pack("<II", dim, len(entries))
+        out += b"".join(struct.pack("<Id", doc, value) for doc, value in entries)
+    if idf is None:
+        return out + b"\x00"
+    return out + b"\x01" + np.asarray(idf, dtype="<f8").tobytes()
+
+
+class TestMalformedIndexFile:
+    def test_hand_built_file_loads(self, tmp_path):
+        path = tmp_path / "ok.hmpi"
+        path.write_bytes(index_bytes(4, ["a", "b"], {1: [(0, 0.6), (1, 0.8)]}, idf=[0.0, 1.0, 0, 0]))
+        idx = load_index(path)
+        assert idx.ids == ["a", "b"]
+        assert idx.postings == {1: [("a", 0.6), ("b", 0.8)]}
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            index_bytes(4, ["a"], {1: [(0, 1.0)]})[:-5],
+            index_bytes(4, ["a"], {1: [(0, 1.0)]}, idf=[1.0, 1.0, 1.0, 1.0])[:-8],
+            index_bytes(0, ["a"], {}),
+            index_bytes(4, ["a"], {1: [(0, 1.0)]}) + b"\x00\x00",
+            index_bytes(4, ["a"], {4: [(0, 1.0)]}),
+            index_bytes(4, ["a"], {1: [(0, float("nan"))]}),
+            index_bytes(4, ["a"], {1: [(1, 1.0)]}),
+            index_bytes(4, ["a", "a"], {}),
+            index_bytes(4, ["a"], {}, idf=[1.0, float("inf"), 1.0, 1.0]),
+            index_bytes(4, [b"\xff"], {}),
+        ],
+        ids=[
+            "block-past-end",
+            "weights-past-end",
+            "zero-dimension",
+            "trailing-bytes",
+            "dimension-out-of-range",
+            "nan-value",
+            "ordinal-out-of-range",
+            "duplicate-id",
+            "infinite-weight",
+            "id-not-utf8",
+        ],
+    )
+    def test_rejected_with_path(self, tmp_path, raw):
+        path = tmp_path / "bad.hmpi"
+        path.write_bytes(raw)
+        with pytest.raises(DecodeError, match="bad.hmpi"):
+            load_index(path)
+
