@@ -54,8 +54,8 @@ from .images import (
 from .index import (
     InvertedIndex,
     apply_idf,
+    build_index,
     exhaustive_scan,
-    index_add,
     load_index,
     query,
     save_index,

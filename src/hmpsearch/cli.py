@@ -37,7 +37,7 @@ from .encoder import (
 from .errors import ConfigError, DecodeError, HmpError, InvalidInputError
 from .evaluation import evaluate, load_ground_truth, write_report
 from .images import IntensityImage, extract_patches, load_image, read_manifest, resize_max_side
-from .index import InvertedIndex, apply_idf, index_add, load_index, query, save_index
+from .index import apply_idf, build_index, load_index, query, save_index
 
 log = logging.getLogger("hmpsearch")
 
@@ -260,6 +260,11 @@ def cmd_encode(cfg: RunConfig) -> int:
                 raise ConfigError(f"codebook {path} not found; run train-dict first")
         arch = attach_dictionaries(arch, lambda ref: load_dictionary(_dict_path(cfg, ref)))
     images = _load_corpus(cfg)
+    owners: dict[str, str] = {}
+    for image_id, _ in images:
+        name = safe_filename(image_id) + ".hmpv"
+        if owners.setdefault(name, image_id) != image_id:
+            raise InvalidInputError(f"image ids {owners[name]!r} and {image_id!r} share {name}")
     os.makedirs(cfg.descriptor_dir, exist_ok=True)
     descriptors = [_encode_one(cfg, arch, dictionary, image_id, img) for image_id, img in images]
     total_nnz = 0
@@ -284,12 +289,9 @@ def _load_descriptors(cfg: RunConfig):
 
 def cmd_build_index(cfg: RunConfig, use_idf: bool | None = None) -> int:
     descriptors = _load_descriptors(cfg)
-    idx = InvertedIndex(descriptors[0].length)
-    for desc in descriptors:
-        index_add(idx, desc)
+    idx = build_index(descriptors[0].length, descriptors)
     if use_idf if use_idf is not None else cfg.use_idf:
         idx = apply_idf(idx)
-    idx.freeze()
     os.makedirs(os.path.dirname(os.path.abspath(cfg.index_path)), exist_ok=True)
     save_index(idx, cfg.index_path)
     print(f"indexed {idx.doc_count} descriptors of dimension {idx.dimension}")

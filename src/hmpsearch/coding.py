@@ -46,7 +46,8 @@ class Dictionary:
             )
         if not np.all(np.isfinite(atoms)):
             raise InvalidInputError("atoms contain non-finite values")
-        norms = np.linalg.norm(atoms, axis=0)
+        with np.errstate(over="ignore"):  # an infinite norm fails the unit check
+            norms = np.linalg.norm(atoms, axis=0)
         bad = np.nonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)[0]
         if bad.size:
             raise InvalidInputError(

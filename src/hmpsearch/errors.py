@@ -18,7 +18,7 @@ class UnsupportedFormatError(DecodeError):
 
 
 class DuplicateIdError(InvalidInputError):
-    """An image id was added to an index that already contains it."""
+    """An image id is given twice where ids must be unique, as in an index."""
 
 
 class MissingQueryError(HmpError):

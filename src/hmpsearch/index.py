@@ -1,21 +1,21 @@
 """Inverted-file search over sparse descriptors.
 
-Posting lists map descriptor dimensions to the documents with a nonzero
-value there, so a query touches only the lists of its own nonzero
-dimensions. Because descriptors are unit vectors, accumulated dot products
-are cosine similarities. `exhaustive_scan` is the brute-force counterpart
-that scores every stored document; on any corpus where each document shares
-at least one dimension with the query the two return identical rankings.
-
-Building is single-writer; `freeze()` makes the index immutable, after which
-concurrent queries are safe.
+The index is an immutable dimensions x documents sparse matrix stored by
+dimension: row r is the posting list of dimension `dims[r]`, the document
+ordinals `docs[indptr[r]:indptr[r + 1]]` (positions in `ids`) and their
+`values`, ordered by image id. Only dimensions with postings have a row, as
+in the index file. A query touches only the rows of its own nonzero
+dimensions; because descriptors are unit vectors, its sums are cosines.
+`exhaustive_scan` is the brute-force counterpart that scores every stored
+document; on any corpus where each document shares at least one dimension
+with the query the two return identical rankings.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from bisect import insort
+from collections import Counter
 
 import numpy as np
 
@@ -28,57 +28,48 @@ _POSTING_DTYPE = np.dtype([("doc", "<u4"), ("value", "<f8")])
 
 
 class InvertedIndex:
-    """Posting lists over a fixed descriptor dimension."""
+    """Posting lists over a fixed descriptor dimension, as arrays."""
 
-    def __init__(self, dimension: int):
+    def __init__(self, dimension: int, ids: list[str], entry_dims, docs, values, idf=None):
+        """Store postings given as parallel (dimension, doc ordinal, value)
+        arrays in any order; a document may appear once per dimension."""
         if dimension < 1:
             raise InvalidInputError(f"dimension must be >= 1, got {dimension}")
-        self.dimension = int(dimension)
-        self.postings: dict[int, list[tuple[str, float]]] = {}
-        self.ids: list[str] = []
-        self._id_set: set[str] = set()
-        self.idf: np.ndarray | None = None
-        self.frozen = False
+        repeated = sorted(image_id for image_id, n in Counter(ids).items() if n > 1)
+        if repeated:
+            raise DuplicateIdError(f"image id(s) {repeated} listed more than once")
+        self.dimension, self.ids, self.idf = int(dimension), ids, idf
+        # position of each document in ascending id order, the tie rule of `query`
+        self.id_rank = np.empty(len(ids), dtype=np.int64)
+        self.id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+        order = np.lexsort((self.id_rank[docs], entry_dims))
+        entry_dims, self.docs, self.values = entry_dims[order], docs[order], values[order]
+        if np.any((np.diff(entry_dims) == 0) & (np.diff(self.docs) == 0)):
+            raise InvalidInputError("a posting list names a document twice")
+        self.dims, counts = np.unique(entry_dims, return_counts=True)
+        self.indptr = np.concatenate(([0], np.cumsum(counts)))
 
     @property
     def doc_count(self) -> int:
         return len(self.ids)
 
-    def freeze(self) -> "InvertedIndex":
-        self.frozen = True
-        return self
 
-    def __contains__(self, image_id: str) -> bool:
-        return image_id in self._id_set
-
-
-def index_add(idx: InvertedIndex, desc: ImageDescriptor) -> InvertedIndex:
-    """Add one descriptor; every nonzero lands in its dimension's posting list."""
-    if idx.frozen:
-        raise InvalidInputError("index is frozen; no further additions allowed")
-    if desc.length != idx.dimension:
+def build_index(dimension: int, descriptors) -> InvertedIndex:
+    """Index descriptors of length `dimension`; every nonzero becomes one
+    posting in its dimension's row."""
+    descriptors = list(descriptors)
+    lengths = {desc.length for desc in descriptors} - {dimension}
+    if lengths:
         raise InvalidInputError(
-            f"descriptor length {desc.length} does not match index dimension {idx.dimension}"
+            f"descriptor lengths {sorted(lengths)} do not match index dimension {dimension}"
         )
-    if desc.image_id in idx:
-        raise DuplicateIdError(f"image id {desc.image_id!r} is already indexed")
-    for i, v in zip(desc.indices, desc.values):
-        insort(idx.postings.setdefault(int(i), []), (desc.image_id, float(v)))
-    idx.ids.append(desc.image_id)
-    idx._id_set.add(desc.image_id)
-    return idx
-
-
-def _weighted_query(idx: InvertedIndex, desc: ImageDescriptor):
-    """Query-side values after any index weighting, renormalized."""
-    values = desc.values
-    if idx.idf is not None:
-        values = values * idx.idf[desc.indices]
-        norm = np.linalg.norm(values)
-        if norm == 0.0:
-            return desc.indices, values
-        values = values / norm
-    return desc.indices, values
+    return InvertedIndex(
+        dimension,
+        [desc.image_id for desc in descriptors],
+        np.concatenate([np.empty(0, np.int64)] + [desc.indices for desc in descriptors]),
+        np.repeat(np.arange(len(descriptors)), [desc.nnz for desc in descriptors]),
+        np.concatenate([np.empty(0)] + [desc.values for desc in descriptors]),
+    )
 
 
 def _ranked(scores: dict[str, float], top_k, exclude: str | None):
@@ -105,12 +96,27 @@ def query(
         raise InvalidInputError(
             f"query length {q.length} does not match index dimension {idx.dimension}"
         )
-    indices, values = _weighted_query(idx, q)
-    scores: dict[str, float] = {}
-    for i, v in zip(indices, values):
-        for doc_id, stored in idx.postings.get(int(i), ()):
-            scores[doc_id] = scores.get(doc_id, 0.0) + stored * float(v)
-    return _ranked(scores, top_k, q.image_id if self_exclude else None)
+    indices, values = q.indices, q.values
+    if idx.idf is not None:  # weight the query as the stored documents were
+        values = values * idx.idf[indices]
+        norm = np.linalg.norm(values)
+        values = values if norm == 0.0 else values / norm
+    # the rows of the query's dimensions in ascending order; no row, no range
+    lo = idx.indptr[np.searchsorted(idx.dims, indices)]
+    hi = idx.indptr[np.searchsorted(idx.dims, indices, side="right")]
+    lengths = hi - lo
+    take = np.arange(lengths.sum()) + np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
+    docs = idx.docs[take]
+    # bincount adds in input order from 0.0: each score sums by ascending dimension
+    scores = np.bincount(
+        docs, weights=idx.values[take] * np.repeat(values, lengths), minlength=idx.doc_count
+    )
+    candidates = np.flatnonzero(np.bincount(docs, minlength=idx.doc_count))
+    order = candidates[np.lexsort((idx.id_rank[candidates], -scores[candidates]))]
+    exclude = q.image_id if self_exclude else None
+    ranked = [n for n in order.tolist() if idx.ids[n] != exclude]
+    ranked = ranked[: None if top_k is None else max(int(top_k), 0)]
+    return [(idx.ids[n], score) for n, score in zip(ranked, scores[ranked].tolist())]
 
 
 def exhaustive_scan(
@@ -143,36 +149,25 @@ def apply_idf(idx: InvertedIndex) -> InvertedIndex:
     """
     if idx.doc_count < 1:
         raise InvalidInputError("cannot weight an empty index")
+    df = np.diff(idx.indptr)
     weights = np.zeros(idx.dimension)
-    for dim, plist in idx.postings.items():
-        weights[dim] = math.log(idx.doc_count / len(plist))
-    norms: dict[str, float] = {}
-    for dim, plist in idx.postings.items():
-        w = weights[dim]
-        for doc_id, value in plist:
-            norms[doc_id] = norms.get(doc_id, 0.0) + (value * w) ** 2
-    out = InvertedIndex(idx.dimension)
-    out.ids = list(idx.ids)
-    out._id_set = set(idx._id_set)
-    for dim, plist in idx.postings.items():
-        w = weights[dim]
-        if w == 0.0:
-            continue
-        rescaled = []
-        for doc_id, value in plist:
-            norm = math.sqrt(norms.get(doc_id, 0.0))
-            if norm > 0.0:
-                rescaled.append((doc_id, value * w / norm))
-        if rescaled:
-            out.postings[dim] = rescaled
-    out.idf = weights
-    return out
+    weights[idx.dims] = [math.log(idx.doc_count / count) for count in df.tolist()]
+    entry_dims = np.repeat(idx.dims, df)
+    scaled = idx.values * weights[entry_dims]
+    # each document's squared norm, summed in ascending dimension order
+    norms = np.sqrt(np.bincount(idx.docs, weights=scaled * scaled, minlength=idx.doc_count))
+    keep = (weights[entry_dims] != 0.0) & (norms[idx.docs] > 0.0)
+    docs = idx.docs[keep]
+    return InvertedIndex(
+        idx.dimension, idx.ids, entry_dims[keep], docs, scaled[keep] / norms[docs], weights
+    )
 
 
 def save_index(idx: InvertedIndex, path) -> None:
     """Write the index: magic, version, u32 dimension and doc count, an id
-    table, per-dimension posting blocks, then an optional weight trailer."""
-    ordinal = {image_id: n for n, image_id in enumerate(idx.ids)}
+    table, one (dimension, length, entries) block per row, then an optional
+    weight trailer."""
+    entries = np.rec.fromarrays([idx.docs, idx.values], dtype=_POSTING_DTYPE)
     with open(path, "wb") as fh:
         fh.write(_INDEX_MAGIC)
         fh.write(struct.pack("<B", _INDEX_VERSION))
@@ -181,18 +176,13 @@ def save_index(idx: InvertedIndex, path) -> None:
             encoded = image_id.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)
-        fh.write(struct.pack("<I", len(idx.postings)))
-        for dim in sorted(idx.postings):
-            plist = idx.postings[dim]
-            fh.write(struct.pack("<II", dim, len(plist)))
-            block = np.empty(len(plist), dtype=_POSTING_DTYPE)
-            block["doc"] = [ordinal[doc_id] for doc_id, _ in plist]
-            block["value"] = [value for _, value in plist]
-            fh.write(block.tobytes())
-        if idx.idf is None:
-            fh.write(struct.pack("<B", 0))
-        else:
-            fh.write(struct.pack("<B", 1))
+        fh.write(struct.pack("<I", idx.dims.size))
+        bounds = idx.indptr.tolist()
+        for dim, lo, hi in zip(idx.dims.tolist(), bounds, bounds[1:]):
+            fh.write(struct.pack("<II", dim, hi - lo))
+            fh.write(entries[lo:hi].tobytes())
+        fh.write(struct.pack("<B", idx.idf is not None))
+        if idx.idf is not None:
             fh.write(np.asarray(idx.idf, dtype="<f8").tobytes())
 
 
@@ -209,33 +199,38 @@ def load_index(path) -> InvertedIndex:
     dimension, doc_count = struct.unpack_from("<II", raw, 5)
     pos = 13
     try:
-        idx = InvertedIndex(dimension)
+        ids = []
         for _ in range(doc_count):
             (id_len,) = struct.unpack_from("<I", raw, pos)
-            idx.ids.append(raw[pos + 4 : pos + 4 + id_len].decode("utf-8"))
+            ids.append(raw[pos + 4 : pos + 4 + id_len].decode("utf-8"))
             pos += 4 + id_len
-        idx._id_set = set(idx.ids)
-        if len(idx._id_set) != doc_count:
-            raise InvalidInputError("the id table lists an id twice")
         (n_blocks,) = struct.unpack_from("<I", raw, pos)
         pos += 4
+        dims, blocks = [], [np.empty(0, dtype=_POSTING_DTYPE)]
         for _ in range(n_blocks):
             dim, n_entries = struct.unpack_from("<II", raw, pos)
-            block = np.frombuffer(raw, dtype=_POSTING_DTYPE, count=n_entries, offset=pos + 8)
+            if dim >= dimension or (dims and dim <= dims[-1]):
+                raise InvalidInputError(f"posting block for dimension {dim} is out of range or order")
+            blocks.append(np.frombuffer(raw, dtype=_POSTING_DTYPE, count=n_entries, offset=pos + 8))
+            dims.append(dim)
             pos += 8 + 12 * n_entries
-            if dim >= dimension or dim in idx.postings or not np.all(np.isfinite(block["value"])):
-                raise InvalidInputError(f"bad posting block for dimension {dim}")
-            idx.postings[dim] = [(idx.ids[doc], float(value)) for doc, value in block]
+        entries = np.concatenate(blocks)
+        if np.any(entries["doc"] >= doc_count) or not np.all(np.isfinite(entries["value"])):
+            raise InvalidInputError("a posting has a doc ordinal out of range or a non-finite value")
         (has_idf,) = struct.unpack_from("<B", raw, pos)
         pos += 1
+        idf = None
         if has_idf:
-            idx.idf = np.frombuffer(raw, dtype="<f8", count=dimension, offset=pos).copy()
+            idf = np.frombuffer(raw, dtype="<f8", count=dimension, offset=pos).copy()
             pos += 8 * dimension
-            if not np.all(np.isfinite(idx.idf)):
+            if not np.all(np.isfinite(idf)):
                 raise InvalidInputError("non-finite weights")
         if pos != len(raw):
             raise InvalidInputError(f"{len(raw) - pos} trailing bytes after the weight flag or weights")
-    except (struct.error, IndexError, ValueError) as exc:
+        entry_dims = np.repeat(np.array(dims, dtype=np.int64), [len(b) for b in blocks[1:]])
+        return InvertedIndex(
+            dimension, ids, entry_dims, entries["doc"].astype(np.int64), entries["value"], idf
+        )
+    except (struct.error, ValueError) as exc:
         # ValueError covers bad UTF-8, blocks past the end and InvalidInputError
         raise DecodeError(f"{path}: truncated or corrupt index: {exc}") from exc
-    return idx

@@ -1,9 +1,14 @@
-"""Loop-based reference implementations of the array pooling code.
+"""Loop-based reference implementations of the array pooling and index code.
 
 These are the per-point, per-cell and per-region loops the encoder once ran
-on lists of `SparseCode` objects. Tests hold the array implementations in
-`hmpsearch.images` and `hmpsearch.encoder` to them bit for bit.
+on lists of `SparseCode` objects, and the inverted file as a dict of
+(id, value) posting lists grown one descriptor at a time. Tests hold the
+array implementations in `hmpsearch.images`, `hmpsearch.encoder` and
+`hmpsearch.index` to them.
 """
+
+import math
+from bisect import insort
 
 import numpy as np
 
@@ -87,3 +92,82 @@ def pyramid_blocks(centers, codes, code_length: int, extent, pyramid) -> np.ndar
             regions[rr * g + cc].append(code)
         blocks.extend(signed_max_pool(region, code_length) for region in regions)
     return np.concatenate(blocks)
+
+
+class DictIndex:
+    """Posting lists as `{dimension: [(image id, value), ...]}`, each list
+    kept sorted by id."""
+
+    def __init__(self, dimension: int):
+        self.dimension = dimension
+        self.postings: dict[int, list[tuple[str, float]]] = {}
+        self.ids: list[str] = []
+        self.idf = None
+
+
+def postings_of(idx) -> dict[int, list[tuple[str, float]]]:
+    """The rows of an array `InvertedIndex` in the `DictIndex.postings` layout."""
+    bounds = idx.indptr.tolist()
+    return {
+        dim: [
+            (idx.ids[doc], value)
+            for doc, value in zip(idx.docs[lo:hi].tolist(), idx.values[lo:hi].tolist())
+        ]
+        for dim, lo, hi in zip(idx.dims.tolist(), bounds, bounds[1:])
+    }
+
+
+def index_add(idx: DictIndex, desc) -> DictIndex:
+    assert desc.length == idx.dimension and desc.image_id not in idx.ids
+    for i, v in zip(desc.indices, desc.values):
+        insort(idx.postings.setdefault(int(i), []), (desc.image_id, float(v)))
+    idx.ids.append(desc.image_id)
+    return idx
+
+
+def index_query(idx: DictIndex, q, top_k=None, self_exclude=False):
+    """Scores accumulated posting by posting over the query's dimensions in
+    ascending order, ranked by descending score then ascending id."""
+    values = q.values
+    if idx.idf is not None:
+        values = values * idx.idf[q.indices]
+        norm = np.linalg.norm(values)
+        if norm != 0.0:
+            values = values / norm
+    scores: dict[str, float] = {}
+    for i, v in zip(q.indices, values):
+        for doc_id, stored in idx.postings.get(int(i), ()):
+            scores[doc_id] = scores.get(doc_id, 0.0) + stored * float(v)
+    exclude = q.image_id if self_exclude else None
+    items = [(i, s) for i, s in scores.items() if i != exclude]
+    items.sort(key=lambda entry: (-entry[1], entry[0]))
+    if top_k is not None:
+        items = items[: max(int(top_k), 0)]
+    return items
+
+
+def index_apply_idf(idx: DictIndex) -> DictIndex:
+    """IDF weights and per-document renormalization, one posting at a time;
+    squared norms are summed in insertion order of the dimensions."""
+    weights = np.zeros(idx.dimension)
+    for dim, plist in idx.postings.items():
+        weights[dim] = math.log(len(idx.ids) / len(plist))
+    norms: dict[str, float] = {}
+    for dim, plist in idx.postings.items():
+        for doc_id, value in plist:
+            norms[doc_id] = norms.get(doc_id, 0.0) + (value * weights[dim]) ** 2
+    out = DictIndex(idx.dimension)
+    out.ids = list(idx.ids)
+    for dim, plist in idx.postings.items():
+        w = weights[dim]
+        if w == 0.0:
+            continue
+        rescaled = []
+        for doc_id, value in plist:
+            norm = math.sqrt(norms.get(doc_id, 0.0))
+            if norm > 0.0:
+                rescaled.append((doc_id, value * w / norm))
+        if rescaled:
+            out.postings[dim] = rescaled
+    out.idf = weights
+    return out

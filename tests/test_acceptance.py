@@ -13,18 +13,17 @@ import pytest
 from hmpsearch import (
     ArchitectureConfig,
     IntensityImage,
-    InvertedIndex,
     LayerConfig,
     TrainConfig,
     TrainingSet,
     average_precision,
+    build_index,
     encode_image,
     encode_image_bof,
     encode_layer,
     evaluate,
     exhaustive_scan,
     extract_patches,
-    index_add,
     l2_normalize,
     load_index,
     omp_encode,
@@ -165,9 +164,7 @@ def test_criterion_4_index_matches_oracle(tmp_path):
     rng = np.random.default_rng(400)
     docs = _random_sparse_descriptors(rng, 200, 48, 12, "doc")
     queries = _random_sparse_descriptors(rng, 20, 48, 12, "query")
-    idx = InvertedIndex(48)
-    for doc in docs:
-        index_add(idx, doc)
+    idx = build_index(48, docs)
 
     def check(index):
         for q in queries:
@@ -208,9 +205,7 @@ def test_criterion_5_metric_oracle():
         for member in members:
             docs[member] = ImageDescriptor(member, 32, dims, vals)
             gt[member] = set(members) - {member}
-    idx = InvertedIndex(32)
-    for doc in docs.values():
-        index_add(idx, doc)
+    idx = build_index(32, docs.values())
     result = evaluate(idx, docs, gt)
     assert result.mean_ap == pytest.approx(1.0, abs=1e-12)
     report(5, "metric oracle", "AP examples exact, planted clusters mAP 1.0")
@@ -242,9 +237,7 @@ def _train_codebook(signals, size, sparsity, seed):
 
 
 def _mean_ap(descriptors, gt):
-    idx = InvertedIndex(next(iter(descriptors.values())).length)
-    for desc in descriptors.values():
-        index_add(idx, desc)
+    idx = build_index(next(iter(descriptors.values())).length, descriptors.values())
     return evaluate(idx, descriptors, gt).mean_ap
 
 

@@ -130,6 +130,18 @@ class TestEncode:
         run_cli(cfg, "encode")
         assert sample.read_bytes() == first
 
+    def test_ids_sharing_a_descriptor_file_rejected(self, tmp_path, capsys):
+        cfg = make_workspace(tmp_path)
+        assert run_cli(cfg, "train-dict") == 0
+        manifest = tmp_path / "manifest.tsv"
+        lines = manifest.read_text().splitlines()
+        lines += ["a/b\timages/g0m0.pgm", "a_b\timages/g1m0.pgm", "a b\timages/g2m0.pgm"]
+        manifest.write_text("\n".join(lines) + "\n")
+        assert run_cli(cfg, "encode") == 2
+        err = capsys.readouterr().err
+        assert "'a/b'" in err and "'a_b'" in err and "a_b.hmpv" in err
+        assert not (tmp_path / "descriptors").exists()
+
     def test_missing_dictionary_is_config_error(self, tmp_path, capsys):
         cfg = make_workspace(tmp_path)
         assert run_cli(cfg, "encode") == 2

@@ -321,9 +321,16 @@ class TestDictionaryFile:
 
     @pytest.mark.parametrize(
         "d, k, atoms",
-        [(0, 3, []), (3, 0, []), (2, 2, [1.0, 0.0, 0.0, 2.0]), (1, 1, [np.nan])],
-        ids=["no-rows", "no-atoms", "non-unit-atom", "nan-atom"],
+        [
+            (0, 3, []),
+            (3, 0, []),
+            (2, 2, [1.0, 0.0, 0.0, 2.0]),
+            (1, 1, [np.nan]),
+            (1, 2, [1.0, 1e300]),
+        ],
+        ids=["no-rows", "no-atoms", "non-unit-atom", "nan-atom", "norm-overflows"],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_invalid_codebook_names_path(self, tmp_path, d, k, atoms):
         path = tmp_path / "bad.hmpd"
         header = b"HMPD\x01" + struct.pack("<II", d, k)

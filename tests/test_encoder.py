@@ -406,9 +406,18 @@ class TestDescriptorFile:
             lambda raw: raw + b"\x00",
             lambda raw: raw[:-8] + np.array([2.0]).tobytes(),
             lambda raw: raw[:-12] + (9).to_bytes(4, "little") + raw[-8:],
+            lambda raw: raw[:-8] + np.array([1e300]).tobytes(),
         ],
-        ids=["header-cut", "id-not-utf8", "trailing-byte", "not-unit-norm", "index-out-of-range"],
+        ids=[
+            "header-cut",
+            "id-not-utf8",
+            "trailing-byte",
+            "not-unit-norm",
+            "index-out-of-range",
+            "norm-overflows",
+        ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_file_names_path(self, tmp_path, edit):
         path = tmp_path / "d.hmpv"
         save_descriptor(ImageDescriptor("ab", 4, np.array([2]), np.array([1.0])), path)

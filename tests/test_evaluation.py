@@ -6,12 +6,11 @@ import pytest
 from hmpsearch import (
     ImageDescriptor,
     InvalidInputError,
-    InvertedIndex,
     MissingQueryError,
     average_precision,
+    build_index,
     evaluate,
     exhaustive_scan,
-    index_add,
     l2_normalize,
     load_ground_truth,
     write_report,
@@ -96,27 +95,21 @@ def planted_cluster_corpus():
 class TestEvaluate:
     def test_planted_clusters_reach_perfect_map(self):
         docs, gt = planted_cluster_corpus()
-        idx = InvertedIndex(24)
-        for doc in docs.values():
-            index_add(idx, doc)
+        idx = build_index(24, docs.values())
         report = evaluate(idx, docs, gt)
         assert report.mean_ap == pytest.approx(1.0, abs=1e-12)
         assert len(report.per_query) == 9
 
     def test_map_is_exact_mean_of_aps(self):
         docs, gt = planted_cluster_corpus()
-        idx = InvertedIndex(24)
-        for doc in docs.values():
-            index_add(idx, doc)
+        idx = build_index(24, docs.values())
         report = evaluate(idx, docs, gt)
         aps = [ap for _, ap, _ in report.per_query]
         assert report.mean_ap == sum(aps) / len(aps)
 
     def test_missing_query_descriptor_reported(self):
         docs, gt = planted_cluster_corpus()
-        idx = InvertedIndex(24)
-        for doc in docs.values():
-            index_add(idx, doc)
+        idx = build_index(24, docs.values())
         del docs["g0m0"]
         with pytest.raises(MissingQueryError) as err:
             evaluate(idx, docs, gt)
@@ -124,18 +117,13 @@ class TestEvaluate:
 
     def test_empty_ground_truth_rejected(self):
         docs, _ = planted_cluster_corpus()
-        idx = InvertedIndex(24)
-        for doc in docs.values():
-            index_add(idx, doc)
+        idx = build_index(24, docs.values())
         with pytest.raises(InvalidInputError, match="ground truth"):
             evaluate(idx, docs, {})
 
     def test_unindexed_relevant_item_scores_zero(self):
         docs, gt = planted_cluster_corpus()
-        idx = InvertedIndex(24)
-        for doc_id, doc in docs.items():
-            if doc_id != "g1m2":
-                index_add(idx, doc)
+        idx = build_index(24, [doc for doc_id, doc in docs.items() if doc_id != "g1m2"])
         report = evaluate(idx, docs, {"g1m0": {"g1m1", "g1m2"}})
         # one of two relevant items can never be retrieved
         assert report.per_query[0][1] == pytest.approx(0.5, abs=1e-12)
@@ -147,17 +135,13 @@ class TestEvaluate:
         maps = []
         for _ in range(3):
             rng.shuffle(ids)
-            idx = InvertedIndex(24)
-            for doc_id in ids:
-                index_add(idx, docs[doc_id])
+            idx = build_index(24, [docs[doc_id] for doc_id in ids])
             maps.append(evaluate(idx, docs, gt).mean_ap)
         assert maps[0] == maps[1] == maps[2]
 
     def test_exhaustive_oracle_substitution_matches(self):
         docs, gt = planted_cluster_corpus()
-        idx = InvertedIndex(24)
-        for doc in docs.values():
-            index_add(idx, doc)
+        idx = build_index(24, docs.values())
         via_index = evaluate(idx, docs, gt)
 
         def scanner(q, top_k, self_exclude):
@@ -168,9 +152,7 @@ class TestEvaluate:
 
     def test_self_exclusion_toggle(self):
         docs, gt = planted_cluster_corpus()
-        idx = InvertedIndex(24)
-        for doc in docs.values():
-            index_add(idx, doc)
+        idx = build_index(24, docs.values())
         # with exclusion off the query outranks its group mates but is not
         # relevant, so precision at the hit ranks drops
         include_self = evaluate(idx, docs, gt, self_exclude=False)
@@ -206,9 +188,7 @@ class TestGroundTruthFile:
 class TestReportFile:
     def test_written_lines(self, tmp_path):
         docs, gt = planted_cluster_corpus()
-        idx = InvertedIndex(24)
-        for doc in docs.values():
-            index_add(idx, doc)
+        idx = build_index(24, docs.values())
         report = evaluate(idx, docs, gt, config_fingerprint="abc123")
         path = tmp_path / "report.txt"
         write_report(report, path)

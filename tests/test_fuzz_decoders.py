@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from hmpsearch import (
     DecodeError,
     ImageDescriptor,
-    InvertedIndex,
     apply_idf,
-    index_add,
+    build_index,
     l2_normalize,
     load_descriptor,
     load_dictionary,
@@ -24,6 +23,9 @@ from hmpsearch import (
     save_index,
 )
 from conftest import random_dictionary
+
+# no numeric warning escapes a decoder, not even on the way to a DecodeError
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 FUZZ = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -40,10 +42,11 @@ def valid_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("valid")
     desc_path = root / "valid.hmpv"
     save_descriptor(descriptor("img-7", [1, 8, 12, 30, 39], [0.5, -1.0, 2.0, 0.25, 1.0]), desc_path)
-    idx = InvertedIndex(40)
-    index_add(idx, descriptor("a", [1, 8], [1.0, 2.0]))
-    index_add(idx, descriptor("b", [8, 30], [-1.0, 0.5]))
-    index_add(idx, descriptor("c", [1, 39], [3.0, 1.0]))
+    idx = build_index(40, [
+        descriptor("a", [1, 8], [1.0, 2.0]),
+        descriptor("b", [8, 30], [-1.0, 0.5]),
+        descriptor("c", [1, 39], [3.0, 1.0]),
+    ])
     index_path = root / "valid.hmpi"
     save_index(apply_idf(idx), index_path)
     dict_path = root / "valid.hmpd"
@@ -76,7 +79,6 @@ def test_arbitrary_bytes(tmp_path, loader, data, magic):
 
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda f: f.__name__)
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @FUZZ
 @given(
     cut=st.integers(0, 10**6),

@@ -12,15 +12,15 @@ from hmpsearch import (
     DuplicateIdError,
     ImageDescriptor,
     InvalidInputError,
-    InvertedIndex,
     apply_idf,
+    build_index,
     exhaustive_scan,
-    index_add,
     l2_normalize,
     load_index,
     query,
     save_index,
 )
+from oracles import postings_of
 
 
 def sparse_descriptor(image_id, length, pairs):
@@ -42,101 +42,92 @@ def random_corpus(rng, count, length=32, nnz=10, prefix="doc"):
     return docs
 
 
-def build_index(docs):
-    idx = InvertedIndex(docs[0].length)
-    for doc in docs:
-        index_add(idx, doc)
-    return idx
+def indexed(docs):
+    return build_index(docs[0].length, docs)
 
 
 class TestIndexAdd:
+    """Posting bookkeeping of `build_index`."""
+
     def test_three_nonzeros_make_three_postings(self):
-        idx = InvertedIndex(8)
-        index_add(idx, sparse_descriptor("a", 8, [(1, 1.0), (3, 2.0), (5, -1.0)]))
-        assert sum(len(p) for p in idx.postings.values()) == 3
+        idx = build_index(8, [sparse_descriptor("a", 8, [(1, 1.0), (3, 2.0), (5, -1.0)])])
+        assert sum(len(p) for p in postings_of(idx).values()) == 3
+        assert sorted(postings_of(idx)) == [1, 3, 5]
         assert idx.doc_count == 1
 
     def test_total_postings_equal_total_nnz(self):
         rng = np.random.default_rng(0)
         docs = random_corpus(rng, 100)
-        idx = build_index(docs)
-        assert sum(len(p) for p in idx.postings.values()) == sum(d.nnz for d in docs)
+        idx = indexed(docs)
+        assert idx.docs.size == idx.indptr[-1] == sum(d.nnz for d in docs)
         assert idx.doc_count == 100
 
     def test_posting_lists_sorted_by_id(self):
         rng = np.random.default_rng(1)
         docs = random_corpus(rng, 30)
         rng.shuffle(docs)
-        idx = build_index(docs)
-        for plist in idx.postings.values():
+        idx = indexed(docs)
+        for plist in postings_of(idx).values():
             ids = [doc_id for doc_id, _ in plist]
             assert ids == sorted(ids)
 
     def test_duplicate_id_rejected(self):
-        idx = InvertedIndex(4)
-        index_add(idx, sparse_descriptor("a", 4, [(0, 1.0)]))
+        docs = [sparse_descriptor("a", 4, [(0, 1.0)]), sparse_descriptor("a", 4, [(1, 1.0)])]
         with pytest.raises(DuplicateIdError):
-            index_add(idx, sparse_descriptor("a", 4, [(1, 1.0)]))
+            build_index(4, docs)
 
     def test_dimension_mismatch_rejected(self):
-        idx = InvertedIndex(4)
         with pytest.raises(InvalidInputError):
-            index_add(idx, sparse_descriptor("a", 5, [(0, 1.0)]))
-
-    def test_frozen_index_rejects_additions(self):
-        idx = InvertedIndex(4)
-        index_add(idx, sparse_descriptor("a", 4, [(0, 1.0)]))
-        idx.freeze()
-        with pytest.raises(InvalidInputError):
-            index_add(idx, sparse_descriptor("b", 4, [(1, 1.0)]))
+            build_index(4, [sparse_descriptor("a", 5, [(0, 1.0)])])
 
 
 class TestQuery:
     def test_indexed_descriptor_retrieves_itself_first(self):
         rng = np.random.default_rng(2)
         docs = random_corpus(rng, 25)
-        idx = build_index(docs)
+        idx = indexed(docs)
         hits = query(idx, docs[7], top_k=5)
         assert hits[0][0] == docs[7].image_id
         assert hits[0][1] == pytest.approx(1.0, abs=1e-9)
         assert all(hits[0][1] >= s for _, s in hits)
 
     def test_no_shared_dimension_gives_empty_result(self):
-        idx = InvertedIndex(8)
-        index_add(idx, sparse_descriptor("a", 8, [(0, 1.0), (1, 1.0)]))
+        idx = build_index(8, [sparse_descriptor("a", 8, [(0, 1.0), (1, 1.0)])])
         q = sparse_descriptor("q", 8, [(5, 1.0), (6, 1.0)])
         assert query(idx, q) == []
 
     def test_self_exclusion_drops_own_id(self):
         rng = np.random.default_rng(3)
         docs = random_corpus(rng, 10)
-        idx = build_index(docs)
+        idx = indexed(docs)
         hits = query(idx, docs[0], self_exclude=True)
         assert docs[0].image_id not in [doc_id for doc_id, _ in hits]
+        assert query(idx, docs[0], top_k=3, self_exclude=True) == hits[:3]
 
     def test_dimension_mismatch_rejected(self):
-        idx = InvertedIndex(8)
+        idx = build_index(8, [])
         with pytest.raises(InvalidInputError):
             query(idx, sparse_descriptor("q", 9, [(0, 1.0)]))
 
     def test_ties_break_by_ascending_id(self):
-        idx = InvertedIndex(4)
         # two identical documents tie exactly
-        index_add(idx, sparse_descriptor("zz", 4, [(0, 1.0), (1, 1.0)]))
-        index_add(idx, sparse_descriptor("aa", 4, [(0, 1.0), (1, 1.0)]))
+        idx = build_index(4, [
+            sparse_descriptor("zz", 4, [(0, 1.0), (1, 1.0)]),
+            sparse_descriptor("aa", 4, [(0, 1.0), (1, 1.0)]),
+        ])
         hits = query(idx, sparse_descriptor("q", 4, [(0, 1.0), (1, 1.0)]))
         assert [doc_id for doc_id, _ in hits] == ["aa", "zz"]
 
     def test_top_k_larger_than_corpus_returns_everything(self):
         rng = np.random.default_rng(4)
         docs = random_corpus(rng, 6)
-        idx = build_index(docs)
+        idx = indexed(docs)
         assert len(query(idx, docs[0], top_k=500)) == 6
 
     def test_scores_equal_full_cosine(self):
         rng = np.random.default_rng(5)
         docs = random_corpus(rng, 40)
-        idx = build_index(docs)
+        idx = indexed(docs)
         q = random_corpus(rng, 1, prefix="query")[0]
         dense_q = q.to_dense()
         for doc_id, score in query(idx, q):
@@ -146,7 +137,7 @@ class TestQuery:
     def test_score_bounds(self):
         rng = np.random.default_rng(6)
         docs = random_corpus(rng, 50)
-        idx = build_index(docs)
+        idx = indexed(docs)
         for q in random_corpus(rng, 5, prefix="query"):
             for _, score in query(idx, q):
                 assert -1.0 - 1e-9 <= score <= 1.0 + 1e-9
@@ -172,7 +163,7 @@ class TestExhaustiveScan:
     def test_matches_query_on_random_corpora(self):
         rng = np.random.default_rng(7)
         docs = random_corpus(rng, 200)
-        idx = build_index(docs)
+        idx = indexed(docs)
         for q in random_corpus(rng, 20, prefix="query"):
             via_index = query(idx, q)
             via_scan = exhaustive_scan(docs, q)
@@ -189,7 +180,7 @@ class TestExhaustiveScan:
         for n in range(60):
             dims = rng.choice(16, size=3, replace=False)
             docs.append(sparse_descriptor(f"d{n:02d}", 16, zip(dims, rng.standard_normal(3))))
-        idx = build_index(docs)
+        idx = indexed(docs)
         for n in range(10):
             dims = rng.choice(16, size=3, replace=False)
             q = sparse_descriptor(f"q{n}", 16, zip(dims, rng.standard_normal(3)))
@@ -206,11 +197,11 @@ class TestExhaustiveScan:
 
 class TestApplyIdf:
     def three_doc_index(self):
-        idx = InvertedIndex(3)
-        index_add(idx, sparse_descriptor("a", 3, [(0, 1.0), (1, 1.0), (2, 1.0)]))
-        index_add(idx, sparse_descriptor("b", 3, [(1, 1.0), (2, 1.0)]))
-        index_add(idx, sparse_descriptor("c", 3, [(2, 1.0)]))
-        return idx
+        return build_index(3, [
+            sparse_descriptor("a", 3, [(0, 1.0), (1, 1.0), (2, 1.0)]),
+            sparse_descriptor("b", 3, [(1, 1.0), (2, 1.0)]),
+            sparse_descriptor("c", 3, [(2, 1.0)]),
+        ])
 
     def test_weights_follow_log_formula(self):
         weighted = apply_idf(self.three_doc_index())
@@ -220,16 +211,23 @@ class TestApplyIdf:
 
     def test_ubiquitous_dimension_drops_out(self):
         weighted = apply_idf(self.three_doc_index())
-        assert 2 not in weighted.postings
+        assert 2 not in postings_of(weighted)
 
     def test_documents_renormalized(self):
         weighted = apply_idf(self.three_doc_index())
         norms = {}
-        for plist in weighted.postings.values():
+        for plist in postings_of(weighted).values():
             for doc_id, value in plist:
                 norms[doc_id] = norms.get(doc_id, 0.0) + value * value
         for doc_id, sq in norms.items():
             npt.assert_allclose(math.sqrt(sq), 1.0, atol=1e-9)
+
+    def test_document_with_underflowing_weighted_norm_drops_out(self):
+        # "b" keeps only a value whose weighted square underflows to zero
+        tiny = ImageDescriptor("b", 2, np.array([0, 1]), np.array([1.0, 1e-170]))
+        weighted = apply_idf(build_index(2, [sparse_descriptor("a", 2, [(0, 1.0)]), tiny]))
+        assert postings_of(weighted) == {}
+        assert np.all(np.isfinite(weighted.values))
 
     def test_weighted_scores_stay_cosines(self):
         weighted = apply_idf(self.three_doc_index())
@@ -239,14 +237,14 @@ class TestApplyIdf:
 
     def test_empty_index_rejected(self):
         with pytest.raises(InvalidInputError):
-            apply_idf(InvertedIndex(4))
+            apply_idf(build_index(4, []))
 
 
 class TestPersistence:
     def test_round_trip_preserves_query_results_bitwise(self, tmp_path):
         rng = np.random.default_rng(9)
         docs = random_corpus(rng, 80)
-        idx = build_index(docs)
+        idx = indexed(docs)
         queries = random_corpus(rng, 8, prefix="query")
         before = [query(idx, q, top_k=20) for q in queries]
         path = tmp_path / "corpus.hmpi"
@@ -258,7 +256,7 @@ class TestPersistence:
     def test_round_trip_preserves_idf(self, tmp_path):
         rng = np.random.default_rng(10)
         docs = random_corpus(rng, 30)
-        idx = apply_idf(build_index(docs))
+        idx = apply_idf(indexed(docs))
         path = tmp_path / "weighted.hmpi"
         save_index(idx, path)
         loaded = load_index(path)
@@ -267,8 +265,7 @@ class TestPersistence:
         assert query(loaded, q) == query(idx, q)
 
     def test_header_layout(self, tmp_path):
-        idx = InvertedIndex(6)
-        index_add(idx, sparse_descriptor("ab", 6, [(2, 1.0)]))
+        idx = build_index(6, [sparse_descriptor("ab", 6, [(2, 1.0)])])
         path = tmp_path / "tiny.hmpi"
         save_index(idx, path)
         raw = path.read_bytes()
@@ -289,14 +286,15 @@ class TestPersistence:
 
 
 def index_bytes(dimension, ids, blocks, idf=None):
-    """An index file: `blocks` maps a dimension to (doc ordinal, value) pairs;
-    ids may be given as raw bytes."""
+    """An index file: `blocks` maps a dimension to (doc ordinal, value) pairs,
+    as a dict or as a list of (dimension, pairs) in file order; ids may be
+    given as raw bytes."""
     out = b"HMPI\x01" + struct.pack("<II", dimension, len(ids))
     for image_id in ids:
         raw = image_id if isinstance(image_id, bytes) else image_id.encode()
         out += struct.pack("<I", len(raw)) + raw
     out += struct.pack("<I", len(blocks))
-    for dim, entries in blocks.items():
+    for dim, entries in blocks.items() if isinstance(blocks, dict) else blocks:
         out += struct.pack("<II", dim, len(entries))
         out += b"".join(struct.pack("<Id", doc, value) for doc, value in entries)
     if idf is None:
@@ -310,7 +308,7 @@ class TestMalformedIndexFile:
         path.write_bytes(index_bytes(4, ["a", "b"], {1: [(0, 0.6), (1, 0.8)]}, idf=[0.0, 1.0, 0, 0]))
         idx = load_index(path)
         assert idx.ids == ["a", "b"]
-        assert idx.postings == {1: [("a", 0.6), ("b", 0.8)]}
+        assert postings_of(idx) == {1: [("a", 0.6), ("b", 0.8)]}
 
     @pytest.mark.parametrize(
         "raw",
@@ -325,6 +323,9 @@ class TestMalformedIndexFile:
             index_bytes(4, ["a", "a"], {}),
             index_bytes(4, ["a"], {}, idf=[1.0, float("inf"), 1.0, 1.0]),
             index_bytes(4, [b"\xff"], {}),
+            index_bytes(4, ["a", "b"], {1: [(0, 0.6), (0, 0.8)]}),
+            index_bytes(4, ["a"], [(2, [(0, 0.6)]), (1, [(0, 0.8)])]),
+            index_bytes(4, ["a", "b"], [(1, [(0, 0.6)]), (1, [(1, 0.8)])]),
         ],
         ids=[
             "block-past-end",
@@ -337,6 +338,9 @@ class TestMalformedIndexFile:
             "duplicate-id",
             "infinite-weight",
             "id-not-utf8",
+            "ordinal-repeated-in-block",
+            "dimensions-descending",
+            "dimension-repeated",
         ],
     )
     def test_rejected_with_path(self, tmp_path, raw):
