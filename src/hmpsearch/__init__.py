@@ -26,6 +26,7 @@ from .encoder import (
     encode_image,
     encode_image_bof,
     encode_layer,
+    layer_inputs,
     load_architecture,
     load_descriptor,
     pyramid_pool,

@@ -3,8 +3,10 @@
 Every stage reads one run config file and validates its inputs before doing
 any long-running work, so stages can be re-run independently. Artifacts are
 plain files: one codebook per layer, one descriptor file per image, one
-index file, one evaluation report. Set HMPSEARCH_LOG=debug|info|warning to
-control verbosity.
+index file, one evaluation report. Every stage that reads the manifest
+admits the same images: it skips, with a warning, each image that cannot be
+decoded or whose shorter side (after the optional resize) is too small for
+the pipeline. Set HMPSEARCH_LOG=debug|info|warning to control verbosity.
 """
 
 from __future__ import annotations
@@ -25,18 +27,19 @@ from .coding import load_dictionary, save_dictionary
 from .dictionary import TrainConfig, TrainingSet, train
 from .encoder import (
     ArchitectureConfig,
-    FeatureGrid,
+    LayerConfig,
     attach_dictionaries,
     encode_image,
     encode_image_bof,
-    encode_layer,
+    layer_inputs,
     load_architecture,
     load_descriptor,
+    minimum_image_side,
     save_descriptor,
 )
-from .errors import ConfigError, DecodeError, HmpError, InvalidInputError
+from .errors import ConfigError, DecodeError, HmpError, ImageTooSmallError, InvalidInputError
 from .evaluation import evaluate, load_ground_truth, write_report
-from .images import IntensityImage, extract_patches, load_image, read_manifest, resize_max_side
+from .images import IntensityImage, load_image, read_manifest, resize_max_side
 from .index import apply_idf, build_index, load_index, query, save_index
 
 log = logging.getLogger("hmpsearch")
@@ -123,42 +126,43 @@ def safe_filename(image_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", image_id)
 
 
-def _load_corpus(cfg: RunConfig):
-    """Decode every manifest image, skipping (and logging) unreadable ones."""
+def _read_image(cfg: RunConfig, path) -> IntensityImage:
+    img = load_image(path)
+    if cfg.resize_max_side > 0:
+        img = resize_max_side(img, cfg.resize_max_side)
+    return img
+
+
+def _load_corpus(cfg: RunConfig, arch: ArchitectureConfig):
+    """Decode every manifest image, skipping (and logging) the unreadable
+    ones and those too small for the pipeline."""
+    need = arch.layers[0].input_patch_size if cfg.baseline else minimum_image_side(arch)
     records = read_manifest(cfg.manifest)
     if not records:
         raise InvalidInputError(f"manifest {cfg.manifest} lists no images")
     images: list[tuple[str, IntensityImage]] = []
-    skipped = 0
     for image_id, path in records:
         try:
-            img = load_image(path)
-        except DecodeError as exc:
+            img = _read_image(cfg, path)
+            if min(img.height, img.width) < need:
+                raise ImageTooSmallError(
+                    f"{path} is {img.height}x{img.width}; the pipeline needs at least"
+                    f" {need}x{need} pixels"
+                )
+        except (DecodeError, ImageTooSmallError) as exc:
             log.warning("skipping %s: %s", image_id, exc)
-            skipped += 1
             continue
-        if cfg.resize_max_side > 0:
-            img = resize_max_side(img, cfg.resize_max_side)
         images.append((image_id, img))
+    skipped = len(records) - len(images)
     if skipped * 2 > len(records):
         raise HmpError(
-            f"{skipped} of {len(records)} manifest images are unreadable; aborting"
+            f"{skipped} of {len(records)} manifest images are unreadable or too small; aborting"
         )
     return images
 
 
 def _dict_path(cfg: RunConfig, ref: str) -> str:
     return ref if os.path.isabs(ref) else os.path.join(cfg.dictionary_dir, ref)
-
-
-def _attach_layer_dicts(cfg: RunConfig, arch: ArchitectureConfig, upto: int) -> ArchitectureConfig:
-    layers = list(arch.layers)
-    for depth in range(1, upto + 1):
-        layer = layers[depth - 1]
-        layers[depth - 1] = replace(
-            layer, dictionary=load_dictionary(_dict_path(cfg, layer.dictionary_ref))
-        )
-    return ArchitectureConfig(layers, list(arch.pyramid))
 
 
 def _subsample_columns(mat: np.ndarray, cap: int, rng: np.random.Generator) -> np.ndarray:
@@ -169,19 +173,11 @@ def _subsample_columns(mat: np.ndarray, cap: int, rng: np.random.Generator) -> n
 
 
 def _layer_training_signals(cfg, arch, images, depth: int, rng) -> np.ndarray:
-    """Signals feeding layer `depth`: raw patches for 1, pooled features above."""
-    first = arch.layers[0]
+    """Signals feeding layer `depth`, sampled per image then capped."""
     per_image = max(1, math.ceil(2 * cfg.sample_cap / len(images)))
     chunks = []
     for _, img in images:
-        grid = extract_patches(img, first.input_patch_size, first.stride)
-        if depth == 1:
-            vectors = grid.patches
-        else:
-            feats = FeatureGrid(grid.centers, grid.patches, (img.height, img.width))
-            for layer in arch.layers[: depth - 1]:
-                feats = encode_layer(feats, layer)
-            vectors = feats.vectors
+        vectors = layer_inputs(img, arch, depth).vectors
         if vectors.shape[0] > per_image:
             picks = rng.choice(vectors.shape[0], size=per_image, replace=False)
             vectors = vectors[np.sort(picks)]
@@ -190,88 +186,74 @@ def _layer_training_signals(cfg, arch, images, depth: int, rng) -> np.ndarray:
     return _subsample_columns(signals, cfg.sample_cap, rng)
 
 
-def cmd_train_dict(cfg: RunConfig, sample_cap: int | None = None) -> int:
-    if sample_cap is not None:
-        cfg = replace(cfg, sample_cap=sample_cap)
-    arch = load_architecture(cfg.architecture)
-    images = _load_corpus(cfg)
-    os.makedirs(cfg.dictionary_dir, exist_ok=True)
-    log_path = os.path.join(cfg.dictionary_dir, "training.log")
-    lines = []
+def _codebooks(cfg: RunConfig, arch: ArchitectureConfig):
+    """(log label, input depth, seed, layer) of each codebook the run trains."""
     if cfg.baseline:
-        rng = np.random.default_rng(cfg.seed)
-        signals = _layer_training_signals(cfg, arch, images, 1, rng)
+        # one nearest-atom codebook over layer-1 patches
+        layer = LayerConfig(
+            arch.final_layer.codebook_size, sparsity=1, dictionary_ref=BASELINE_DICT_NAME
+        )
+        return [("baseline", 1, cfg.seed, layer)]
+    return [(f"layer{d}", d, cfg.seed + d, layer) for d, layer in enumerate(arch.layers, start=1)]
+
+
+def cmd_train_dict(cfg: RunConfig) -> int:
+    arch = load_architecture(cfg.architecture)
+    images = _load_corpus(cfg, arch)
+    os.makedirs(cfg.dictionary_dir, exist_ok=True)
+    lines = []
+    for label, depth, seed, layer in _codebooks(cfg, arch):
+        signals = _layer_training_signals(cfg, arch, images, depth, np.random.default_rng(seed))
         tcfg = TrainConfig(
-            codebook_size=arch.final_layer.codebook_size,
-            sparsity=1,
+            codebook_size=layer.codebook_size,
+            sparsity=layer.sparsity,
             iterations=cfg.train_iterations,
             incoherence_weight=cfg.incoherence_weight,
-            seed=cfg.seed,
+            seed=seed,
         )
         dictionary, trace = train(TrainingSet(signals), tcfg)
-        save_dictionary(dictionary, _dict_path(cfg, BASELINE_DICT_NAME))
-        lines.extend(f"baseline\t{i}\t{obj:.6f}" for i, obj in enumerate(trace))
-        print(f"trained baseline codebook: {dictionary.size} atoms from {signals.shape[1]} patches")
-    else:
-        for depth, layer in enumerate(arch.layers, start=1):
-            rng = np.random.default_rng(cfg.seed + depth)
-            signals = _layer_training_signals(cfg, arch, images, depth, rng)
-            tcfg = TrainConfig(
-                codebook_size=layer.codebook_size,
-                sparsity=min(layer.sparsity, signals.shape[0], layer.codebook_size),
-                iterations=cfg.train_iterations,
-                incoherence_weight=cfg.incoherence_weight,
-                seed=cfg.seed + depth,
-            )
-            dictionary, trace = train(TrainingSet(signals), tcfg)
-            save_dictionary(dictionary, _dict_path(cfg, layer.dictionary_ref))
-            lines.extend(f"layer{depth}\t{i}\t{obj:.6f}" for i, obj in enumerate(trace))
-            print(
-                f"trained layer {depth} codebook: {dictionary.size} atoms"
-                f" from {signals.shape[1]} signals"
-            )
-            arch = _attach_layer_dicts(cfg, arch, depth)
-    with open(log_path, "w", encoding="utf-8") as fh:
+        save_dictionary(dictionary, _dict_path(cfg, layer.dictionary_ref))
+        lines.extend(f"{label}\t{i}\t{obj:.6f}" for i, obj in enumerate(trace))
+        print(f"trained {label} codebook: {dictionary.size} atoms from {signals.shape[1]} signals")
+        layer.dictionary = dictionary  # the layers above code their inputs with it
+    with open(os.path.join(cfg.dictionary_dir, "training.log"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0
 
 
-def _encode_one(cfg, arch, dictionary, image_id, img):
+def _encoder(cfg: RunConfig, arch: ArchitectureConfig):
+    """`(image_id, img) -> ImageDescriptor` for the pipeline `cfg` selects,
+    with its trained codebooks loaded."""
+    def codebook(ref):
+        path = _dict_path(cfg, ref)
+        if not os.path.exists(path):
+            raise ConfigError(f"codebook {path} not found; run train-dict first")
+        return load_dictionary(path)
+
     if cfg.baseline:
+        dictionary = codebook(BASELINE_DICT_NAME)
         first = arch.layers[0]
-        return encode_image_bof(
+        return lambda image_id, img: encode_image_bof(
             img, dictionary, first.input_patch_size, first.stride, image_id
         )
-    return encode_image(img, arch, image_id)
+    arch = attach_dictionaries(arch, codebook)
+    return lambda image_id, img: encode_image(img, arch, image_id)
 
 
 def cmd_encode(cfg: RunConfig) -> int:
     arch = load_architecture(cfg.architecture)
-    dictionary = None
-    if cfg.baseline:
-        path = _dict_path(cfg, BASELINE_DICT_NAME)
-        if not os.path.exists(path):
-            raise ConfigError(f"baseline codebook {path} not found; run train-dict first")
-        dictionary = load_dictionary(path)
-    else:
-        for layer in arch.layers:
-            path = _dict_path(cfg, layer.dictionary_ref)
-            if not os.path.exists(path):
-                raise ConfigError(f"codebook {path} not found; run train-dict first")
-        arch = attach_dictionaries(arch, lambda ref: load_dictionary(_dict_path(cfg, ref)))
-    images = _load_corpus(cfg)
+    encode = _encoder(cfg, arch)
+    images = _load_corpus(cfg, arch)
     owners: dict[str, str] = {}
     for image_id, _ in images:
         name = safe_filename(image_id) + ".hmpv"
         if owners.setdefault(name, image_id) != image_id:
             raise InvalidInputError(f"image ids {owners[name]!r} and {image_id!r} share {name}")
     os.makedirs(cfg.descriptor_dir, exist_ok=True)
-    descriptors = [_encode_one(cfg, arch, dictionary, image_id, img) for image_id, img in images]
-    total_nnz = 0
+    descriptors = [encode(image_id, img) for image_id, img in images]
     for desc in descriptors:
         save_descriptor(desc, os.path.join(cfg.descriptor_dir, safe_filename(desc.image_id) + ".hmpv"))
-        total_nnz += desc.nnz
-    mean_nnz = total_nnz / len(descriptors)
+    mean_nnz = sum(desc.nnz for desc in descriptors) / len(descriptors)
     print(f"encoded {len(descriptors)} descriptors, mean nnz {mean_nnz:.1f}")
     return 0
 
@@ -287,10 +269,10 @@ def _load_descriptors(cfg: RunConfig):
     return [load_descriptor(os.path.join(cfg.descriptor_dir, name)) for name in files]
 
 
-def cmd_build_index(cfg: RunConfig, use_idf: bool | None = None) -> int:
+def cmd_build_index(cfg: RunConfig) -> int:
     descriptors = _load_descriptors(cfg)
     idx = build_index(descriptors[0].length, descriptors)
-    if use_idf if use_idf is not None else cfg.use_idf:
+    if cfg.use_idf:
         idx = apply_idf(idx)
     os.makedirs(os.path.dirname(os.path.abspath(cfg.index_path)), exist_ok=True)
     save_index(idx, cfg.index_path)
@@ -298,24 +280,12 @@ def cmd_build_index(cfg: RunConfig, use_idf: bool | None = None) -> int:
     return 0
 
 
-def _query_descriptor(cfg: RunConfig, image_path: str):
-    image_id = os.path.splitext(os.path.basename(image_path))[0]
-    img = load_image(image_path)
-    if cfg.resize_max_side > 0:
-        img = resize_max_side(img, cfg.resize_max_side)
-    arch = load_architecture(cfg.architecture)
-    if cfg.baseline:
-        dictionary = load_dictionary(_dict_path(cfg, BASELINE_DICT_NAME))
-        return _encode_one(cfg, arch, dictionary, image_id, img)
-    arch = attach_dictionaries(arch, lambda ref: load_dictionary(_dict_path(cfg, ref)))
-    return _encode_one(cfg, arch, None, image_id, img)
-
-
 def cmd_query(cfg: RunConfig, image_path: str, top_k: int, self_exclude: bool) -> int:
     if not os.path.exists(cfg.index_path):
         raise ConfigError(f"index {cfg.index_path} not found; run build-index first")
     idx = load_index(cfg.index_path)
-    desc = _query_descriptor(cfg, image_path)
+    encode = _encoder(cfg, load_architecture(cfg.architecture))
+    desc = encode(os.path.splitext(os.path.basename(image_path))[0], _read_image(cfg, image_path))
     for rank, (image_id, score) in enumerate(
         query(idx, desc, top_k, self_exclude=self_exclude), start=1
     ):
@@ -352,8 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--baseline", action="store_true", help="bag-of-features pipeline instead of layered coding"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p_train = sub.add_parser("train-dict", help="train one codebook per layer")
-    p_train.add_argument("--sample-cap", type=int, help="max training signals per layer")
+    sub.add_parser("train-dict", help="train one codebook per layer")
     sub.add_parser("encode", help="encode every manifest image into a descriptor file")
     p_index = sub.add_parser("build-index", help="build the inverted file from descriptors")
     p_index.add_argument("--idf", action="store_true", help="apply inverse-document-frequency weights")
@@ -376,16 +345,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_run_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.baseline:
-            cfg = replace(cfg, baseline=True)
+        cfg = replace(
+            cfg,
+            seed=cfg.seed if args.seed is None else args.seed,
+            baseline=cfg.baseline or args.baseline,
+            use_idf=cfg.use_idf or getattr(args, "idf", False),
+        )
         if args.command == "train-dict":
-            return cmd_train_dict(cfg, sample_cap=args.sample_cap)
+            return cmd_train_dict(cfg)
         if args.command == "encode":
             return cmd_encode(cfg)
         if args.command == "build-index":
-            return cmd_build_index(cfg, use_idf=args.idf or None)
+            return cmd_build_index(cfg)
         if args.command == "query":
             return cmd_query(cfg, args.image, args.top_k, not args.no_self_exclude)
         if args.command == "evaluate":

@@ -3,10 +3,11 @@
 Alternating optimization in the K-SVD family: a sparse-coding pass over all
 training signals followed by a sequential atom-by-atom update. The coding
 pass keeps a signal's previous code whenever fresh greedy coding would make
-its residual worse, and each iteration additionally trials replacing the most
-redundant atom with the worst-reconstructed signal, keeping the trial only if
-it lowers the objective. Together these make the reported objective trace
-non-increasing while still escaping merged-atom plateaus.
+its residual worse, and each iteration after the first additionally trials
+replacing the most redundant atom with the worst-reconstructed signal,
+keeping the trial only if it lowers the objective. Together these make the
+reported objective trace non-increasing while still escaping merged-atom
+plateaus.
 
 With `incoherence_weight` > 0 the atom update adds a gradient-style push away
 from the other atoms, trading reconstruction error against the summed
@@ -54,9 +55,6 @@ class TrainConfig:
     iterations: int
     incoherence_weight: float = 0.1
     seed: int = 0
-    # trial one verified atom replacement per iteration; disable to halve
-    # coding work on large corpora at some risk of merged atoms
-    trial_replacement: bool = True
 
     def __post_init__(self):
         if self.codebook_size < 2:
@@ -222,7 +220,7 @@ def train(train_set: TrainingSet, cfg: TrainConfig) -> tuple[Dictionary, list[fl
         _code_pass(signals, atoms, codes, cfg)
         _update_pass(signals, atoms, codes, cfg, rng)
         best = _objective(signals, atoms, codes, cfg.incoherence_weight)
-        if cfg.trial_replacement and iteration > 0:
+        if iteration > 0:
             trial = _replacement_trial(signals, base_atoms, base_codes, cfg, rng)
             if trial is not None:
                 trial_obj = _objective(signals, trial[0], trial[1], cfg.incoherence_weight)

@@ -319,6 +319,17 @@ def minimum_image_side(arch: ArchitectureConfig) -> int:
     return max(first.input_patch_size, first.coding_unit_size)
 
 
+def layer_inputs(img: IntensityImage, arch: ArchitectureConfig, depth: int) -> FeatureGrid:
+    """Signals entering the layer at 1-based `depth`: layer-1 patches, coded
+    and pooled by every layer below `depth`."""
+    first = arch.layers[0]
+    patches = extract_patches(img, first.input_patch_size, first.stride)
+    grid = FeatureGrid(patches.centers, patches.patches, (img.height, img.width))
+    for layer in arch.layers[: depth - 1]:
+        grid = encode_layer(grid, layer)
+    return grid
+
+
 def encode_image(
     img: IntensityImage, arch: ArchitectureConfig, image_id: str = ""
 ) -> ImageDescriptor:
@@ -330,13 +341,8 @@ def encode_image(
             f"image {image_id!r} is {img.height}x{img.width}; the configured"
             f" pipeline needs at least {need}x{need} pixels"
         )
-    first = arch.layers[0]
-    patches = extract_patches(img, first.input_patch_size, first.stride)
-    grid = FeatureGrid(patches.centers, patches.patches, (img.height, img.width))
-    for layer in arch.layers[:-1]:
-        grid = encode_layer(grid, layer)
-    final_codes = _code_grid(grid, arch.final_layer)
-    return pyramid_pool(final_codes, arch.pyramid, image_id)
+    grid = layer_inputs(img, arch, len(arch.layers))
+    return pyramid_pool(_code_grid(grid, arch.final_layer), arch.pyramid, image_id)
 
 
 def encode_image_bof(

@@ -10,7 +10,7 @@ since a query image stored in the corpus must not count as its own hit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DecodeError, InvalidInputError, MissingQueryError
 from .index import InvertedIndex, query
@@ -25,10 +25,6 @@ class EvalReport:
     per_query: list[tuple[str, float, float]]
     mean_ap: float
     config_fingerprint: str = ""
-    query_times: list[float] = field(init=False)
-
-    def __post_init__(self):
-        self.query_times = [t for _, _, t in self.per_query]
 
 
 def average_precision(ranked, relevant) -> float:

@@ -54,8 +54,6 @@ class PatchGrid:
     (row, col) pixel coordinates; `grid_shape` is the (rows, cols) layout.
     """
 
-    patch_size: int
-    stride: int
     patches: np.ndarray
     centers: np.ndarray
     grid_shape: tuple[int, int]
@@ -190,13 +188,7 @@ def extract_patches(img: IntensityImage, patch_size: int, stride: int = 1) -> Pa
     centers = np.stack(
         [rr.ravel() * stride + half, cc.ravel() * stride + half], axis=1
     ).astype(np.float64)
-    return PatchGrid(
-        patch_size=patch_size,
-        stride=stride,
-        patches=flat,
-        centers=centers,
-        grid_shape=(rows, cols),
-    )
+    return PatchGrid(patches=flat, centers=centers, grid_shape=(rows, cols))
 
 
 def assign_to_cells(centers: np.ndarray, region_size: float, cell_grid: int) -> np.ndarray:

@@ -18,6 +18,20 @@ sparsity = 3
 grids = 1
 """
 
+ARCH_TWO_LAYER = """\
+[layer1]
+patch_size = 5
+stride = 2
+unit_size = 16
+cell_grid = 2
+codebook_size = 8
+sparsity = 2
+
+[layer2]
+codebook_size = 8
+sparsity = 2
+"""
+
 RUN_TEMPLATE = """\
 [run]
 manifest = manifest.tsv
@@ -101,6 +115,31 @@ class TestTrainDict:
         for name in ("g0m1", "g1m0", "g1m1"):
             (tmp_path / "images" / f"{name}.pgm").write_bytes(b"P5\n4 ")
         assert run_cli(cfg, "train-dict") == 2
+
+
+class TestTooSmallImages:
+    # each image below the pipeline's minimum side: 12 px fits the 5 px
+    # patches but not the 16 px unit; 4 px fits no patch at all
+    CASES = [([], ARCH_TWO_LAYER, 12), (["--baseline"], ARCH_ONE_LAYER, 4)]
+
+    @pytest.mark.parametrize("flags, arch, side", CASES, ids=["unit", "baseline-patch"])
+    def test_small_minority_skipped_by_every_stage(self, tmp_path, capsys, caplog, flags, arch, side):
+        cfg = make_workspace(tmp_path, arch=arch)
+        write_p5(tmp_path / "images" / "g0m0.pgm", texture_image(seed=7, side=side))
+        assert run_cli(cfg, *flags, "train-dict") == 0
+        assert run_cli(cfg, *flags, "encode") == 0
+        assert "encoded 9 descriptors" in capsys.readouterr().out
+        assert not (tmp_path / "descriptors" / "g0m0.hmpv").exists()
+        skips = [r.getMessage() for r in caplog.records if "skipping g0m0" in r.getMessage()]
+        assert len(skips) == 2 and all(f"{side}x{side}" in m for m in skips)
+
+    def test_small_majority_aborts(self, tmp_path, capsys):
+        cfg = make_workspace(tmp_path)
+        for name in ("g0m0", "g0m1", "g1m0", "g1m1", "g2m0", "g2m1"):
+            write_p5(tmp_path / "images" / f"{name}.pgm", texture_image(seed=7, side=4))
+        assert run_cli(cfg, "train-dict") == 2
+        assert "6 of 10" in capsys.readouterr().err
+        assert not (tmp_path / "dicts").exists()
 
 
 class TestEncode:

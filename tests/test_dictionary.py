@@ -201,18 +201,17 @@ class TestTrain:
         assert np.mean(gaps) >= 0.0
 
     def test_dead_atom_replaced_by_worst_signal(self):
-        # one dominant direction plus an outlier: with a tiny budget some
-        # atom goes unused and must take over the worst-coded signal
-        rng = np.random.default_rng(13)
+        # thirty copies of one signal plus an outlier: every initial atom is
+        # that signal, so coding leaves all atoms but one unused, and an unused
+        # atom must take over the worst-coded signal, the outlier; one
+        # iteration runs no replacement trial, so only the dead-atom path acts
         base = np.zeros((6, 30))
         base[0] = 1.0
-        base += 0.01 * rng.standard_normal(base.shape)
         outlier = np.zeros((6, 1))
         outlier[5] = 4.0
         signals = np.concatenate([base, outlier], axis=1)
         cfg = TrainConfig(
-            codebook_size=4, sparsity=1, iterations=3, incoherence_weight=0.0, seed=2,
-            trial_replacement=False,
+            codebook_size=4, sparsity=1, iterations=1, incoherence_weight=0.0, seed=2
         )
         dictionary, _ = train(TrainingSet(signals), cfg)
         err = reconstruction_error(signals, dictionary, 1)

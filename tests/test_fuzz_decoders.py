@@ -1,4 +1,4 @@
-"""Fuzzing of the three binary decoders.
+"""Fuzzing of the three binary decoders and the netpbm parser.
 
 Whatever the bytes, a decoder either returns a value or raises DecodeError;
 any other exception escaping is a bug.
@@ -17,6 +17,7 @@ from hmpsearch import (
     l2_normalize,
     load_descriptor,
     load_dictionary,
+    load_image,
     load_index,
     save_descriptor,
     save_dictionary,
@@ -91,3 +92,39 @@ def test_truncated_or_flipped_valid_file(tmp_path, valid_files, loader, cut, fli
     if cut % 2:
         raw = raw[: cut % len(raw)]
     load_or_decode_error(loader, tmp_path / "fuzz.bin", bytes(raw))
+
+
+@FUZZ
+@given(magic=st.sampled_from([b"P5", b"P6"]), data=st.binary(max_size=120))
+def test_netpbm_arbitrary_bytes(tmp_path, magic, data):
+    load_or_decode_error(load_image, tmp_path / "fuzz.pgm", magic + data)
+
+
+# header fields: small sizes so bodies stay short, the maxval edges, and
+# tokens that are not decimal digits
+NETPBM_SIZE = st.one_of(
+    st.sampled_from([b"1", b"2", b"3"]),
+    st.sampled_from([b"0", b"100000", b"x", b"-1", b"2a", b"4#c", b"\xb2"]),
+)
+NETPBM_MAXVAL = st.sampled_from([b"0", b"1", b"255", b"256", b"65535", b"65536", b"ff"])
+NETPBM_GAP = st.one_of(
+    st.sampled_from([b" ", b"\n", b"\t\r\n"]),
+    st.sampled_from([b"\n# note\n", b"#\n", b" # 12 34", b""]),
+)
+
+
+@FUZZ
+@given(data=st.data())
+def test_netpbm_structured_header(tmp_path, data):
+    magic = data.draw(st.sampled_from([b"P5", b"P6"]))
+    fields = [data.draw(NETPBM_SIZE), data.draw(NETPBM_SIZE), data.draw(NETPBM_MAXVAL)]
+    header = magic + b"".join(data.draw(NETPBM_GAP) + f for f in fields) + b"\n"
+    if all(f.isdigit() for f in fields):
+        width, height, maxval = (int(f) for f in fields)
+        need = width * height * (3 if magic == b"P6" else 1) * (2 if maxval > 255 else 1)
+    else:
+        need = 0
+    body = data.draw(st.binary(min_size=min(need, 80), max_size=min(need, 80)))
+    # whole bodies, and bodies cut short
+    cut = data.draw(st.one_of(st.just(0), st.integers(0, len(body))))
+    load_or_decode_error(load_image, tmp_path / "fuzz.pgm", header + body[cut:])
