@@ -7,19 +7,15 @@ ranks the corpus by cosine similarity. See the README for the CLI workflow.
 
 from .coding import (
     Dictionary,
-    SparseCode,
     l2_normalize,
     load_dictionary,
-    omp_encode,
     omp_encode_batch,
     save_dictionary,
-    vq_encode,
     vq_encode_batch,
 )
 from .dictionary import TrainConfig, TrainingSet, coherence, init_dictionary, train
 from .encoder import (
     ArchitectureConfig,
-    CodeGrid,
     FeatureGrid,
     ImageDescriptor,
     LayerConfig,
@@ -46,7 +42,6 @@ from .errors import (
 from .evaluation import EvalReport, average_precision, evaluate, load_ground_truth, write_report
 from .images import (
     IntensityImage,
-    PatchGrid,
     extract_patches,
     load_image,
     read_manifest,

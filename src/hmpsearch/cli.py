@@ -111,15 +111,17 @@ def load_run_config(path) -> RunConfig:
     return cfg
 
 
-def _fingerprint(cfg: RunConfig) -> str:
-    digest = hashlib.sha256()
-    try:
-        with open(cfg.architecture, "rb") as fh:
-            digest.update(fh.read())
-    except OSError:
-        pass
-    digest.update(f"seed={cfg.seed};baseline={cfg.baseline};idf={cfg.use_idf}".encode())
-    return digest.hexdigest()[:16]
+# Smallest value each [run] number (and the --seed override) may take.
+_RUN_MINIMUMS = dict(
+    seed=0, train_iterations=1, sample_cap=1, resize_max_side=0, incoherence_weight=0
+)
+
+
+def _check_run_numbers(cfg: RunConfig, path) -> None:
+    for key, low in _RUN_MINIMUMS.items():
+        value = getattr(cfg, key)
+        if not (math.isfinite(value) and value >= low):
+            raise ConfigError(f"{path}: {key} must be a finite number >= {low}, got {value}")
 
 
 def safe_filename(image_id: str) -> str:
@@ -293,6 +295,30 @@ def cmd_query(cfg: RunConfig, image_path: str, top_k: int, self_exclude: bool) -
     return 0
 
 
+def _fingerprint(cfg: RunConfig, idf: bool) -> str:
+    """Hash of the architecture file, the codebooks the run's encoder reads,
+    the resize, seed and pipeline, and whether the index is IDF-weighted;
+    missing files are skipped."""
+    paths = [cfg.architecture]
+    try:
+        arch = load_architecture(cfg.architecture)
+        paths += [_dict_path(cfg, layer.dictionary_ref) for *_, layer in _codebooks(cfg, arch)]
+    except ConfigError:
+        pass
+    digest = hashlib.sha256()
+    for path in paths:
+        try:
+            with open(path, "rb") as fh:
+                digest.update(hashlib.sha256(fh.read()).digest())
+        except OSError:
+            pass
+    digest.update(
+        f"seed={cfg.seed};baseline={cfg.baseline};idf={idf};"
+        f"resize_max_side={cfg.resize_max_side}".encode()
+    )
+    return digest.hexdigest()[:16]
+
+
 def cmd_evaluate(cfg: RunConfig, self_exclude: bool = True) -> int:
     if not cfg.ground_truth:
         raise ConfigError("[run] ground_truth is required for evaluate")
@@ -301,8 +327,9 @@ def cmd_evaluate(cfg: RunConfig, self_exclude: bool = True) -> int:
     gt = load_ground_truth(cfg.ground_truth)
     idx = load_index(cfg.index_path)
     descriptors = {desc.image_id: desc for desc in _load_descriptors(cfg)}
+    fingerprint = _fingerprint(cfg, idf=idx.idf is not None)
     report = evaluate(
-        idx, descriptors, gt, self_exclude=self_exclude, config_fingerprint=_fingerprint(cfg)
+        idx, descriptors, gt, self_exclude=self_exclude, config_fingerprint=fingerprint
     )
     report_path = cfg.report or cfg.index_path + ".report.txt"
     write_report(report, report_path)
@@ -351,6 +378,7 @@ def main(argv=None) -> int:
             baseline=cfg.baseline or args.baseline,
             use_idf=cfg.use_idf or getattr(args, "idf", False),
         )
+        _check_run_numbers(cfg, args.config)
         if args.command == "train-dict":
             return cmd_train_dict(cfg)
         if args.command == "encode":

@@ -7,9 +7,9 @@ residual, re-solves least squares on the selected support, and stops after
 `sparsity` atoms or once the residual is negligible; it returns an N x K
 code matrix. `vq_encode_batch` is hard assignment to the single nearest
 atom, the coding rule of bag-of-features pipelines; it returns one atom
-index per signal. `omp_encode` and `vq_encode` run the same kernels on one
-signal and return a `SparseCode`. All are pure functions; a `Dictionary` is
-immutable and safe to share across threads.
+index per signal. One signal `y` is coded as a batch of one column, e.g.
+`omp_encode_batch(d, y[:, None], s)[0]`. Both are pure functions; a
+`Dictionary` is immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -69,43 +69,6 @@ class Dictionary:
         return self.atoms.shape[1]
 
 
-@dataclass(frozen=True)
-class SparseCode:
-    """Sparse coefficient vector: (index, value) pairs over `length` slots."""
-
-    length: int
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        indices = np.asarray(self.indices, dtype=np.int64)
-        values = np.asarray(self.values, dtype=np.float64)
-        if indices.shape != values.shape or indices.ndim != 1:
-            raise InvalidInputError("indices and values must be 1-D and parallel")
-        if indices.size:
-            if np.any(np.diff(indices) <= 0):
-                raise InvalidInputError("indices must be strictly increasing")
-            if indices[0] < 0 or indices[-1] >= self.length:
-                raise InvalidInputError(
-                    f"indices must lie in [0, {self.length}), got {indices.tolist()}"
-                )
-            if np.any(values == 0.0) or not np.all(np.isfinite(values)):
-                raise InvalidInputError("values must be nonzero and finite")
-        indices.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.length)
-        out[self.indices] = self.values
-        return out
-
-
 def _check_signals(dictionary: Dictionary, signals: np.ndarray) -> np.ndarray:
     mat = np.asarray(signals, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != dictionary.signal_dim:
@@ -116,13 +79,6 @@ def _check_signals(dictionary: Dictionary, signals: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(mat)):
         raise InvalidInputError("signals contain non-finite values")
     return mat
-
-
-def _as_column(signal: np.ndarray) -> np.ndarray:
-    y = np.asarray(signal, dtype=np.float64)
-    if y.ndim != 1:
-        raise InvalidInputError(f"signal must be 1-D, got shape {y.shape}")
-    return y[:, None]
 
 
 def _omp(atoms: np.ndarray, atoms_t: np.ndarray, y: np.ndarray, sparsity: int):
@@ -175,13 +131,6 @@ def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int)
     return codes
 
 
-def omp_encode(dictionary: Dictionary, signal: np.ndarray, sparsity: int) -> SparseCode:
-    """`omp_encode_batch` on one signal, as a sparse code."""
-    code = omp_encode_batch(dictionary, _as_column(signal), sparsity)[0]
-    nz = np.flatnonzero(code)
-    return SparseCode(dictionary.size, nz, code[nz])
-
-
 def vq_encode_batch(dictionary: Dictionary, signals: np.ndarray) -> np.ndarray:
     """Index of the nearest atom to each column of `signals` (D x N).
 
@@ -194,12 +143,6 @@ def vq_encode_batch(dictionary: Dictionary, signals: np.ndarray) -> np.ndarray:
         diff = dictionary.atoms[d] - mat[d][:, None]
         dist2 += diff * diff
     return np.argmin(dist2, axis=1)
-
-
-def vq_encode(dictionary: Dictionary, signal: np.ndarray) -> SparseCode:
-    """Indicator of the nearest atom; ties break toward the lowest index."""
-    best = vq_encode_batch(dictionary, _as_column(signal))
-    return SparseCode(dictionary.size, best, np.array([1.0]))
 
 
 def l2_normalize(vector: np.ndarray) -> np.ndarray:

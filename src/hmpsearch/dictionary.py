@@ -63,8 +63,8 @@ class TrainConfig:
             raise InvalidInputError(f"iterations must be >= 1, got {self.iterations}")
         if self.sparsity < 1:
             raise InvalidInputError(f"sparsity must be >= 1, got {self.sparsity}")
-        if self.incoherence_weight < 0:
-            raise InvalidInputError("incoherence_weight must be >= 0")
+        if not (np.isfinite(self.incoherence_weight) and self.incoherence_weight >= 0):
+            raise InvalidInputError("incoherence_weight must be finite and >= 0")
 
 
 def coherence(dictionary: Dictionary) -> tuple[float, float]:

@@ -12,11 +12,12 @@ over whole-image spatial pyramid regions and the concatenation is
 normalized once, giving a descriptor of length
 2 * K_final * sum(g^2 for g in pyramid).
 
-Codes travel as dense N x K matrices, one row per feature. All geometry
-lives in original-image pixel coordinates: every feature carries the pixel
-center of the area it summarizes, and units, cells, and pyramid regions
-claim features by center. Units that do not fit whole at the border are
-dropped.
+Patches, codes and pooled unit features all travel as one form, the
+`FeatureGrid` of `hmpsearch.images`: a matrix with one row per feature, the
+pixel center of each row, and the image extent. All geometry lives in
+original-image pixel coordinates: every feature carries the pixel center of
+the area it summarizes, and units, cells, and pyramid regions claim
+features by center. Units that do not fit whole at the border are dropped.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .coding import Dictionary, l2_normalize, omp_encode_batch, vq_encode_batch
 from .errors import ConfigError, DecodeError, ImageTooSmallError, InvalidInputError
-from .images import IntensityImage, assign_to_cells, extract_patches
+from .images import FeatureGrid, IntensityImage, assign_to_cells, extract_patches
 
 _DESC_MAGIC = b"HMPV"
 _DESC_VERSION = 1
@@ -145,40 +146,6 @@ class ArchitectureConfig:
 
 
 @dataclass(frozen=True)
-class FeatureGrid:
-    """Spatial grid of feature vectors with pixel centers.
-
-    `extent` is the (height, width) of the image plane the centers live in.
-    """
-
-    centers: np.ndarray
-    vectors: np.ndarray
-    extent: tuple[int, int]
-
-    @property
-    def count(self) -> int:
-        return self.vectors.shape[0]
-
-
-@dataclass(frozen=True)
-class CodeGrid:
-    """Spatial grid of codes with pixel centers; `codes` is N x K, one row
-    per center."""
-
-    centers: np.ndarray
-    codes: np.ndarray
-    extent: tuple[int, int]
-
-    @property
-    def count(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def code_length(self) -> int:
-        return self.codes.shape[1]
-
-
-@dataclass(frozen=True)
 class ImageDescriptor:
     """Final unit-norm sparse vector of one image (all-zero when degenerate)."""
 
@@ -248,12 +215,12 @@ def signed_max_pool(codes: np.ndarray, labels: np.ndarray, count: int) -> np.nda
     return out
 
 
-def _code_grid(features: FeatureGrid, layer: LayerConfig) -> CodeGrid:
+def _code_grid(features: FeatureGrid, layer: LayerConfig) -> FeatureGrid:
     if layer.dictionary is None:
         raise ConfigError("layer has no dictionary attached")
     sparsity = min(layer.sparsity, layer.dictionary.signal_dim, layer.dictionary.size)
     codes = omp_encode_batch(layer.dictionary, features.vectors.T, sparsity)
-    return CodeGrid(features.centers, codes, features.extent)
+    return FeatureGrid(features.centers, codes, features.extent)
 
 
 def encode_layer(features: FeatureGrid, layer: LayerConfig) -> FeatureGrid:
@@ -273,8 +240,8 @@ def encode_layer(features: FeatureGrid, layer: LayerConfig) -> FeatureGrid:
     cells = assign_to_cells(grid.centers[inside] - unit_rc * unit, unit, layer.cell_grid)
     units = (unit_rc[:, 0] * units_c + unit_rc[:, 1]).astype(np.int64)
     count = units_r * units_c
-    pooled = signed_max_pool(grid.codes[inside], units * layer.cells + cells, count * layer.cells)
-    pooled = pooled.reshape(count, layer.cells * 2 * grid.code_length)
+    pooled = signed_max_pool(grid.vectors[inside], units * layer.cells + cells, count * layer.cells)
+    pooled = pooled.reshape(count, layer.cells * pooled.shape[1])
     vectors = np.array([l2_normalize(row) for row in pooled]).reshape(pooled.shape)
     ur, uc = np.meshgrid(np.arange(units_r), np.arange(units_c), indexing="ij")
     centers = (np.stack([ur.ravel(), uc.ravel()], axis=1) + 0.5) * unit
@@ -289,14 +256,14 @@ def _pyramid_bins(coords: np.ndarray, side: int, g: int) -> np.ndarray:
     return np.minimum(coords // (side // g), g - 1).astype(np.int64)
 
 
-def pyramid_pool(codes: CodeGrid, pyramid, image_id: str = "") -> ImageDescriptor:
+def pyramid_pool(codes: FeatureGrid, pyramid, image_id: str = "") -> ImageDescriptor:
     """Pool final-layer codes over whole-image pyramid grids.
 
     Each grid size g splits the extent into g x g regions (remainder pixels
     go to the last row and column); regions pool independently, blocks
     concatenate grid by grid row-major, and the result is normalized once.
     """
-    k = codes.code_length
+    k = codes.vectors.shape[1]
     length = 2 * k * sum(int(g) * int(g) for g in pyramid)
     if codes.count == 0:
         warnings.warn(f"image {image_id!r}: no codes to pool; descriptor is all zeros")
@@ -307,24 +274,22 @@ def pyramid_pool(codes: CodeGrid, pyramid, image_id: str = "") -> ImageDescripto
         g = int(g)
         rows = _pyramid_bins(codes.centers[:, 0], h, g)
         cols = _pyramid_bins(codes.centers[:, 1], w, g)
-        blocks.append(signed_max_pool(codes.codes, rows * g + cols, g * g).ravel())
+        blocks.append(signed_max_pool(codes.vectors, rows * g + cols, g * g).ravel())
     dense = l2_normalize(np.concatenate(blocks))
     return descriptor_from_dense(image_id, dense)
 
 
 def minimum_image_side(arch: ArchitectureConfig) -> int:
-    first = arch.layers[0]
-    if len(arch.layers) == 1:
-        return first.input_patch_size
-    return max(first.input_patch_size, first.coding_unit_size)
+    """Shorter image side below which some layer has no whole patch or unit."""
+    units = [layer.coding_unit_size for layer in arch.layers[:-1]]
+    return max([arch.layers[0].input_patch_size, *units])
 
 
 def layer_inputs(img: IntensityImage, arch: ArchitectureConfig, depth: int) -> FeatureGrid:
     """Signals entering the layer at 1-based `depth`: layer-1 patches, coded
     and pooled by every layer below `depth`."""
     first = arch.layers[0]
-    patches = extract_patches(img, first.input_patch_size, first.stride)
-    grid = FeatureGrid(patches.centers, patches.patches, (img.height, img.width))
+    grid = extract_patches(img, first.input_patch_size, first.stride)
     for layer in arch.layers[: depth - 1]:
         grid = encode_layer(grid, layer)
     return grid
@@ -364,7 +329,7 @@ def encode_image_bof(
             f" least {patch_size}x{patch_size} pixels"
         )
     patches = extract_patches(img, patch_size, stride)
-    nearest = vq_encode_batch(dictionary, patches.patches.T)
+    nearest = vq_encode_batch(dictionary, patches.vectors.T)
     hist = np.bincount(nearest, minlength=dictionary.size) / patches.count
     return descriptor_from_dense(image_id, l2_normalize(hist))
 

@@ -37,4 +37,4 @@ class ConfigError(HmpError):
 
 
 class ImageTooSmallError(InvalidInputError):
-    """The image cannot host the minimum geometry of the first layer."""
+    """The image cannot host a whole patch or coding unit of some layer."""

@@ -3,7 +3,8 @@
 Native support covers binary netpbm files (P5 graymaps, P6 pixmaps). Other
 formats go through an optional adapter backed by Pillow when it is
 installed. Color inputs become luminance with weights 0.299/0.587/0.114.
-Patches come out as one row per patch with its pixel center, and
+Patches come out as a `FeatureGrid`, one row per patch with its pixel
+center; the encoder carries codes and pooled features in the same form.
 `assign_to_cells` labels points with their row-major cell in a square
 region, all points at once.
 """
@@ -46,21 +47,21 @@ class IntensityImage:
 
 
 @dataclass(frozen=True)
-class PatchGrid:
-    """Flattened overlapping patches plus the pixel center of each.
+class FeatureGrid:
+    """Feature vectors, one per row of `vectors`, with the pixel center of
+    each in `centers` ((row, col) per row).
 
-    Patches are mean-subtracted individually, so a constant image yields
-    all-zero patches. `patches` has one patch per row; `centers` holds
-    (row, col) pixel coordinates; `grid_shape` is the (rows, cols) layout.
+    `extent` is the (height, width) of the image plane the centers live in.
+    The same form carries patches, codes and pooled features.
     """
 
-    patches: np.ndarray
     centers: np.ndarray
-    grid_shape: tuple[int, int]
+    vectors: np.ndarray
+    extent: tuple[int, int]
 
     @property
     def count(self) -> int:
-        return self.patches.shape[0]
+        return self.vectors.shape[0]
 
 
 def _parse_netpbm(raw: bytes, path) -> IntensityImage:
@@ -164,11 +165,13 @@ def resize_max_side(img: IntensityImage, max_side: int) -> IntensityImage:
     return IntensityImage(np.clip(top * (1 - fr) + bottom * fr, 0.0, 1.0))
 
 
-def extract_patches(img: IntensityImage, patch_size: int, stride: int = 1) -> PatchGrid:
-    """Slide a square window over the image; each patch is mean-subtracted.
+def extract_patches(img: IntensityImage, patch_size: int, stride: int = 1) -> FeatureGrid:
+    """Slide a square window over the image; each patch is mean-subtracted,
+    so a constant image yields all-zero patches.
 
-    The grid has floor((H - p) / stride + 1) x floor((W - p) / stride + 1)
-    patches; windows that would cross the border are not emitted.
+    Returns one flattened patch per row of `vectors`, row-major over the
+    floor((H - p) / stride + 1) x floor((W - p) / stride + 1) windows that
+    fit inside the image, with the image's (height, width) as the extent.
     """
     if patch_size < 1 or stride < 1:
         raise InvalidInputError(
@@ -188,7 +191,7 @@ def extract_patches(img: IntensityImage, patch_size: int, stride: int = 1) -> Pa
     centers = np.stack(
         [rr.ravel() * stride + half, cc.ravel() * stride + half], axis=1
     ).astype(np.float64)
-    return PatchGrid(patches=flat, centers=centers, grid_shape=(rows, cols))
+    return FeatureGrid(centers, flat, (img.height, img.width))
 
 
 def assign_to_cells(centers: np.ndarray, region_size: float, cell_grid: int) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""Loop-based reference implementations of the array pooling and index code.
+"""Loop-based reference implementations of the array coding, pooling and
+index code.
 
-These are the per-point, per-cell and per-region loops the encoder once ran
-on lists of `SparseCode` objects, and the inverted file as a dict of
-(id, value) posting lists grown one descriptor at a time. Tests hold the
-array implementations in `hmpsearch.images`, `hmpsearch.encoder` and
-`hmpsearch.index` to them.
+Coding runs one signal at a time, as a batch of one column. Pooling loops
+over points, cells and regions, pooling dense code rows one at a time. The
+inverted file is a dict of (id, value) posting lists grown one descriptor
+at a time. Tests hold the array implementations in `hmpsearch.images`,
+`hmpsearch.encoder` and `hmpsearch.index` to them.
 """
 
 import math
@@ -12,25 +13,29 @@ from bisect import insort
 
 import numpy as np
 
-from hmpsearch import SparseCode, l2_normalize, omp_encode
-from hmpsearch.encoder import FeatureGrid
+from hmpsearch import FeatureGrid, l2_normalize, omp_encode_batch, vq_encode_batch
 
 
-def to_sparse(row) -> SparseCode:
-    nz = np.flatnonzero(row)
-    return SparseCode(len(row), nz, np.asarray(row, dtype=float)[nz])
+def omp_one(dictionary, signal, sparsity: int) -> np.ndarray:
+    """Dense code of one signal: `omp_encode_batch` on a batch of one column."""
+    return omp_encode_batch(dictionary, np.asarray(signal, dtype=float)[:, None], sparsity)[0]
+
+
+def vq_one(dictionary, signal) -> int:
+    """Nearest atom of one signal: `vq_encode_batch` on a batch of one column."""
+    return int(vq_encode_batch(dictionary, np.asarray(signal, dtype=float)[:, None])[0])
 
 
 def signed_max_pool(codes, code_length: int) -> np.ndarray:
-    """Pool a list of sparse codes into one 2K vector, one code at a time."""
+    """Pool dense code rows into one 2K vector, one row and one nonzero at a
+    time."""
     out = np.zeros(2 * code_length)
     for code in codes:
-        assert code.length == code_length
-        pos = code.values > 0.0
-        if pos.any():
-            np.maximum.at(out, code.indices[pos], code.values[pos])
-        if (~pos).any():
-            np.maximum.at(out, code.indices[~pos] + code_length, -code.values[~pos])
+        assert len(code) == code_length
+        for m in np.flatnonzero(code):
+            value = float(code[m])
+            slot = m if value > 0.0 else m + code_length
+            out[slot] = max(out[slot], abs(value))
     return out
 
 
@@ -54,7 +59,7 @@ def encode_layer(features: FeatureGrid, layer) -> FeatureGrid:
     unit = layer.coding_unit_size
     d = layer.dictionary
     sparsity = min(layer.sparsity, d.signal_dim, d.size)
-    codes = [omp_encode(d, features.vectors[i], sparsity) for i in range(features.count)]
+    codes = [omp_one(d, features.vectors[i], sparsity) for i in range(features.count)]
     h, w = features.extent
     units_r, units_c = h // unit, w // unit
     vectors = np.zeros((units_r * units_c, 2 * d.size * layer.cells))
@@ -85,7 +90,7 @@ def pyramid_blocks(centers, codes, code_length: int, extent, pyramid) -> np.ndar
     blocks = []
     for g in pyramid:
         base_r, base_c = h // g, w // g
-        regions: list[list[SparseCode]] = [[] for _ in range(g * g)]
+        regions: list[list[np.ndarray]] = [[] for _ in range(g * g)]
         for i, code in enumerate(codes):
             rr = min(int(centers[i][0] // base_r), g - 1) if base_r else g - 1
             cc = min(int(centers[i][1] // base_c), g - 1) if base_c else g - 1

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from hmpsearch import load_descriptor, load_dictionary, load_index
+from hmpsearch import load_descriptor, load_dictionary, load_index, save_dictionary
 from hmpsearch.cli import load_run_config, main
-from conftest import texture_image
+from conftest import random_dictionary, texture_image
 
 ARCH_ONE_LAYER = """\
 [layer1]
@@ -28,6 +28,16 @@ codebook_size = 8
 sparsity = 2
 
 [layer2]
+codebook_size = 8
+sparsity = 2
+"""
+
+# a third layer whose 36 px units need larger images than the first layer's
+ARCH_THREE_LAYER = ARCH_TWO_LAYER + """\
+unit_size = 36
+cell_grid = 2
+
+[layer3]
 codebook_size = 8
 sparsity = 2
 """
@@ -78,12 +88,58 @@ def run_cli(cfg, *args):
     return main(["--config", str(cfg), *args])
 
 
+def set_run_key(cfg, key, value):
+    """Set `key` in the [run] section of the run config file `cfg`."""
+    lines = [line for line in cfg.read_text().splitlines() if not line.startswith(f"{key} =")]
+    cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+
+
+def report_fingerprint(root):
+    header = (root / "corpus.hmpi.report.txt").read_text().splitlines()[0]
+    assert header.startswith("# config ")
+    return header.split()[-1]
+
+
 class TestRunConfig:
     def test_retired_threads_key_still_loads(self, tmp_path):
         cfg = make_workspace(tmp_path)
         cfg.write_text(cfg.read_text() + "threads = 4\n")
         loaded = load_run_config(cfg)
         assert loaded.seed == 0 and not hasattr(loaded, "threads")
+
+    @pytest.mark.parametrize(
+        "key, value, flags",
+        [
+            ("seed", "-1", []),
+            ("seed", "-1", ["--baseline"]),
+            ("seed", None, ["--seed", "-3"]),
+            ("sample_cap", "-5", []),
+            ("sample_cap", "0", []),
+            ("train_iterations", "0", []),
+            ("resize_max_side", "-1", []),
+            ("incoherence_weight", "nan", []),
+            ("incoherence_weight", "-0.5", []),
+        ],
+        ids=[
+            "negative-seed",
+            "negative-seed-baseline",
+            "negative-seed-flag",
+            "negative-sample-cap",
+            "zero-sample-cap",
+            "zero-iterations",
+            "negative-resize",
+            "nan-incoherence",
+            "negative-incoherence",
+        ],
+    )
+    def test_bad_number_rejected_before_any_work(self, tmp_path, capsys, key, value, flags):
+        cfg = make_workspace(tmp_path)
+        if value is not None:
+            set_run_key(cfg, key, value)
+        assert run_cli(cfg, *flags, "train-dict") == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and key in err
+        assert not (tmp_path / "dicts").exists()
 
 
 class TestTrainDict:
@@ -119,10 +175,17 @@ class TestTrainDict:
 
 class TestTooSmallImages:
     # each image below the pipeline's minimum side: 12 px fits the 5 px
-    # patches but not the 16 px unit; 4 px fits no patch at all
-    CASES = [([], ARCH_TWO_LAYER, 12), (["--baseline"], ARCH_ONE_LAYER, 4)]
+    # patches but not the 16 px unit; 4 px fits no patch at all; 20 px fits
+    # a 16 px layer-1 unit but no 36 px layer-2 unit
+    CASES = [
+        ([], ARCH_TWO_LAYER, 12),
+        (["--baseline"], ARCH_ONE_LAYER, 4),
+        ([], ARCH_THREE_LAYER, 20),
+    ]
 
-    @pytest.mark.parametrize("flags, arch, side", CASES, ids=["unit", "baseline-patch"])
+    @pytest.mark.parametrize(
+        "flags, arch, side", CASES, ids=["unit", "baseline-patch", "deeper-unit"]
+    )
     def test_small_minority_skipped_by_every_stage(self, tmp_path, capsys, caplog, flags, arch, side):
         cfg = make_workspace(tmp_path, arch=arch)
         write_p5(tmp_path / "images" / "g0m0.pgm", texture_image(seed=7, side=side))
@@ -276,3 +339,24 @@ class TestEvaluate:
         capsys.readouterr()
         assert run_cli(cfg, "evaluate") == 2
         assert "ground truth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", ["idf", "codebook", "codebook-missing", "resize"])
+    def test_fingerprint_follows_what_was_evaluated(self, tmp_path, capsys, change):
+        cfg = make_workspace(tmp_path)
+        for stage in ("train-dict", "encode", "build-index", "evaluate"):
+            assert run_cli(cfg, stage) == 0
+        before = report_fingerprint(tmp_path)
+        assert run_cli(cfg, "evaluate") == 0
+        assert report_fingerprint(tmp_path) == before
+        codebook = tmp_path / "dicts" / "layer1.hmpd"
+        if change == "idf":
+            assert run_cli(cfg, "build-index", "--idf") == 0
+        elif change == "codebook":
+            swapped = random_dictionary(np.random.default_rng(5), 25, 16)
+            save_dictionary(swapped, codebook)
+        elif change == "codebook-missing":
+            codebook.unlink()
+        else:
+            set_run_key(cfg, "resize_max_side", "64")
+        assert run_cli(cfg, "evaluate") == 0
+        assert report_fingerprint(tmp_path) != before

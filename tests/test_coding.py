@@ -1,25 +1,30 @@
-"""Sparse encoder tests: greedy pursuit against brute-force oracles."""
+"""Sparse encoder tests: greedy pursuit against brute-force oracles.
+
+One signal is coded as a batch of one column (`oracles.omp_one`,
+`oracles.vq_one`); the property tests at the end hold every row of a batch
+to that batch of one, bitwise.
+"""
 
 import struct
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmpsearch import (
     Dictionary,
     InvalidInputError,
-    SparseCode,
     l2_normalize,
     load_dictionary,
-    omp_encode,
     omp_encode_batch,
     save_dictionary,
-    vq_encode,
     vq_encode_batch,
 )
 from hmpsearch.errors import DecodeError
 from conftest import random_dictionary
+from oracles import omp_one, vq_one
 
 
 def best_single_atom(atoms: np.ndarray, y: np.ndarray):
@@ -56,38 +61,20 @@ class TestDictionary:
             d.atoms[0, 0] = 5.0
 
 
-class TestSparseCode:
-    def test_rejects_unsorted_indices(self):
-        with pytest.raises(InvalidInputError):
-            SparseCode(4, np.array([2, 1]), np.array([1.0, 1.0]))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            SparseCode(4, np.array([4]), np.array([1.0]))
-
-    def test_rejects_zero_values(self):
-        with pytest.raises(InvalidInputError):
-            SparseCode(4, np.array([1]), np.array([0.0]))
-
-    def test_to_dense_round_trip(self):
-        code = SparseCode(5, np.array([1, 3]), np.array([2.0, -1.5]))
-        npt.assert_array_equal(code.to_dense(), [0.0, 2.0, 0.0, -1.5, 0.0])
-
-
 class TestOmpEncode:
     def test_atom_equals_signal_direction(self):
         d = Dictionary(np.eye(4))
-        code = omp_encode(d, np.array([0.0, 2.0, 0.0, 0.0]), 1)
-        assert code.indices.tolist() == [1]
-        npt.assert_allclose(code.values, [2.0])
+        code = omp_one(d, np.array([0.0, 2.0, 0.0, 0.0]), 1)
+        assert np.flatnonzero(code).tolist() == [1]
+        npt.assert_allclose(code[1], 2.0)
         # residual is exactly zero
-        npt.assert_allclose(code.to_dense() @ d.atoms.T, [0.0, 2.0, 0.0, 0.0])
+        npt.assert_allclose(code @ d.atoms.T, [0.0, 2.0, 0.0, 0.0])
 
     def test_zero_signal_early_stops(self):
         rng = np.random.default_rng(0)
         d = random_dictionary(rng, 6, 9)
-        code = omp_encode(d, np.zeros(6), 3)
-        assert code.nnz == 0
+        code = omp_one(d, np.zeros(6), 3)
+        assert np.count_nonzero(code) == 0
 
     def test_single_atom_matches_exhaustive_scan(self):
         rng = np.random.default_rng(7)
@@ -96,19 +83,19 @@ class TestOmpEncode:
             size = int(rng.integers(2, 9))
             d = random_dictionary(rng, dim, size)
             y = rng.standard_normal(dim)
-            code = omp_encode(d, y, 1)
+            code = omp_one(d, y, 1)
             k, coef = best_single_atom(d.atoms, y)
-            assert code.indices.tolist() == [k]
-            npt.assert_allclose(code.values[0], coef, atol=1e-9)
+            assert np.flatnonzero(code).tolist() == [k]
+            npt.assert_allclose(code[k], coef, atol=1e-9)
 
     def test_residual_orthogonal_to_support(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
             d = random_dictionary(rng, 8, 12)
             y = rng.standard_normal(8)
-            code = omp_encode(d, y, 4)
-            residual = y - d.atoms @ code.to_dense()
-            for k in code.indices:
+            code = omp_one(d, y, 4)
+            residual = y - d.atoms @ code
+            for k in np.flatnonzero(code):
                 assert abs(d.atoms[:, k] @ residual) <= 1e-8
 
     def test_residual_norm_non_increasing_over_budget(self):
@@ -120,8 +107,8 @@ class TestOmpEncode:
             y = rng.standard_normal(7)
             norms = []
             for budget in range(1, 6):
-                code = omp_encode(d, y, budget)
-                norms.append(np.linalg.norm(y - d.atoms @ code.to_dense()))
+                code = omp_one(d, y, budget)
+                norms.append(np.linalg.norm(y - d.atoms @ code))
             assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
     def test_scale_equivariance(self):
@@ -130,39 +117,39 @@ class TestOmpEncode:
             d = random_dictionary(rng, 6, 10)
             y = rng.standard_normal(6)
             alpha = float(rng.uniform(0.1, 10.0))
-            base = omp_encode(d, y, 3)
-            scaled = omp_encode(d, alpha * y, 3)
-            assert base.indices.tolist() == scaled.indices.tolist()
-            npt.assert_allclose(scaled.values, alpha * base.values, atol=1e-8)
+            base = omp_one(d, y, 3)
+            scaled = omp_one(d, alpha * y, 3)
+            assert np.flatnonzero(base).tolist() == np.flatnonzero(scaled).tolist()
+            npt.assert_allclose(scaled, alpha * base, atol=1e-8)
 
     def test_nnz_within_budget(self):
         rng = np.random.default_rng(5)
         d = random_dictionary(rng, 8, 16)
         for budget in (1, 3, 5):
             y = rng.standard_normal(8)
-            assert omp_encode(d, y, budget).nnz <= budget
+            assert np.count_nonzero(omp_one(d, y, budget)) <= budget
 
     def test_duplicate_atoms_fall_back_to_least_squares(self):
         # two identical atoms make the support Gram singular once both are
         # forced in; coding must still return a finite code
         atoms = np.stack([np.array([1.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])], axis=1)
         d = Dictionary(atoms)
-        code = omp_encode(d, np.array([3.0, 4.0]), 2)
-        assert np.all(np.isfinite(code.values))
-        residual = np.array([3.0, 4.0]) - d.atoms @ code.to_dense()
+        code = omp_one(d, np.array([3.0, 4.0]), 2)
+        assert np.all(np.isfinite(code))
+        residual = np.array([3.0, 4.0]) - d.atoms @ code
         assert np.linalg.norm(residual) <= 1e-8
 
     def test_dimension_mismatch_rejected(self):
         d = Dictionary(np.eye(4))
         with pytest.raises(InvalidInputError):
-            omp_encode(d, np.zeros(3), 1)
+            omp_one(d, np.zeros(3), 1)
 
     def test_sparsity_out_of_range_rejected(self):
         d = Dictionary(np.eye(4))
         with pytest.raises(InvalidInputError):
-            omp_encode(d, np.zeros(4), 0)
+            omp_one(d, np.zeros(4), 0)
         with pytest.raises(InvalidInputError):
-            omp_encode(d, np.zeros(4), 5)
+            omp_one(d, np.zeros(4), 5)
 
     def test_batch_matches_per_signal_bitwise(self):
         rng = np.random.default_rng(13)
@@ -171,10 +158,6 @@ class TestOmpEncode:
         batch = omp_encode_batch(d, signals, 4)
         assert batch.shape == (25, 14)
         for i, row in enumerate(batch):
-            single = omp_encode(d, signals[:, i], 4)
-            nz = np.flatnonzero(row)
-            assert nz.tolist() == single.indices.tolist()
-            assert row[nz].tobytes() == single.values.tobytes()
             # a row depends only on its own signal, never on the batch size
             assert omp_encode_batch(d, signals[:, i : i + 1], 4)[0].tobytes() == row.tobytes()
 
@@ -197,9 +180,7 @@ class TestVqEncode:
     def test_signal_equal_to_atom(self):
         rng = np.random.default_rng(2)
         d = random_dictionary(rng, 5, 6)
-        code = vq_encode(d, d.atoms[:, 3])
-        assert code.indices.tolist() == [3]
-        assert code.values.tolist() == [1.0]
+        assert vq_one(d, d.atoms[:, 3]) == 3
 
     def test_equidistant_tie_breaks_low_index(self):
         atoms = np.stack(
@@ -214,32 +195,29 @@ class TestVqEncode:
         )
         d = Dictionary(atoms)
         # the signal sits exactly between atoms 1 and 4; the lower index wins
-        code = vq_encode(d, np.array([1.0, 1.0]) / np.sqrt(2.0))
-        assert code.indices.tolist() == [1]
-        assert code.values.tolist() == [1.0]
+        assert vq_one(d, np.array([1.0, 1.0]) / np.sqrt(2.0)) == 1
 
     def test_matches_exhaustive_nearest_neighbor(self):
         rng = np.random.default_rng(19)
         for _ in range(100):
             d = random_dictionary(rng, 8, 16)
             y = rng.standard_normal(8)
-            code = vq_encode(d, y)
             dists = [float(np.sum((y - d.atoms[:, k]) ** 2)) for k in range(16)]
-            assert code.indices.tolist() == [int(np.argmin(dists))]
+            assert vq_one(d, y) == int(np.argmin(dists))
 
     def test_constraints_hold_by_construction(self):
+        # a code is the indicator of one atom, given as its index in [0, K)
         rng = np.random.default_rng(23)
         d = random_dictionary(rng, 6, 10)
-        for _ in range(20):
-            code = vq_encode(d, rng.standard_normal(6))
-            assert code.nnz == 1
-            assert float(np.sum(np.abs(code.values))) == 1.0
-            assert np.all(code.values >= 0.0)
+        nearest = vq_encode_batch(d, rng.standard_normal((6, 20)))
+        assert nearest.shape == (20,)
+        assert np.issubdtype(nearest.dtype, np.integer)
+        assert np.all((nearest >= 0) & (nearest < 10))
 
     def test_dimension_mismatch_rejected(self):
         d = Dictionary(np.eye(4))
         with pytest.raises(InvalidInputError):
-            vq_encode(d, np.zeros(5))
+            vq_one(d, np.zeros(5))
 
     def test_batch_matches_per_signal(self):
         rng = np.random.default_rng(29)
@@ -248,7 +226,7 @@ class TestVqEncode:
         batch = vq_encode_batch(d, signals)
         assert batch.shape == (12,)
         for i, nearest in enumerate(batch):
-            assert vq_encode(d, signals[:, i]).indices.tolist() == [nearest]
+            assert vq_one(d, signals[:, i]) == nearest
 
     def test_batch_distances_match_per_signal_einsum(self):
         # distances accumulate over signal rows in the order of the
@@ -262,6 +240,54 @@ class TestVqEncode:
                 diff = d.atoms - signals[:, i][:, None]
                 expected.append(int(np.argmin(np.einsum("dk,dk->k", diff, diff))))
             assert vq_encode_batch(d, signals).tolist() == expected
+
+
+def laid_out(rng, dim: int, count: int, layout: str) -> np.ndarray:
+    """A dim x count signal matrix, some columns zero, in the given memory
+    layout: C-ordered, F-ordered, or a strided slice of a larger array."""
+    base = rng.standard_normal((dim, 2 * count + 1))
+    base[:, rng.uniform(size=2 * count + 1) < 0.15] = 0.0
+    if layout == "C":
+        return np.ascontiguousarray(base[:, :count])
+    if layout == "F":
+        return np.asfortranarray(base[:, :count])
+    return base[::-1, 1::2]
+
+
+BATCH_SIZES = pytest.mark.parametrize("count", [0, 1, 23])
+LAYOUTS = pytest.mark.parametrize("layout", ["C", "F", "strided"])
+
+
+@BATCH_SIZES
+@LAYOUTS
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_omp_rows_equal_batches_of_one(count, layout, seed):
+    rng = np.random.default_rng(seed)
+    dim, size = int(rng.integers(1, 13)), int(rng.integers(1, 21))
+    d = random_dictionary(rng, dim, size)
+    sparsity = int(rng.integers(1, min(dim, size) + 1))
+    signals = laid_out(rng, dim, count, layout)
+    batch = omp_encode_batch(d, signals, sparsity)
+    assert batch.shape == (count, size)
+    for i in range(count):
+        single = omp_encode_batch(d, signals[:, i : i + 1], sparsity)[0]
+        assert single.tobytes() == batch[i].tobytes()
+
+
+@BATCH_SIZES
+@LAYOUTS
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_vq_entries_equal_batches_of_one(count, layout, seed):
+    rng = np.random.default_rng(seed)
+    dim, size = int(rng.integers(1, 13)), int(rng.integers(1, 21))
+    d = random_dictionary(rng, dim, size)
+    signals = laid_out(rng, dim, count, layout)
+    batch = vq_encode_batch(d, signals)
+    assert batch.shape == (count,)
+    for i in range(count):
+        assert vq_encode_batch(d, signals[:, i : i + 1])[0] == batch[i]
 
 
 class TestL2Normalize:

@@ -14,15 +14,14 @@ from hmpsearch import (
     train,
 )
 from conftest import packed_dictionary, planted_signals
+from oracles import omp_one
 
 
 def reconstruction_error(signals, dictionary, sparsity):
-    from hmpsearch import omp_encode
-
     total = 0.0
     for i in range(signals.shape[1]):
-        code = omp_encode(dictionary, signals[:, i], sparsity)
-        total += float(np.sum((signals[:, i] - dictionary.atoms @ code.to_dense()) ** 2))
+        code = omp_one(dictionary, signals[:, i], sparsity)
+        total += float(np.sum((signals[:, i] - dictionary.atoms @ code) ** 2))
     return total / signals.shape[1]
 
 
@@ -38,8 +37,9 @@ class TestTrainingSetAndConfig:
             TrainConfig(codebook_size=4, sparsity=0, iterations=1)
         with pytest.raises(InvalidInputError):
             TrainConfig(codebook_size=4, sparsity=1, iterations=0)
-        with pytest.raises(InvalidInputError):
-            TrainConfig(codebook_size=4, sparsity=1, iterations=1, incoherence_weight=-0.5)
+        for weight in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(InvalidInputError):
+                TrainConfig(codebook_size=4, sparsity=1, iterations=1, incoherence_weight=weight)
 
 
 class TestInitDictionary:

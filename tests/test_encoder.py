@@ -1,12 +1,13 @@
 """Layered encoder tests: pooling rules, geometry, and the length law."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from hmpsearch import (
     ArchitectureConfig,
-    CodeGrid,
     ConfigError,
     FeatureGrid,
     ImageDescriptor,
@@ -21,12 +22,12 @@ from hmpsearch import (
     l2_normalize,
     load_architecture,
     load_descriptor,
-    omp_encode,
     omp_encode_batch,
     pyramid_pool,
     save_descriptor,
     signed_max_pool,
 )
+from hmpsearch.encoder import minimum_image_side
 from hmpsearch.errors import DecodeError
 from conftest import random_dictionary, texture_image
 import oracles
@@ -84,9 +85,7 @@ class TestSignedMaxPool:
 
 
 def feature_grid_from_image(pixels, patch_size=3, stride=1):
-    img = IntensityImage(pixels)
-    grid = extract_patches(img, patch_size, stride)
-    return FeatureGrid(grid.centers, grid.patches, (img.height, img.width))
+    return extract_patches(IntensityImage(pixels), patch_size, stride)
 
 
 class TestEncodeLayer:
@@ -99,7 +98,7 @@ class TestEncodeLayer:
         )
         out = encode_layer(grid, layer)
         assert out.count == 1
-        codes = [omp_encode(d, grid.vectors[i], 3) for i in range(grid.count)]
+        codes = [oracles.omp_one(d, grid.vectors[i], 3) for i in range(grid.count)]
         expected = l2_normalize(oracles.signed_max_pool(codes, 12))
         npt.assert_array_equal(out.vectors[0], expected)
         npt.assert_array_equal(
@@ -177,7 +176,7 @@ class TestEncodeLayer:
 
 def code_grid(rng, k, centers, extent, density=0.6):
     codes = rng.standard_normal((len(centers), k)) * (rng.uniform(size=(len(centers), k)) < density)
-    return CodeGrid(np.asarray(centers, dtype=float), codes, extent)
+    return FeatureGrid(np.asarray(centers, dtype=float), codes, extent)
 
 
 class TestPyramidPool:
@@ -197,7 +196,7 @@ class TestPyramidPool:
         rng = np.random.default_rng(11)
         grid = code_grid(rng, 6, [[2.0, 2.0]], (8, 8), density=1.0)
         desc = pyramid_pool(grid, [1], "img")
-        expected = l2_normalize(pool_one(grid.codes))
+        expected = l2_normalize(pool_one(grid.vectors))
         npt.assert_allclose(desc.to_dense(), expected, atol=1e-12)
 
     def test_regions_partition_by_center_with_remainder_to_last(self):
@@ -209,7 +208,7 @@ class TestPyramidPool:
         grid = code_grid(rng, k, centers, (10, 10), density=1.0)
         desc = pyramid_pool(grid, [3], "img").to_dense()
         blocks = desc.reshape(9, 2 * k)
-        raw = [pool_one(c[None, :]) for c in grid.codes]
+        raw = [pool_one(c[None, :]) for c in grid.vectors]
         stacked = np.concatenate(
             [
                 raw[0],
@@ -227,7 +226,7 @@ class TestPyramidPool:
         assert np.any(blocks[0] != 0) and np.any(blocks[3] != 0) and np.any(blocks[8] != 0)
 
     def test_empty_grid_warns_and_zeroes(self):
-        grid = CodeGrid(np.empty((0, 2)), np.zeros((0, 5)), (8, 8))
+        grid = FeatureGrid(np.empty((0, 2)), np.zeros((0, 5)), (8, 8))
         with pytest.warns(UserWarning):
             desc = pyramid_pool(grid, [1, 2], "blank")
         assert desc.length == 2 * 5 * 5
@@ -328,6 +327,21 @@ class TestEncodeImage:
             encode_image(IntensityImage(np.full((12, 12), 0.5)), arch, "tiny")
         assert "16" in str(err.value)
 
+    def test_too_small_for_a_deeper_unit_names_its_minimum(self):
+        # 20 px holds one 16 px layer-1 unit but no 36 px layer-2 unit
+        rng = np.random.default_rng(24)
+        layer1, layer2 = two_layer_architecture(rng, k_final=4).layers
+        layer2 = replace(layer2, coding_unit_size=36, cell_grid=2)
+        layer3 = LayerConfig(
+            codebook_size=4, sparsity=2, dictionary=random_dictionary(rng, 2 * 4 * 4, 4)
+        )
+        arch = ArchitectureConfig([layer1, layer2, layer3], [1])
+        assert minimum_image_side(arch) == 36
+        with pytest.raises(ImageTooSmallError, match="36x36"):
+            encode_image(IntensityImage(texture_image(8, side=20)), arch, "tiny")
+        desc = encode_image(IntensityImage(texture_image(8, side=36)), arch, "fits")
+        assert desc.nnz > 0
+
     def test_single_layer_pipeline(self):
         rng = np.random.default_rng(19)
         d = random_dictionary(rng, 25, 10)
@@ -355,12 +369,10 @@ class TestBofBaseline:
         d = random_dictionary(rng, 9, 6)
         img = IntensityImage(texture_image(9, side=8))
         desc = encode_image_bof(img, d, 3, 1, "bof")
-        from hmpsearch import vq_encode
-
         grid = extract_patches(img, 3, 1)
         hist = np.zeros(6)
         for i in range(grid.count):
-            hist[vq_encode(d, grid.patches[i]).indices[0]] += 1.0
+            hist[oracles.vq_one(d, grid.vectors[i])] += 1.0
         hist /= grid.count
         npt.assert_allclose(desc.to_dense(), l2_normalize(hist), atol=1e-12)
 

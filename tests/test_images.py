@@ -113,12 +113,14 @@ class TestExtractPatches:
         img = IntensityImage(np.linspace(0, 1, 36).reshape(6, 6))
         grid = extract_patches(img, 5, 1)
         assert grid.count == 4
-        assert grid.grid_shape == (2, 2)
+        assert grid.extent == (6, 6)
+        # a 2 x 2 grid of windows, row-major
+        assert grid.centers.tolist() == [[2.0, 2.0], [2.0, 3.0], [3.0, 2.0], [3.0, 3.0]]
 
     def test_constant_image_gives_zero_patches(self):
         img = IntensityImage(np.full((8, 8), 0.37))
         grid = extract_patches(img, 5, 1)
-        npt.assert_allclose(grid.patches, 0.0, atol=1e-12)
+        npt.assert_allclose(grid.vectors, 0.0, atol=1e-12)
 
     def test_strided_count_matches_formula(self):
         rng = np.random.default_rng(1)
@@ -130,16 +132,18 @@ class TestExtractPatches:
         rng = np.random.default_rng(2)
         img = IntensityImage(rng.uniform(size=(12, 10)))
         grid = extract_patches(img, 3, 2)
-        npt.assert_allclose(grid.patches.mean(axis=1), 0.0, atol=1e-9)
+        npt.assert_allclose(grid.vectors.mean(axis=1), 0.0, atol=1e-9)
 
     def test_patches_are_window_copies_up_to_mean(self):
         rng = np.random.default_rng(3)
         pixels = rng.uniform(size=(7, 7))
         grid = extract_patches(IntensityImage(pixels), 3, 2)
         window = pixels[2:5, 4:7].ravel()
-        # patch at grid row 1, col 2 with stride 2 starts at pixel (2, 4)
-        idx = 1 * grid.grid_shape[1] + 2
-        npt.assert_allclose(grid.patches[idx], window - window.mean(), atol=1e-12)
+        # patch at grid row 1, col 2 with stride 2 starts at pixel (2, 4);
+        # a row of the grid holds 3 windows
+        idx = 1 * 3 + 2
+        assert grid.centers[idx].tolist() == [3.0, 5.0]
+        npt.assert_allclose(grid.vectors[idx], window - window.mean(), atol=1e-12)
 
     def test_centers_in_pixel_coordinates(self):
         img = IntensityImage(np.zeros((6, 6)) + 0.5)

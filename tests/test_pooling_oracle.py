@@ -9,8 +9,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmpsearch import CodeGrid, LayerConfig, encode_layer, l2_normalize, pyramid_pool
-from hmpsearch.encoder import FeatureGrid, signed_max_pool
+from hmpsearch import FeatureGrid, LayerConfig, encode_layer, l2_normalize, pyramid_pool
+from hmpsearch.encoder import signed_max_pool
 from hmpsearch.images import assign_to_cells
 from conftest import random_dictionary
 import oracles
@@ -43,7 +43,7 @@ def test_signed_max_pool_matches_per_group_lists(seed, n, k, count):
     pooled = signed_max_pool(codes, labels, count)
     assert pooled.shape == (count, 2 * k)
     for g in range(count):
-        members = [oracles.to_sparse(codes[i]) for i in np.flatnonzero(labels == g)]
+        members = [codes[i] for i in np.flatnonzero(labels == g)]
         assert pooled[g].tobytes() == oracles.signed_max_pool(members, k).tobytes()
 
 
@@ -106,7 +106,6 @@ def test_pyramid_pool_matches_region_lists(seed, extent, pyramid, n, k):
     rng = np.random.default_rng(seed)
     centers = lattice_points(rng, n, *extent)
     codes = sparse_codes(rng, n, k)
-    desc = pyramid_pool(CodeGrid(centers, codes, extent), pyramid, "img")
-    sparse = [oracles.to_sparse(row) for row in codes]
-    want = l2_normalize(oracles.pyramid_blocks(centers, sparse, k, extent, pyramid))
+    desc = pyramid_pool(FeatureGrid(centers, codes, extent), pyramid, "img")
+    want = l2_normalize(oracles.pyramid_blocks(centers, codes, k, extent, pyramid))
     assert desc.to_dense().tobytes() == want.tobytes()
