@@ -2,12 +2,16 @@
 
 Two coding rules are provided, each as one batch kernel over the columns of
 a D x N signal matrix. `omp_encode_batch` is greedy orthogonal matching
-pursuit: it repeatedly selects the atom most correlated with the current
-residual, re-solves least squares on the selected support, and stops after
-`sparsity` atoms or once the residual is negligible; it returns an N x K
-code matrix. `vq_encode_batch` is hard assignment to the single nearest
-atom, the coding rule of bag-of-features pipelines; it returns one atom
-index per signal. One signal `y` is coded as a batch of one column, e.g.
+pursuit in its Batch-OMP form (Rubinstein, Zibulevsky & Elad, 2008): one
+pursuit codes all N signals at once, selecting per signal the atom most
+correlated with its residual, taking the correlations from `D^T y` and the
+codebook's Gram matrix, and re-solving least squares on the support through
+a Cholesky factor grown by one row per step. It stops after `sparsity`
+atoms or once the residual is negligible, and returns an N x K code matrix.
+`vq_encode_batch` is hard assignment to the single nearest atom, the coding
+rule of bag-of-features pipelines; it returns one atom index per signal.
+Both take every product over N elementwise, so row i of a batch is bitwise
+the batch of one of column i: one signal `y` is coded as
 `omp_encode_batch(d, y[:, None], s)[0]`. Both are pure functions; a
 `Dictionary` is immutable and safe to share across threads.
 """
@@ -18,7 +22,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import DecodeError, InvalidInputError
 
@@ -33,10 +36,12 @@ _DICT_VERSION = 1
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Codebook of unit-norm atoms, one per column of `atoms` (D x K)."""
+    """Codebook of unit-norm atoms, one per column of `atoms` (D x K), with
+    their transpose and K x K Gram matrix cached for the coding kernels."""
 
     atoms: np.ndarray
     _atoms_t: np.ndarray = field(init=False, repr=False, compare=False)
+    _gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=np.float64)
@@ -57,8 +62,13 @@ class Dictionary:
         atoms.setflags(write=False)
         atoms_t = np.ascontiguousarray(atoms.T)
         atoms_t.setflags(write=False)
+        # accumulated like the signal correlations, so that bitwise-equal
+        # atoms have bitwise-equal Gram rows and tie toward the lower index
+        gram = _correlations(atoms_t, atoms)
+        gram.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_atoms_t", atoms_t)
+        object.__setattr__(self, "_gram", gram)
 
     @property
     def signal_dim(self) -> int:
@@ -81,42 +91,43 @@ def _check_signals(dictionary: Dictionary, signals: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _omp(atoms: np.ndarray, atoms_t: np.ndarray, y: np.ndarray, sparsity: int):
-    support: list[int] = []
-    coef = np.empty(0)
-    residual = y
-    for _ in range(sparsity):
-        res_norm = np.linalg.norm(residual)
-        if res_norm < RESIDUAL_STOP:
-            break
-        corr = np.abs(atoms_t @ residual)
-        if support:
-            corr[support] = -1.0
-        best = int(np.argmax(corr))
-        # residual orthogonal to every remaining atom: nothing left to add
-        if corr[best] <= 1e-12 * res_norm:
-            break
-        support.append(best)
-        sub = atoms[:, support]
-        gram = sub.T @ sub
-        rhs = sub.T @ y
-        try:
-            coef = cho_solve(cho_factor(gram, lower=True), rhs)
-        except (LinAlgError, np.linalg.LinAlgError):
-            # singular support: minimum-norm least squares instead of a crash
-            coef = np.linalg.lstsq(sub, y, rcond=None)[0]
-        residual = y - sub @ coef
-    return support, coef
+def _correlations(mat: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """N x K inner products of the rows of `mat` (N x D) with the atoms
+    (columns of `atoms`, D x K), accumulated over the D signal rows in order
+    so that a row's result never depends on the rest of the batch."""
+    out = np.zeros((mat.shape[0], atoms.shape[1]))
+    for d in range(mat.shape[1]):
+        out += mat[:, d : d + 1] * atoms[d]
+    return out
+
+
+def _solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L x = rhs per row for lower-triangular L (N x t x t)."""
+    x = np.empty_like(rhs)
+    for i in range(rhs.shape[1]):
+        x[:, i] = (rhs[:, i] - np.sum(chol[:, i, :i] * x[:, :i], axis=1)) / chol[:, i, i]
+    return x
+
+
+def _solve_upper(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L^T x = rhs per row for lower-triangular L (N x t x t)."""
+    x = np.empty_like(rhs)
+    for i in reversed(range(rhs.shape[1])):
+        x[:, i] = (rhs[:, i] - np.sum(chol[:, i + 1 :, i] * x[:, i + 1 :], axis=1)) / chol[:, i, i]
+    return x
 
 
 def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int) -> np.ndarray:
     """Greedy sparse approximation of each column of `signals` (D x N).
 
-    Returns the N x K code matrix, one row per signal. Each signal is coded
-    in the memory layout it is passed in, so a row depends only on its own
-    signal and never on the rest of the batch. Atom selection ties break
-    toward the lowest index; coding stops early once the residual norm falls
-    under RESIDUAL_STOP, leaving fewer than `sparsity` nonzeros.
+    Returns the N x K code matrix, one row per signal. The batch is copied
+    once into an N x D C-ordered array and every product over N is taken
+    elementwise, so a row depends only on its own signal, never on the rest
+    of the batch or on the memory layout it is passed in. Atom selection
+    ties break toward the lowest index; coding stops early once the residual
+    norm falls under RESIDUAL_STOP, once the residual is orthogonal to every
+    remaining atom, or once the next atom is linearly dependent on the
+    support, leaving fewer than `sparsity` nonzeros.
     """
     mat = _check_signals(dictionary, signals)
     if not 1 <= sparsity <= min(dictionary.signal_dim, dictionary.size):
@@ -124,10 +135,44 @@ def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int)
             f"sparsity must be in [1, min(D, K)] = [1, {min(dictionary.signal_dim, dictionary.size)}],"
             f" got {sparsity}"
         )
-    codes = np.zeros((mat.shape[1], dictionary.size))
-    for i in range(mat.shape[1]):
-        support, coef = _omp(dictionary.atoms, dictionary._atoms_t, mat[:, i], sparsity)
-        codes[i, support] = coef
+    y = np.ascontiguousarray(mat.T)
+    n = y.shape[0]
+    atoms_t, gram = dictionary._atoms_t, dictionary._gram
+    alpha = _correlations(y, dictionary.atoms)
+    # per signal: atoms in pick order, their coefficients (zero in unused
+    # slots) and the Cholesky factor of the support's Gram matrix
+    support = np.zeros((n, sparsity), dtype=np.intp)
+    coef = np.zeros((n, sparsity))
+    chol = np.zeros((n, sparsity, sparsity))
+    rows = np.arange(n)  # signals still being coded; each holds t atoms
+    for t in range(sparsity):
+        sup, c = support[rows, :t], coef[rows, :t]
+        residual, corr = y[rows], alpha[rows]
+        for j in range(t):
+            residual = residual - c[:, j : j + 1] * atoms_t[sup[:, j]]
+            corr = corr - c[:, j : j + 1] * gram[sup[:, j]]
+        res_norm = np.sqrt(np.sum(residual * residual, axis=1))
+        mag = np.abs(corr)
+        mag[np.arange(rows.size)[:, None], sup] = -1.0
+        best = np.argmax(mag, axis=1)
+        # stop once the residual is negligible or orthogonal to every
+        # remaining atom
+        go = (res_norm >= RESIDUAL_STOP) & (np.max(mag, axis=1) > 1e-12 * res_norm)
+        # the new row of the Cholesky factor; a non-positive pivot means the
+        # atom adds nothing to the span of the support
+        w = _solve_lower(chol[rows, :t, :t], gram[sup, best[:, None]])
+        pivot = gram[best, best] - np.sum(w * w, axis=1)
+        go &= pivot > 0.0
+        rows, best, w, pivot = rows[go], best[go], w[go], pivot[go]
+        chol[rows, t, :t] = w
+        chol[rows, t, t] = np.sqrt(pivot)
+        support[rows, t] = best
+        factor = chol[rows, : t + 1, : t + 1]
+        z = _solve_lower(factor, alpha[rows[:, None], support[rows, : t + 1]])
+        coef[rows, : t + 1] = _solve_upper(factor, z)
+    codes = np.zeros((n, dictionary.size))
+    # an unused slot adds zero to atom 0
+    np.add.at(codes, (np.arange(n)[:, None], support), coef)
     return codes
 
 

@@ -24,6 +24,9 @@ import numpy as np
 from .coding import Dictionary, omp_encode_batch
 from .errors import InvalidInputError
 
+# training signals coded per kernel call in a coding pass
+CODE_CHUNK = 1024
+
 
 @dataclass(frozen=True)
 class TrainingSet:
@@ -128,13 +131,15 @@ def _code_pass(signals, atoms, codes, cfg) -> None:
     """Greedy-code every signal, keeping the old code when it fits better."""
     dictionary = Dictionary(atoms)
     sparsity = min(cfg.sparsity, dictionary.signal_dim, dictionary.size)
-    for i in range(signals.shape[1]):
-        # one column at a time: a whole N x K code matrix costs memory
-        new_col = omp_encode_batch(dictionary, signals[:, i : i + 1], sparsity)[0]
-        old_res = np.linalg.norm(signals[:, i] - atoms @ codes[:, i])
-        new_res = np.linalg.norm(signals[:, i] - atoms @ new_col)
-        if new_res <= old_res:
-            codes[:, i] = new_col
+    # fixed-size chunks bound the kernel's N x K work arrays; a code row
+    # depends only on its own signal, whatever the chunk holds
+    for lo in range(0, signals.shape[1], CODE_CHUNK):
+        chunk = slice(lo, lo + CODE_CHUNK)
+        new = omp_encode_batch(dictionary, signals[:, chunk], sparsity).T
+        old_res = np.linalg.norm(signals[:, chunk] - atoms @ codes[:, chunk], axis=0)
+        new_res = np.linalg.norm(signals[:, chunk] - atoms @ new, axis=0)
+        better = new_res <= old_res
+        codes[:, lo + np.flatnonzero(better)] = new[:, better]
 
 
 def _worst_signal(signals, atoms, codes, skip: set[int]) -> int | None:

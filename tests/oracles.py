@@ -1,19 +1,57 @@
 """Loop-based reference implementations of the array coding, pooling and
 index code.
 
-Coding runs one signal at a time, as a batch of one column. Pooling loops
-over points, cells and regions, pooling dense code rows one at a time. The
-inverted file is a dict of (id, value) posting lists grown one descriptor
-at a time. Tests hold the array implementations in `hmpsearch.images`,
-`hmpsearch.encoder` and `hmpsearch.index` to them.
+Coding runs one signal at a time, as a batch of one column; `omp_pursuit`
+is the per-signal greedy pursuit that re-solves the support by a fresh
+Cholesky factorization at every step, the reference for the Batch-OMP
+kernel. Pooling loops over points, cells and regions, pooling dense code
+rows one at a time. The inverted file is a dict of (id, value) posting
+lists grown one descriptor at a time. Tests hold the array implementations
+in `hmpsearch.coding`, `hmpsearch.images`, `hmpsearch.encoder` and
+`hmpsearch.index` to them.
 """
 
 import math
 from bisect import insort
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from hmpsearch import FeatureGrid, l2_normalize, omp_encode_batch, vq_encode_batch
+from hmpsearch.coding import RESIDUAL_STOP
+
+
+def omp_pursuit(atoms: np.ndarray, y: np.ndarray, sparsity: int):
+    """Greedy pursuit of one signal: (support in pick order, coefficients).
+
+    Correlations come from the explicit residual; the least-squares
+    coefficients on the support are re-solved from scratch at each step,
+    by minimum-norm least squares when the support Gram is singular.
+    """
+    support: list[int] = []
+    coef = np.empty(0)
+    residual = y
+    for _ in range(sparsity):
+        res_norm = np.linalg.norm(residual)
+        if res_norm < RESIDUAL_STOP:
+            break
+        corr = np.abs(atoms.T @ residual)
+        if support:
+            corr[support] = -1.0
+        best = int(np.argmax(corr))
+        # residual orthogonal to every remaining atom: nothing left to add
+        if corr[best] <= 1e-12 * res_norm:
+            break
+        support.append(best)
+        sub = atoms[:, support]
+        gram = sub.T @ sub
+        rhs = sub.T @ y
+        try:
+            coef = cho_solve(cho_factor(gram, lower=True), rhs)
+        except (LinAlgError, np.linalg.LinAlgError):
+            coef = np.linalg.lstsq(sub, y, rcond=None)[0]
+        residual = y - sub @ coef
+    return support, coef
 
 
 def omp_one(dictionary, signal, sparsity: int) -> np.ndarray:

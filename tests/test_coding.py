@@ -2,10 +2,14 @@
 
 One signal is coded as a batch of one column (`oracles.omp_one`,
 `oracles.vq_one`); the property tests at the end hold every row of a batch
-to that batch of one, bitwise.
+to that batch of one, bitwise, and the Batch-OMP kernel to the per-signal
+pursuit `oracles.omp_pursuit`.
 """
 
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hmpsearch
 from hmpsearch import (
     Dictionary,
     InvalidInputError,
@@ -24,7 +29,7 @@ from hmpsearch import (
 )
 from hmpsearch.errors import DecodeError
 from conftest import random_dictionary
-from oracles import omp_one, vq_one
+from oracles import omp_one, omp_pursuit, vq_one
 
 
 def best_single_atom(atoms: np.ndarray, y: np.ndarray):
@@ -273,6 +278,86 @@ def test_omp_rows_equal_batches_of_one(count, layout, seed):
     for i in range(count):
         single = omp_encode_batch(d, signals[:, i : i + 1], sparsity)[0]
         assert single.tobytes() == batch[i].tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_omp_codes_do_not_depend_on_memory_layout(seed):
+    rng = np.random.default_rng(seed)
+    dim, size, count = int(rng.integers(1, 13)), int(rng.integers(1, 21)), 23
+    d = random_dictionary(rng, dim, size)
+    sparsity = int(rng.integers(1, min(dim, size) + 1))
+    signals = laid_out(rng, dim, count, "C")
+    wide = np.zeros((dim, 2 * count))
+    wide[:, ::2] = signals
+    reversed_rows = np.ascontiguousarray(signals[::-1])[::-1]
+    want = omp_encode_batch(d, signals, sparsity).tobytes()
+    for view in (np.asfortranarray(signals), wide[:, ::2], reversed_rows):
+        assert omp_encode_batch(d, view, sparsity).tobytes() == want
+
+
+def agreement_tolerance(atoms, support, y) -> float:
+    """1e-12, scaled by cond(A_S)^2 |y|: both pursuits solve the normal
+    equations of the support, whose rounding error grows with the square
+    of its condition number."""
+    cond = np.linalg.cond(atoms[:, support]) if support else 1.0
+    return 1e-12 * max(1.0, cond**2 * float(np.linalg.norm(y)))
+
+
+def with_duplicates(rng, d: Dictionary) -> Dictionary:
+    """`d` with some atoms overwritten by copies of others, some negated."""
+    atoms = np.array(d.atoms)
+    size = atoms.shape[1]
+    for _ in range(int(rng.integers(1, size + 1))):
+        src, dst = rng.integers(0, size, 2)
+        atoms[:, dst] = rng.choice([-1.0, 1.0]) * atoms[:, src]
+    return Dictionary(atoms)
+
+
+@pytest.mark.parametrize("case", ["random", "duplicates"])
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_omp_matches_per_signal_pursuit(case, seed):
+    rng = np.random.default_rng(seed)
+    dim, size = int(rng.integers(1, 13)), int(rng.integers(2, 21))
+    d = random_dictionary(rng, dim, size)
+    signals = laid_out(rng, dim, 12, "C")
+    if case == "duplicates":
+        d = with_duplicates(rng, d)
+        # signals on a duplicated atom make exact selection ties
+        picks = rng.integers(0, size, 4)
+        signals[:, :4] = d.atoms[:, picks] * rng.standard_normal(4)
+    sparsity = int(rng.integers(1, min(dim, size) + 1))
+    codes = omp_encode_batch(d, signals, sparsity)
+    # atoms grouped into classes of |g_ij| > 1 - 1e-9, named by the lowest index
+    same = np.abs(d.atoms.T @ d.atoms) > 1.0 - 1e-9
+    cls = np.argmax(same, axis=1)
+    for y, code in zip(signals.T, codes):
+        support, coef = omp_pursuit(d.atoms, y, sparsity)
+        want = np.zeros(size)
+        want[support] = coef
+        tol = agreement_tolerance(d.atoms, support, y)
+        got_support = np.flatnonzero(code)
+        if case == "random":
+            assert got_support.tolist() == sorted(support)
+            npt.assert_allclose(code, want, rtol=0, atol=tol)
+        else:
+            # equal or negated copies tie exactly: the lowest index wins
+            assert np.array_equal(cls[got_support], got_support)
+            assert sorted(cls[got_support]) == sorted(cls[support])
+            got_res = np.linalg.norm(y - d.atoms @ code)
+            want_res = np.linalg.norm(y - d.atoms @ want)
+            assert abs(got_res - want_res) <= tol
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy's import would cost every CLI run a quarter of a second
+    code = "import sys, hmpsearch.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hmpsearch.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 @BATCH_SIZES
