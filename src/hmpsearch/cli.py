@@ -19,7 +19,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class RunConfig:
     use_idf: bool = False
     train_iterations: int = 15
     sample_cap: int = 20000
-    incoherence_weight: float = 0.1
 
 
 def load_run_config(path) -> RunConfig:
@@ -100,10 +99,13 @@ def load_run_config(path) -> RunConfig:
             use_idf=section.getboolean("use_idf", False),
             train_iterations=section.getint("train_iterations", 15),
             sample_cap=section.getint("sample_cap", 20000),
-            incoherence_weight=section.getfloat("incoherence_weight", 0.1),
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: bad value in [run]: {exc}") from exc
+    known = {field.name for field in fields(RunConfig)}
+    for key in section:
+        if key not in known:
+            log.warning("%s: ignoring [run] key %r, which no setting reads", path, key)
     if not cfg.manifest:
         raise ConfigError(f"{path}: [run] manifest is required")
     if not cfg.architecture:
@@ -112,16 +114,14 @@ def load_run_config(path) -> RunConfig:
 
 
 # Smallest value each [run] number (and the --seed override) may take.
-_RUN_MINIMUMS = dict(
-    seed=0, train_iterations=1, sample_cap=1, resize_max_side=0, incoherence_weight=0
-)
+_RUN_MINIMUMS = dict(seed=0, train_iterations=1, sample_cap=1, resize_max_side=0)
 
 
 def _check_run_numbers(cfg: RunConfig, path) -> None:
     for key, low in _RUN_MINIMUMS.items():
         value = getattr(cfg, key)
-        if not (math.isfinite(value) and value >= low):
-            raise ConfigError(f"{path}: {key} must be a finite number >= {low}, got {value}")
+        if value < low:
+            raise ConfigError(f"{path}: {key} must be >= {low}, got {value}")
 
 
 def safe_filename(image_id: str) -> str:
@@ -210,7 +210,6 @@ def cmd_train_dict(cfg: RunConfig) -> int:
             codebook_size=layer.codebook_size,
             sparsity=layer.sparsity,
             iterations=cfg.train_iterations,
-            incoherence_weight=cfg.incoherence_weight,
             seed=seed,
         )
         dictionary, trace = train(TrainingSet(signals), tcfg)

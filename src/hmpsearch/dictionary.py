@@ -1,17 +1,13 @@
-"""Codebook training.
+"""Codebook training by K-SVD (Aharon, Elad & Bruckstein, IEEE TSP 2006), as
+in hierarchical matching pursuit (Bo, Ren & Fox, NIPS 2011).
 
-Alternating optimization in the K-SVD family: a sparse-coding pass over all
-training signals followed by a sequential atom-by-atom update. The coding
-pass keeps a signal's previous code whenever fresh greedy coding would make
-its residual worse, and each iteration after the first additionally trials
-replacing the most redundant atom with the worst-reconstructed signal,
-keeping the trial only if it lowers the objective. Together these make the
-reported objective trace non-increasing while still escaping merged-atom
-plateaus.
-
-With `incoherence_weight` > 0 the atom update adds a gradient-style push away
-from the other atoms, trading reconstruction error against the summed
-absolute inner products between distinct atoms.
+Each iteration greedy-codes every training signal, then updates the atoms
+one at a time: an atom and its row of codes become the best rank-1 fit, by
+SVD, of the residual of the signals that use it, and an atom no signal uses
+takes over the worst-reconstructed signal. The rank-1 fit cannot raise the
+objective, and the coding pass keeps a signal's previous code whenever
+fresh greedy coding would make its residual worse, so the reported trace
+of the objective is non-increasing.
 """
 
 from __future__ import annotations
@@ -56,7 +52,6 @@ class TrainConfig:
     codebook_size: int
     sparsity: int
     iterations: int
-    incoherence_weight: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -66,19 +61,8 @@ class TrainConfig:
             raise InvalidInputError(f"iterations must be >= 1, got {self.iterations}")
         if self.sparsity < 1:
             raise InvalidInputError(f"sparsity must be >= 1, got {self.sparsity}")
-        if not (np.isfinite(self.incoherence_weight) and self.incoherence_weight >= 0):
-            raise InvalidInputError("incoherence_weight must be finite and >= 0")
-
-
-def coherence(dictionary: Dictionary) -> tuple[float, float]:
-    """Summed |c_i . c_j| over distinct ordered atom pairs, and the largest."""
-    gram = dictionary.atoms.T @ dictionary.atoms
-    mag = np.abs(gram)
-    total = float(mag.sum() - np.trace(mag))
-    if dictionary.size < 2:
-        return total, 0.0
-    off = mag - np.diag(np.diag(mag))
-    return total, float(off.max())
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
 
 def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -119,14 +103,6 @@ def init_dictionary(train: TrainingSet, cfg: TrainConfig) -> Dictionary:
     return Dictionary(atoms)
 
 
-def _objective(signals, atoms, codes, weight) -> float:
-    recon = float(np.linalg.norm(signals - atoms @ codes, "fro") ** 2)
-    if weight == 0.0:
-        return recon
-    gram = np.abs(atoms.T @ atoms)
-    return recon + weight * float(gram.sum() - np.trace(gram))
-
-
 def _code_pass(signals, atoms, codes, cfg) -> None:
     """Greedy-code every signal, keeping the old code when it fits better."""
     dictionary = Dictionary(atoms)
@@ -153,9 +129,8 @@ def _worst_signal(signals, atoms, codes, skip: set[int]) -> int | None:
     return None
 
 
-def _update_pass(signals, atoms, codes, cfg, rng) -> None:
+def _update_pass(signals, atoms, codes, rng) -> None:
     """Sequential atom updates; unused atoms take the worst-coded signal."""
-    weight = cfg.incoherence_weight
     taken: set[int] = set()
     for k in range(atoms.shape[1]):
         users = np.nonzero(codes[k, :])[0]
@@ -172,65 +147,20 @@ def _update_pass(signals, atoms, codes, cfg, rng) -> None:
             - atoms @ codes[:, users]
             + np.outer(atoms[:, k], codes[k, users])
         )
-        u, s, vt = np.linalg.svd(restricted, full_matrices=False)
-        atom = u[:, 0]
-        if weight > 0.0:
-            others = np.delete(np.arange(atoms.shape[1]), k)
-            overlaps = atoms[:, others].T @ atom
-            push = atoms[:, others] @ np.sign(overlaps)
-            atom = atom - weight * push
-            norm = np.linalg.norm(atom)
-            if norm > 1e-12:
-                atom = atom / norm
-            else:
-                atom = u[:, 0]
+        atom = np.linalg.svd(restricted, full_matrices=False)[0][:, 0]
         atoms[:, k] = atom
-        # refit the row on its support; equals the rank-1 factor when
-        # no incoherence push was applied
         codes[k, users] = atom @ restricted
-
-
-def _replacement_trial(signals, atoms, codes, cfg, rng):
-    gram = np.abs(atoms.T @ atoms)
-    np.fill_diagonal(gram, 0.0)
-    redundant = int(np.argmax(gram.max(axis=1)))
-    pick = _worst_signal(signals, atoms, codes, set())
-    if pick is None:
-        return None
-    trial_atoms = atoms.copy()
-    trial_codes = codes.copy()
-    trial_atoms[:, redundant] = signals[:, pick] / np.linalg.norm(signals[:, pick])
-    trial_codes[redundant, :] = 0.0
-    _code_pass(signals, trial_atoms, trial_codes, cfg)
-    _update_pass(signals, trial_atoms, trial_codes, cfg, rng)
-    return trial_atoms, trial_codes
 
 
 def train(train_set: TrainingSet, cfg: TrainConfig) -> tuple[Dictionary, list[float]]:
     """Learn a codebook; returns it with the per-iteration objective trace."""
-    if train_set.count == 0:
-        raise InvalidInputError("training set is empty")
-    if train_set.count < cfg.codebook_size:
-        warnings.warn(
-            f"training set has {train_set.count} signals for {cfg.codebook_size} atoms"
-        )
     rng = np.random.default_rng(cfg.seed)
     signals = train_set.signals
     atoms = np.array(init_dictionary(train_set, cfg).atoms)
     codes = np.zeros((cfg.codebook_size, train_set.count))
     trace: list[float] = []
-    for iteration in range(cfg.iterations):
-        base_atoms = atoms.copy()
-        base_codes = codes.copy()
+    for _ in range(cfg.iterations):
         _code_pass(signals, atoms, codes, cfg)
-        _update_pass(signals, atoms, codes, cfg, rng)
-        best = _objective(signals, atoms, codes, cfg.incoherence_weight)
-        if iteration > 0:
-            trial = _replacement_trial(signals, base_atoms, base_codes, cfg, rng)
-            if trial is not None:
-                trial_obj = _objective(signals, trial[0], trial[1], cfg.incoherence_weight)
-                if trial_obj < best:
-                    atoms, codes = trial
-                    best = trial_obj
-        trace.append(best)
+        _update_pass(signals, atoms, codes, rng)
+        trace.append(float(np.linalg.norm(signals - atoms @ codes, "fro") ** 2))
     return Dictionary(atoms), trace

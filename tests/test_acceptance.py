@@ -116,7 +116,6 @@ def test_criterion_3_trainer_descent_and_recovery():
             codebook_size=size,
             sparsity=int(rng.integers(1, 4)),
             iterations=8,
-            incoherence_weight=0.0,
             seed=problem,
         )
         _, trace = train(TrainingSet(signals), cfg)
@@ -125,9 +124,7 @@ def test_criterion_3_trainer_descent_and_recovery():
 
     atoms = packed_dictionary(seed=0)
     signals = planted_signals(atoms, seed=0, sparsity=2, count=600)
-    cfg = TrainConfig(
-        codebook_size=12, sparsity=2, iterations=30, incoherence_weight=0.0, seed=0
-    )
+    cfg = TrainConfig(codebook_size=12, sparsity=2, iterations=30, seed=0)
     learned, trace = train(TrainingSet(signals), cfg)
     total = 0.0
     for i in range(signals.shape[1]):
@@ -229,7 +226,6 @@ def _train_codebook(signals, size, sparsity, seed):
         codebook_size=size,
         sparsity=sparsity,
         iterations=5,
-        incoherence_weight=0.0,
         seed=seed,
     )
     return train(TrainingSet(signals), cfg)[0]

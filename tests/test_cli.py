@@ -101,11 +101,14 @@ def report_fingerprint(root):
 
 
 class TestRunConfig:
-    def test_retired_threads_key_still_loads(self, tmp_path):
+    @pytest.mark.parametrize("key", ["threads", "incoherence_weight"])
+    def test_retired_key_still_loads(self, tmp_path, caplog, key):
         cfg = make_workspace(tmp_path)
-        cfg.write_text(cfg.read_text() + "threads = 4\n")
+        cfg.write_text(cfg.read_text() + f"{key} = 4\n")
         loaded = load_run_config(cfg)
-        assert loaded.seed == 0 and not hasattr(loaded, "threads")
+        assert loaded.seed == 0 and not hasattr(loaded, key)
+        [warning] = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert str(cfg) in warning and repr(key) in warning
 
     @pytest.mark.parametrize(
         "key, value, flags",
@@ -117,8 +120,6 @@ class TestRunConfig:
             ("sample_cap", "0", []),
             ("train_iterations", "0", []),
             ("resize_max_side", "-1", []),
-            ("incoherence_weight", "nan", []),
-            ("incoherence_weight", "-0.5", []),
         ],
         ids=[
             "negative-seed",
@@ -128,8 +129,6 @@ class TestRunConfig:
             "zero-sample-cap",
             "zero-iterations",
             "negative-resize",
-            "nan-incoherence",
-            "negative-incoherence",
         ],
     )
     def test_bad_number_rejected_before_any_work(self, tmp_path, capsys, key, value, flags):
