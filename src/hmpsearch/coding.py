@@ -8,12 +8,13 @@ correlated with its residual, taking the correlations from `D^T y` and the
 codebook's Gram matrix, and re-solving least squares on the support through
 a Cholesky factor grown by one row per step. It stops after `sparsity`
 atoms or once the residual is negligible, and returns an N x K code matrix.
-`vq_encode_batch` is hard assignment to the single nearest atom, the coding
-rule of bag-of-features pipelines; it returns one atom index per signal.
-Both take every product over N elementwise, so row i of a batch is bitwise
-the batch of one of column i: one signal `y` is coded as
-`omp_encode_batch(d, y[:, None], s)[0]`. Both are pure functions; a
-`Dictionary` is immutable and safe to share across threads.
+`vq_encode_batch` is the bag-of-features rule, hard assignment to the
+nearest atom: for unit-norm atoms |a - y|^2 = 1 + |y|^2 - 2 a^T y, so it
+returns per signal the index of the largest entry of the same `D^T y`,
+ties toward the lowest. Both take every product over N elementwise, so
+row i of a batch is bitwise the batch of one of column i: one signal `y`
+is coded as `omp_encode_batch(d, y[:, None], s)[0]`. Both are pure
+functions; a `Dictionary` is immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ UNIT_NORM_TOL = 1e-9
 # ell2 norm below which the residual counts as fully explained and coding
 # stops early, producing fewer nonzeros than the sparsity budget.
 RESIDUAL_STOP = 1e-10
+# Cholesky pivot at or below which the next atom counts as dependent on the
+# support and coding stops: the pivot is the atom's squared distance to the
+# span of the support, and 1e-12 sits far above its ~1e-15 rounding.
+PIVOT_STOP = 1e-12
 
 _DICT_MAGIC = b"HMPD"
 _DICT_VERSION = 1
@@ -80,6 +85,7 @@ class Dictionary:
 
 
 def _check_signals(dictionary: Dictionary, signals: np.ndarray) -> np.ndarray:
+    """The D x N `signals`, validated, as one N x D C-ordered copy."""
     mat = np.asarray(signals, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != dictionary.signal_dim:
         raise InvalidInputError(
@@ -88,7 +94,7 @@ def _check_signals(dictionary: Dictionary, signals: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(mat)):
         raise InvalidInputError("signals contain non-finite values")
-    return mat
+    return np.ascontiguousarray(mat.T)
 
 
 def _correlations(mat: np.ndarray, atoms: np.ndarray) -> np.ndarray:
@@ -126,16 +132,15 @@ def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int)
     of the batch or on the memory layout it is passed in. Atom selection
     ties break toward the lowest index; coding stops early once the residual
     norm falls under RESIDUAL_STOP, once the residual is orthogonal to every
-    remaining atom, or once the next atom is linearly dependent on the
-    support, leaving fewer than `sparsity` nonzeros.
+    remaining atom, or once the next atom's Cholesky pivot is at most
+    PIVOT_STOP, leaving fewer than `sparsity` nonzeros.
     """
-    mat = _check_signals(dictionary, signals)
+    y = _check_signals(dictionary, signals)
     if not 1 <= sparsity <= min(dictionary.signal_dim, dictionary.size):
         raise InvalidInputError(
             f"sparsity must be in [1, min(D, K)] = [1, {min(dictionary.signal_dim, dictionary.size)}],"
             f" got {sparsity}"
         )
-    y = np.ascontiguousarray(mat.T)
     n = y.shape[0]
     atoms_t, gram = dictionary._atoms_t, dictionary._gram
     alpha = _correlations(y, dictionary.atoms)
@@ -158,11 +163,10 @@ def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int)
         # stop once the residual is negligible or orthogonal to every
         # remaining atom
         go = (res_norm >= RESIDUAL_STOP) & (np.max(mag, axis=1) > 1e-12 * res_norm)
-        # the new row of the Cholesky factor; a non-positive pivot means the
-        # atom adds nothing to the span of the support
+        # the new row of the Cholesky factor
         w = _solve_lower(chol[rows, :t, :t], gram[sup, best[:, None]])
         pivot = gram[best, best] - np.sum(w * w, axis=1)
-        go &= pivot > 0.0
+        go &= pivot > PIVOT_STOP
         rows, best, w, pivot = rows[go], best[go], w[go], pivot[go]
         chol[rows, t, :t] = w
         chol[rows, t, t] = np.sqrt(pivot)
@@ -179,15 +183,11 @@ def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int)
 def vq_encode_batch(dictionary: Dictionary, signals: np.ndarray) -> np.ndarray:
     """Index of the nearest atom to each column of `signals` (D x N).
 
-    Squared distances accumulate over the D signal rows in order; ties break
-    toward the lowest atom index.
+    The nearest unit-norm atom is the one of largest correlation with the
+    signal; ties break toward the lowest atom index, so a zero signal takes
+    atom 0.
     """
-    mat = _check_signals(dictionary, signals)
-    dist2 = np.zeros((mat.shape[1], dictionary.size))
-    for d in range(mat.shape[0]):
-        diff = dictionary.atoms[d] - mat[d][:, None]
-        dist2 += diff * diff
-    return np.argmin(dist2, axis=1)
+    return np.argmax(_correlations(_check_signals(dictionary, signals), dictionary.atoms), axis=1)
 
 
 def l2_normalize(vector: np.ndarray) -> np.ndarray:

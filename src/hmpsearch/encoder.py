@@ -23,6 +23,7 @@ features by center. Units that do not fit whole at the border are dropped.
 from __future__ import annotations
 
 import configparser
+import logging
 import struct
 import warnings
 from dataclasses import dataclass, field, replace
@@ -33,6 +34,8 @@ from .coding import Dictionary, l2_normalize, omp_encode_batch, vq_encode_batch
 from .errors import ConfigError, DecodeError, ImageTooSmallError, InvalidInputError
 from .images import FeatureGrid, IntensityImage, assign_to_cells, extract_patches
 
+log = logging.getLogger("hmpsearch")
+
 _DESC_MAGIC = b"HMPV"
 _DESC_VERSION = 1
 _ENTRY_DTYPE = np.dtype([("index", "<u4"), ("value", "<f8")])
@@ -41,6 +44,8 @@ DEFAULT_UNIT_SIZES = (16, 36)
 DEFAULT_CELL_GRIDS = (4, 2)
 DEFAULT_HIDDEN_SPARSITY = 4
 DEFAULT_FINAL_SPARSITY = 10
+# the keys `_layer_from_section` reads
+_LAYER_KEYS = {"codebook_size", "sparsity", "patch_size", "stride", "unit_size", "cell_grid", "dictionary"}
 
 
 @dataclass
@@ -424,6 +429,15 @@ def load_architecture(path) -> ArchitectureConfig:
         raise ConfigError(
             f"{path}: layer sections must be consecutive starting at [layer1], got {layer_names}"
         )
+    # a [DEFAULT] key shows in every section, so it is left unjudged
+    readers = dict.fromkeys(layer_names, _LAYER_KEYS) | {"pyramid": {"grids"}}
+    for name in parser.sections():
+        if name not in readers:
+            log.warning("%s: ignoring section [%s], which no setting reads", path, name)
+            continue
+        for key in parser[name]:
+            if key not in readers[name] and key not in parser.defaults():
+                log.warning("%s: ignoring [%s] key %r, which no setting reads", path, name, key)
     pyramid = [1]
     if parser.has_section("pyramid"):
         text = parser.get("pyramid", "grids", fallback="1")

@@ -149,6 +149,20 @@ class TestOmpEncode:
         with pytest.raises(InvalidInputError):
             omp_one(d, np.zeros(3), 1)
 
+    def test_near_duplicate_atoms_never_share_a_support(self):
+        # an atom 1e-11 from a copy of another leaves a Cholesky pivot near
+        # rounding; taking both copies gives huge opposite coefficients
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            dim, size = int(rng.integers(2, 13)), int(rng.integers(2, 21))
+            atoms = np.array(random_dictionary(rng, dim, size).atoms)
+            src, dst = rng.choice(size, 2, replace=False)
+            twin = atoms[:, src] + 1e-11 * rng.standard_normal(dim)
+            atoms[:, dst] = twin / np.linalg.norm(twin)
+            signals = rng.standard_normal((dim, 12))
+            codes = omp_encode_batch(Dictionary(atoms), signals, min(dim, size))
+            assert not np.any((codes[:, src] != 0) & (codes[:, dst] != 0))
+
     def test_sparsity_out_of_range_rejected(self):
         d = Dictionary(np.eye(4))
         with pytest.raises(InvalidInputError):
@@ -201,6 +215,10 @@ class TestVqEncode:
         d = Dictionary(atoms)
         # the signal sits exactly between atoms 1 and 4; the lower index wins
         assert vq_one(d, np.array([1.0, 1.0]) / np.sqrt(2.0)) == 1
+        # a zero signal, such as a mean-subtracted flat patch, is as far from
+        # every atom, whatever the last bits of their norms
+        d = random_dictionary(np.random.default_rng(0), 8, 16)
+        assert vq_one(d, np.zeros(8)) == 0
 
     def test_matches_exhaustive_nearest_neighbor(self):
         rng = np.random.default_rng(19)
@@ -234,8 +252,8 @@ class TestVqEncode:
             assert vq_one(d, signals[:, i]) == nearest
 
     def test_batch_distances_match_per_signal_einsum(self):
-        # distances accumulate over signal rows in the order of the
-        # per-signal reduction, so near-ties resolve identically
+        # on random signals, clear of ties, the batch picks the atom that a
+        # per-signal distance reduction finds nearest
         rng = np.random.default_rng(41)
         for _ in range(20):
             d = random_dictionary(rng, 25, 64)

@@ -463,6 +463,27 @@ class TestArchitectureFile:
         assert arch.pyramid == [1, 2]
         assert arch.layers[0].dictionary_ref == "layer1.hmpd"
 
+    @pytest.mark.parametrize(
+        "text, warned",
+        [
+            ("[layer1]\ncodebook_size = 8\nsparsty = 2\n", "[layer1] key 'sparsty'"),
+            ("[layer1]\ncodebook_size = 8\n[pyramid]\ngrid = 2\n", "[pyramid] key 'grid'"),
+            ("[layer1]\ncodebook_size = 8\n[pyrmid]\ngrids = 2\n", "section [pyrmid]"),
+            (
+                "[DEFAULT]\nsparsity = 10\n[layer1]\ncodebook_size = 8\nsparsty = 2\n[pyramid]\n",
+                "[layer1] key 'sparsty'",
+            ),
+        ],
+        ids=["layer-key", "pyramid-key", "section", "default-key-read-by-a-layer"],
+    )
+    def test_unread_key_or_section_warns(self, tmp_path, caplog, text, warned):
+        cfg = tmp_path / "arch.cfg"
+        cfg.write_text(text)
+        arch = load_architecture(cfg)
+        assert arch.layers[0].sparsity == 10 and arch.pyramid == [1]
+        [warning] = [r.getMessage() for r in caplog.records if r.name == "hmpsearch"]
+        assert str(cfg) in warning and warned in warning
+
     def test_missing_codebook_size_rejected(self, tmp_path):
         cfg = tmp_path / "arch.cfg"
         cfg.write_text("[layer1]\npatch_size = 5\n")
