@@ -11,10 +11,14 @@ atoms or once the residual is negligible, and returns an N x K code matrix.
 `vq_encode_batch` is the bag-of-features rule, hard assignment to the
 nearest atom: for unit-norm atoms |a - y|^2 = 1 + |y|^2 - 2 a^T y, so it
 returns per signal the index of the largest entry of the same `D^T y`,
-ties toward the lowest. Both take every product over N elementwise, so
-row i of a batch is bitwise the batch of one of column i: one signal `y`
-is coded as `omp_encode_batch(d, y[:, None], s)[0]`. Both are pure
-functions; a `Dictionary` is immutable and safe to share across threads.
+ties toward the lowest. OMP takes every product over N elementwise. VQ
+screens the atoms with one BLAS product, whose rows may depend on the
+batch, and settles every row left with more than one candidate by OMP's
+elementwise `D^T y`; as it returns only an index, that index is the
+elementwise rule's. So for both, row i of a batch is bitwise the batch of
+one of column i: one signal `y` is coded as
+`omp_encode_batch(d, y[:, None], s)[0]`. Both are pure functions; a
+`Dictionary` is immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -184,10 +188,32 @@ def vq_encode_batch(dictionary: Dictionary, signals: np.ndarray) -> np.ndarray:
     """Index of the nearest atom to each column of `signals` (D x N).
 
     The nearest unit-norm atom is the one of largest correlation with the
-    signal; ties break toward the lowest atom index, so a zero signal takes
-    atom 0.
+    signal, as `_correlations` accumulates it; ties break toward the lowest
+    atom index, so a zero signal takes atom 0. One BLAS product screens the
+    atoms and only rows left with more than one candidate run the loop, so
+    the result is the loop's argmax bit for bit, whatever the batch or the
+    number of BLAS threads.
     """
-    return np.argmax(_correlations(_check_signals(dictionary, signals), dictionary.atoms), axis=1)
+    y = _check_signals(dictionary, signals)
+    # The product and the loop both lie within D eps/2 sum_d |y_d a_dk| of
+    # the exact sum, in any order of summation, with or without FMA
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), and
+    # unit atoms have |a_dk| <= 1 + 1e-9, so the loop's winner scores
+    # within tol of the product's row maximum. 1e-300 covers underflow; the
+    # ell1 norm does not underflow where the squared ell2 norm would. A row
+    # that could overflow gets a NaN threshold: every atom is a candidate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        approx = y @ dictionary.atoms
+        l1 = np.sum(np.abs(y), axis=1)
+        tol = 4 * y.shape[1] * np.finfo(np.float64).eps * l1 + 1e-300
+        threshold = np.where(l1 < 1e307, np.max(approx, axis=1) - tol, np.nan)
+        candidates = ~(approx < threshold[:, None])
+    nearest = np.argmax(candidates, axis=1)
+    ties = np.flatnonzero(np.count_nonzero(candidates, axis=1) > 1)
+    if ties.size:
+        exact = _correlations(y[ties], dictionary.atoms)
+        nearest[ties] = np.argmax(np.where(candidates[ties], exact, -np.inf), axis=1)
+    return nearest
 
 
 def l2_normalize(vector: np.ndarray) -> np.ndarray:

@@ -4,9 +4,10 @@ index code.
 Coding runs one signal at a time, as a batch of one column; `omp_pursuit`
 is the per-signal greedy pursuit that re-solves the support by a fresh
 Cholesky factorization at every step, the reference for the Batch-OMP
-kernel. Pooling loops over points, cells and regions, pooling dense code
-rows one at a time. The inverted file is a dict of (id, value) posting
-lists grown one descriptor at a time. Tests hold the array implementations
+kernel, and `vq_exact` is nearest-atom coding without the BLAS screen.
+Pooling loops over points, cells and regions, pooling dense code rows one
+at a time. The inverted file is a dict of (id, value) posting lists grown
+one descriptor at a time. Tests hold the array implementations
 in `hmpsearch.coding`, `hmpsearch.images`, `hmpsearch.encoder` and
 `hmpsearch.index` to them.
 """
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from hmpsearch import FeatureGrid, l2_normalize, omp_encode_batch, vq_encode_batch
-from hmpsearch.coding import RESIDUAL_STOP
+from hmpsearch.coding import RESIDUAL_STOP, _check_signals, _correlations
 
 
 def omp_pursuit(atoms: np.ndarray, y: np.ndarray, sparsity: int):
@@ -62,6 +63,13 @@ def omp_one(dictionary, signal, sparsity: int) -> np.ndarray:
 def vq_one(dictionary, signal) -> int:
     """Nearest atom of one signal: `vq_encode_batch` on a batch of one column."""
     return int(vq_encode_batch(dictionary, np.asarray(signal, dtype=float)[:, None])[0])
+
+
+def vq_exact(dictionary, signals) -> np.ndarray:
+    """Nearest atom per column of `signals` (D x N): the argmax over all K
+    atoms of the elementwise `_correlations` loop, ties toward the lowest
+    index."""
+    return np.argmax(_correlations(_check_signals(dictionary, signals), dictionary.atoms), axis=1)
 
 
 def signed_max_pool(codes, code_length: int) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 One signal is coded as a batch of one column (`oracles.omp_one`,
 `oracles.vq_one`); the property tests at the end hold every row of a batch
-to that batch of one, bitwise, and the Batch-OMP kernel to the per-signal
-pursuit `oracles.omp_pursuit`.
+to that batch of one, bitwise, the Batch-OMP kernel to the per-signal
+pursuit `oracles.omp_pursuit`, and nearest-atom coding to the unscreened
+correlation loop `oracles.vq_exact`.
 """
 
 import os
@@ -27,9 +28,10 @@ from hmpsearch import (
     save_dictionary,
     vq_encode_batch,
 )
+from hmpsearch import coding
 from hmpsearch.errors import DecodeError
 from conftest import random_dictionary
-from oracles import omp_one, omp_pursuit, vq_one
+from oracles import omp_one, omp_pursuit, vq_exact, vq_one
 
 
 def best_single_atom(atoms: np.ndarray, y: np.ndarray):
@@ -391,6 +393,97 @@ def test_vq_entries_equal_batches_of_one(count, layout, seed):
     assert batch.shape == (count,)
     for i in range(count):
         assert vq_encode_batch(d, signals[:, i : i + 1])[0] == batch[i]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_vq_equals_exact_rule_on_near_ties(seed):
+    rng = np.random.default_rng(seed)
+    dim, size, count = int(rng.integers(1, 26)), int(rng.integers(2, 41)), 40
+    atoms = np.array(with_duplicates(rng, random_dictionary(rng, dim, size)).atoms)
+    # some copies, and some other atoms, one ulp off in one coordinate
+    for k in rng.integers(0, size, int(rng.integers(0, size + 1))):
+        r = rng.integers(0, dim)
+        atoms[r, k] = np.nextafter(atoms[r, k], rng.choice([-np.inf, np.inf]))
+    d = Dictionary(atoms)
+    i, j = rng.integers(0, size, (2, count))
+    kind = rng.integers(0, 4, count)
+    signals = rng.standard_normal((dim, count))
+    signals[:, kind == 1] = d.atoms[:, i[kind == 1]]
+    # on the bisector of two atoms, often an exact or negated copy pair
+    signals[:, kind == 2] = (d.atoms[:, i] + d.atoms[:, j])[:, kind == 2]
+    signals[:, kind == 3] = 0.0
+    signals *= 10.0 ** rng.uniform(-320, 300, count)
+    assert vq_encode_batch(d, signals).tobytes() == vq_exact(d, signals).tobytes()
+
+
+def test_vq_screen_holds_where_squared_norm_underflows():
+    # |y|^2 underflows to zero at this scale: a screen bounded by the ell2
+    # norm shrinks to its 1e-300 floor and codes 5 of these 64 bisectors
+    # differently from the loop
+    rng = np.random.default_rng(0)
+    d = random_dictionary(rng, 25, 64)
+    i, j = rng.integers(0, 64, (2, 64))
+    signals = (d.atoms[:, i] + d.atoms[:, j]) * 1e-193
+    assert vq_encode_batch(d, signals).tobytes() == vq_exact(d, signals).tobytes()
+
+
+def test_vq_screen_sends_only_near_ties_to_the_loop(monkeypatch):
+    rng = np.random.default_rng(5)
+    d = random_dictionary(rng, 25, 256)
+    signals = rng.standard_normal((25, 484))
+    # a copy, over another atom, of an atom that no signal is near
+    src, dst = np.setdiff1d(np.arange(256), vq_exact(d, signals))[:2]
+    atoms = np.array(d.atoms)
+    atoms[:, dst] = atoms[:, src]
+    copied = Dictionary(atoms)
+    rows = []
+    loop = coding._correlations
+
+    def spy(mat, atoms):
+        rows.append(mat.copy())
+        return loop(mat, atoms)
+
+    monkeypatch.setattr(coding, "_correlations", spy)
+    vq_encode_batch(d, signals)
+    vq_encode_batch(copied, signals)
+    assert rows == []
+    signals[:, 100] = atoms[:, src]
+    assert vq_encode_batch(copied, signals)[100] == src
+    assert len(rows) == 1 and rows[0].tobytes() == signals[:, 100].tobytes()
+    # a sum |y_d| above 1e307 could overflow a correlation: no screening
+    huge = signals[:, :3] * 1e306
+    assert vq_encode_batch(d, huge).tobytes() == vq_exact(d, huge).tobytes()
+    assert len(rows) == 2 and rows[1].shape == (3, 25)
+
+
+def test_vq_does_not_depend_on_blas_threads():
+    # every atom has an exact or negated copy, so most rows tie
+    code = """
+import hashlib
+import numpy as np
+from hmpsearch import Dictionary, vq_encode_batch
+rng = np.random.default_rng(3)
+atoms = rng.standard_normal((25, 256))
+atoms /= np.linalg.norm(atoms, axis=0)
+atoms[:, 1::2] = atoms[:, ::2]
+atoms[:, 3::4] *= -1.0
+d = Dictionary(atoms)
+i, j = rng.integers(0, 256, (2, 3000))
+signals = np.concatenate(
+    [d.atoms[:, i] + d.atoms[:, j], d.atoms[:, i], rng.standard_normal((25, 3000))], axis=1
+)
+print(hashlib.sha256(vq_encode_batch(d, signals).tobytes()).hexdigest())
+"""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hmpsearch.__file__))
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=e
+        ).stdout
+        for e in (env, {**env, "OPENBLAS_NUM_THREADS": "1"})
+    ]
+    assert digests[0] and digests[0] == digests[1]
 
 
 class TestL2Normalize:
