@@ -6,13 +6,13 @@ plain files: one codebook per layer, one descriptor file per image, one
 index file, one evaluation report. Every stage that reads the manifest
 admits the same images: it skips, with a warning, each image that cannot be
 decoded or whose shorter side (after the optional resize) is too small for
-the pipeline. Set HMPSEARCH_LOG=debug|info|warning to control verbosity.
+the pipeline. A malformed input file ends the stage with an error naming
+it. Set HMPSEARCH_LOG=debug|info|warning to control verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import hashlib
 import logging
 import math
@@ -39,12 +39,11 @@ from .encoder import (
 )
 from .errors import ConfigError, DecodeError, HmpError, ImageTooSmallError, InvalidInputError
 from .evaluation import evaluate, load_ground_truth, write_report
+from .files import read_bytes, read_config
 from .images import IntensityImage, load_image, read_manifest, resize_max_side
 from .index import apply_idf, build_index, load_index, query, save_index
 
 log = logging.getLogger("hmpsearch")
-
-BASELINE_DICT_NAME = "baseline.hmpd"
 
 
 @dataclass
@@ -65,14 +64,8 @@ class RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    parser = configparser.ConfigParser()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read run config {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: malformed config: {exc}") from exc
+    """Read the [run] section; `%` in a value is literal."""
+    parser = read_config(path, "run config", {"run": {field.name for field in fields(RunConfig)}})
     if not parser.has_section("run"):
         raise ConfigError(f"{path}: missing [run] section")
     section = parser["run"]
@@ -80,9 +73,7 @@ def load_run_config(path) -> RunConfig:
 
     def resolve(key, default=""):
         value = section.get(key, default)
-        if not value:
-            return value
-        return value if os.path.isabs(value) else os.path.join(base, value)
+        return os.path.join(base, value) if value else value
 
     try:
         cfg = RunConfig(
@@ -102,10 +93,6 @@ def load_run_config(path) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: bad value in [run]: {exc}") from exc
-    known = {field.name for field in fields(RunConfig)}
-    for key in section:
-        if key not in known:
-            log.warning("%s: ignoring [run] key %r, which no setting reads", path, key)
     if not cfg.manifest:
         raise ConfigError(f"{path}: [run] manifest is required")
     if not cfg.architecture:
@@ -163,8 +150,8 @@ def _load_corpus(cfg: RunConfig, arch: ArchitectureConfig):
     return images
 
 
-def _dict_path(cfg: RunConfig, ref: str) -> str:
-    return ref if os.path.isabs(ref) else os.path.join(cfg.dictionary_dir, ref)
+def _dict_path(cfg: RunConfig, label: str) -> str:
+    return os.path.join(cfg.dictionary_dir, f"{label}.hmpd")
 
 
 def _subsample_columns(mat: np.ndarray, cap: int, rng: np.random.Generator) -> np.ndarray:
@@ -189,13 +176,11 @@ def _layer_training_signals(cfg, arch, images, depth: int, rng) -> np.ndarray:
 
 
 def _codebooks(cfg: RunConfig, arch: ArchitectureConfig):
-    """(log label, input depth, seed, layer) of each codebook the run trains."""
+    """(label, input depth, seed, layer) of each codebook the run trains, in
+    layer order; the label names the codebook file `<label>.hmpd`."""
     if cfg.baseline:
         # one nearest-atom codebook over layer-1 patches
-        layer = LayerConfig(
-            arch.final_layer.codebook_size, sparsity=1, dictionary_ref=BASELINE_DICT_NAME
-        )
-        return [("baseline", 1, cfg.seed, layer)]
+        return [("baseline", 1, cfg.seed, LayerConfig(arch.final_layer.codebook_size, sparsity=1))]
     return [(f"layer{d}", d, cfg.seed + d, layer) for d, layer in enumerate(arch.layers, start=1)]
 
 
@@ -213,7 +198,7 @@ def cmd_train_dict(cfg: RunConfig) -> int:
             seed=seed,
         )
         dictionary, trace = train(TrainingSet(signals), tcfg)
-        save_dictionary(dictionary, _dict_path(cfg, layer.dictionary_ref))
+        save_dictionary(dictionary, _dict_path(cfg, label))
         lines.extend(f"{label}\t{i}\t{obj:.6f}" for i, obj in enumerate(trace))
         print(f"trained {label} codebook: {dictionary.size} atoms from {signals.shape[1]} signals")
         layer.dictionary = dictionary  # the layers above code their inputs with it
@@ -225,19 +210,19 @@ def cmd_train_dict(cfg: RunConfig) -> int:
 def _encoder(cfg: RunConfig, arch: ArchitectureConfig):
     """`(image_id, img) -> ImageDescriptor` for the pipeline `cfg` selects,
     with its trained codebooks loaded."""
-    def codebook(ref):
-        path = _dict_path(cfg, ref)
+    def codebook(label):
+        path = _dict_path(cfg, label)
         if not os.path.exists(path):
             raise ConfigError(f"codebook {path} not found; run train-dict first")
         return load_dictionary(path)
 
+    codebooks = [codebook(label) for label, *_ in _codebooks(cfg, arch)]
     if cfg.baseline:
-        dictionary = codebook(BASELINE_DICT_NAME)
         first = arch.layers[0]
         return lambda image_id, img: encode_image_bof(
-            img, dictionary, first.input_patch_size, first.stride, image_id
+            img, codebooks[0], first.input_patch_size, first.stride, image_id
         )
-    arch = attach_dictionaries(arch, codebook)
+    arch = attach_dictionaries(arch, codebooks)
     return lambda image_id, img: encode_image(img, arch, image_id)
 
 
@@ -301,15 +286,14 @@ def _fingerprint(cfg: RunConfig, idf: bool) -> str:
     paths = [cfg.architecture]
     try:
         arch = load_architecture(cfg.architecture)
-        paths += [_dict_path(cfg, layer.dictionary_ref) for *_, layer in _codebooks(cfg, arch)]
+        paths += [_dict_path(cfg, label) for label, *_ in _codebooks(cfg, arch)]
     except ConfigError:
         pass
     digest = hashlib.sha256()
     for path in paths:
         try:
-            with open(path, "rb") as fh:
-                digest.update(hashlib.sha256(fh.read()).digest())
-        except OSError:
+            digest.update(hashlib.sha256(read_bytes(path, "file")).digest())
+        except DecodeError:
             pass
     digest.update(
         f"seed={cfg.seed};baseline={cfg.baseline};idf={idf};"

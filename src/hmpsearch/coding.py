@@ -18,7 +18,8 @@ elementwise `D^T y`; as it returns only an index, that index is the
 elementwise rule's. So for both, row i of a batch is bitwise the batch of
 one of column i: one signal `y` is coded as
 `omp_encode_batch(d, y[:, None], s)[0]`. Both are pure functions; a
-`Dictionary` is immutable and safe to share across threads.
+`Dictionary` is immutable and safe to share across threads. A codebook
+file is an `HMPD` container of `hmpsearch.files`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DecodeError, InvalidInputError
+from .files import read_container, write_container
 
 UNIT_NORM_TOL = 1e-9
 # ell2 norm below which the residual counts as fully explained and coding
@@ -231,29 +233,17 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
     """Write a codebook file: magic, version, little-endian u32 D and K,
     then D*K float64 values in column-major order."""
     d, k = dictionary.signal_dim, dictionary.size
-    with open(path, "wb") as fh:
-        fh.write(_DICT_MAGIC)
-        fh.write(struct.pack("<B", _DICT_VERSION))
-        fh.write(struct.pack("<II", d, k))
-        fh.write(np.ascontiguousarray(dictionary.atoms, dtype="<f8").tobytes(order="F"))
+    atoms = np.ascontiguousarray(dictionary.atoms, dtype="<f8").tobytes(order="F")
+    write_container(path, _DICT_MAGIC, _DICT_VERSION, struct.pack("<II", d, k), atoms)
 
 
 def load_dictionary(path) -> Dictionary:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DecodeError(f"cannot read dictionary file {path}: {exc}") from exc
-    if len(raw) < 13 or raw[:4] != _DICT_MAGIC:
-        raise DecodeError(f"{path} is not a codebook file (bad magic)")
-    version = raw[4]
-    if version != _DICT_VERSION:
-        raise DecodeError(f"{path}: unsupported codebook version {version}")
-    d, k = struct.unpack_from("<II", raw, 5)
-    expected = 13 + 8 * d * k
-    if len(raw) != expected:
-        raise DecodeError(f"{path}: truncated codebook ({len(raw)} bytes, expected {expected})")
-    atoms = np.frombuffer(raw, dtype="<f8", offset=13).reshape((d, k), order="F")
+    body = read_container(path, _DICT_MAGIC, _DICT_VERSION, 8, "codebook file")
+    d, k = struct.unpack_from("<II", body)
+    expected = 8 + 8 * d * k
+    if len(body) != expected:
+        raise DecodeError(f"{path}: truncated codebook ({len(body)} body bytes, expected {expected})")
+    atoms = np.frombuffer(body, dtype="<f8", offset=8).reshape((d, k), order="F")
     try:
         return Dictionary(atoms)
     except InvalidInputError as exc:

@@ -18,12 +18,12 @@ pixel center of each row, and the image extent. All geometry lives in
 original-image pixel coordinates: every feature carries the pixel center of
 the area it summarizes, and units, cells, and pyramid regions claim
 features by center. Units that do not fit whole at the border are dropped.
+Descriptor files are `HMPV` containers of `hmpsearch.files`, which also
+reads the architecture file.
 """
 
 from __future__ import annotations
 
-import configparser
-import logging
 import struct
 import warnings
 from dataclasses import dataclass, field, replace
@@ -32,9 +32,8 @@ import numpy as np
 
 from .coding import Dictionary, l2_normalize, omp_encode_batch, vq_encode_batch
 from .errors import ConfigError, DecodeError, ImageTooSmallError, InvalidInputError
+from .files import read_config, read_container, write_container
 from .images import FeatureGrid, IntensityImage, assign_to_cells, extract_patches
-
-log = logging.getLogger("hmpsearch")
 
 _DESC_MAGIC = b"HMPV"
 _DESC_VERSION = 1
@@ -44,8 +43,10 @@ DEFAULT_UNIT_SIZES = (16, 36)
 DEFAULT_CELL_GRIDS = (4, 2)
 DEFAULT_HIDDEN_SPARSITY = 4
 DEFAULT_FINAL_SPARSITY = 10
-# the keys `_layer_from_section` reads
-_LAYER_KEYS = {"codebook_size", "sparsity", "patch_size", "stride", "unit_size", "cell_grid", "dictionary"}
+MAX_LAYERS = 3
+# the keys `load_architecture` reads in each section it knows
+_LAYER_KEYS = {"codebook_size", "sparsity", "patch_size", "stride", "unit_size", "cell_grid"}
+_ARCH_READERS = {f"layer{d}": _LAYER_KEYS for d in range(1, MAX_LAYERS + 1)} | {"pyramid": {"grids"}}
 
 
 @dataclass
@@ -65,7 +66,6 @@ class LayerConfig:
     coding_unit_size: int = 16
     cell_grid: int = 4
     dictionary: Dictionary | None = None
-    dictionary_ref: str = ""
 
     def __post_init__(self):
         if self.codebook_size < 2:
@@ -95,8 +95,8 @@ class ArchitectureConfig:
     pyramid: list[int] = field(default_factory=lambda: [1])
 
     def __post_init__(self):
-        if not 1 <= len(self.layers) <= 3:
-            raise InvalidInputError(f"expected 1 to 3 layers, got {len(self.layers)}")
+        if not 1 <= len(self.layers) <= MAX_LAYERS:
+            raise InvalidInputError(f"expected 1 to {MAX_LAYERS} layers, got {len(self.layers)}")
         if not self.pyramid:
             raise InvalidInputError("pyramid must not be empty")
         if len(set(self.pyramid)) != len(self.pyramid) or any(
@@ -344,37 +344,24 @@ def save_descriptor(desc: ImageDescriptor, path) -> None:
     little-endian u32 total length and nnz, then (u32 index, f64 value)
     pairs sorted by index."""
     ident = desc.image_id.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_DESC_MAGIC)
-        fh.write(struct.pack("<B", _DESC_VERSION))
-        fh.write(struct.pack("<I", len(ident)))
-        fh.write(ident)
-        fh.write(struct.pack("<II", desc.length, desc.nnz))
-        entries = np.empty(desc.nnz, dtype=_ENTRY_DTYPE)
-        entries["index"] = desc.indices
-        entries["value"] = desc.values
-        fh.write(entries.tobytes())
+    entries = np.empty(desc.nnz, dtype=_ENTRY_DTYPE)
+    entries["index"] = desc.indices
+    entries["value"] = desc.values
+    header = struct.pack("<I", len(ident)) + ident + struct.pack("<II", desc.length, desc.nnz)
+    write_container(path, _DESC_MAGIC, _DESC_VERSION, header, entries.tobytes())
 
 
 def load_descriptor(path) -> ImageDescriptor:
+    body = read_container(path, _DESC_MAGIC, _DESC_VERSION, 4, "descriptor file")
+    (id_len,) = struct.unpack_from("<I", body)
+    pos = 4 + id_len
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DecodeError(f"cannot read descriptor file {path}: {exc}") from exc
-    if len(raw) < 9 or raw[:4] != _DESC_MAGIC:
-        raise DecodeError(f"{path} is not a descriptor file (bad magic)")
-    if raw[4] != _DESC_VERSION:
-        raise DecodeError(f"{path}: unsupported descriptor version {raw[4]}")
-    (id_len,) = struct.unpack_from("<I", raw, 5)
-    pos = 9 + id_len
-    try:
-        length, nnz = struct.unpack_from("<II", raw, pos)
-        if len(raw) != pos + 8 + 12 * nnz:
-            raise InvalidInputError(f"{len(raw)} bytes, the header declares {pos + 8 + 12 * nnz}")
-        entries = np.frombuffer(raw, dtype=_ENTRY_DTYPE, count=nnz, offset=pos + 8)
+        length, nnz = struct.unpack_from("<II", body, pos)
+        if len(body) != pos + 8 + 12 * nnz:
+            raise InvalidInputError(f"body of {len(body)} bytes, the header declares {pos + 8 + 12 * nnz}")
+        entries = np.frombuffer(body, dtype=_ENTRY_DTYPE, count=nnz, offset=pos + 8)
         index, value = entries["index"].astype(np.int64), entries["value"].astype(np.float64)
-        return ImageDescriptor(raw[9:pos].decode("utf-8"), int(length), index, value)
+        return ImageDescriptor(body[4:pos].decode("utf-8"), int(length), index, value)
     except (struct.error, ValueError) as exc:
         # ValueError covers bad UTF-8 and InvalidInputError
         raise DecodeError(f"{path}: truncated or corrupt descriptor: {exc}") from exc
@@ -403,61 +390,43 @@ def _layer_from_section(section, depth: int, total: int) -> LayerConfig:
         stride=geti("stride", 1) if is_first else 1,
         coding_unit_size=geti("unit_size", default_unit),
         cell_grid=geti("cell_grid", default_cells),
-        dictionary_ref=section.get("dictionary", f"layer{depth}.hmpd"),
     )
 
 
 def load_architecture(path) -> ArchitectureConfig:
     """Read a layered architecture from a key/value config file with one
-    [layerN] section per layer and an optional [pyramid] section."""
-    parser = configparser.ConfigParser()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read architecture config {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: malformed config: {exc}") from exc
+    [layerN] section per layer and an optional [pyramid] section; any bad
+    value, a non-number included, is a ConfigError naming the file."""
+    parser = read_config(path, "architecture config", _ARCH_READERS)
     layer_names = sorted(
         (name for name in parser.sections() if name.startswith("layer")),
         key=lambda name: name[5:],
     )
-    if not layer_names:
-        raise ConfigError(f"{path}: no [layerN] sections found")
-    expected = [f"layer{i}" for i in range(1, len(layer_names) + 1)]
-    if layer_names != expected:
-        raise ConfigError(
-            f"{path}: layer sections must be consecutive starting at [layer1], got {layer_names}"
-        )
-    # a [DEFAULT] key shows in every section, so it is left unjudged
-    readers = dict.fromkeys(layer_names, _LAYER_KEYS) | {"pyramid": {"grids"}}
-    for name in parser.sections():
-        if name not in readers:
-            log.warning("%s: ignoring section [%s], which no setting reads", path, name)
-            continue
-        for key in parser[name]:
-            if key not in readers[name] and key not in parser.defaults():
-                log.warning("%s: ignoring [%s] key %r, which no setting reads", path, name, key)
-    pyramid = [1]
-    if parser.has_section("pyramid"):
-        text = parser.get("pyramid", "grids", fallback="1")
-        try:
-            pyramid = [int(tok) for tok in text.replace(",", " ").split()]
-        except ValueError:
-            raise ConfigError(f"{path}: pyramid grids must be integers, got {text!r}") from None
     try:
+        if not layer_names:
+            raise ConfigError("no [layerN] sections found")
+        expected = [f"layer{i}" for i in range(1, len(layer_names) + 1)]
+        if layer_names != expected:
+            raise ConfigError(
+                f"layer sections must be consecutive starting at [layer1], got {layer_names}"
+            )
+        text = parser.get("pyramid", "grids", fallback="1")
+        pyramid = [int(tok) for tok in text.replace(",", " ").split()]
         layers = [
             _layer_from_section(parser[name], depth, len(layer_names))
             for depth, name in enumerate(layer_names, start=1)
         ]
         return ArchitectureConfig(layers, pyramid)
-    except InvalidInputError as exc:
+    except (ConfigError, ValueError) as exc:  # ValueError covers InvalidInputError
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def attach_dictionaries(arch: ArchitectureConfig, loader) -> ArchitectureConfig:
-    """Return a copy of `arch` with dictionaries resolved via `loader(ref)`."""
-    layers = [replace(layer, dictionary=loader(layer.dictionary_ref)) for layer in arch.layers]
+def attach_dictionaries(arch: ArchitectureConfig, dictionaries) -> ArchitectureConfig:
+    """Return a copy of `arch` with one dictionary per layer, in layer order."""
+    layers = [
+        replace(layer, dictionary=dictionary)
+        for layer, dictionary in zip(arch.layers, dictionaries, strict=True)
+    ]
     out = ArchitectureConfig(layers, list(arch.pyramid))
     out.validate_dictionaries()
     return out

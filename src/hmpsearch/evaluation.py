@@ -5,6 +5,7 @@ holding relevant items and divides by the total number of relevant items, so
 relevant items that never appear contribute zero. Evaluation runs every
 ground-truth query against the index with self-exclusion on by default,
 since a query image stored in the corpus must not count as its own hit.
+The ground truth is a file of `hmpsearch.files` tab records.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import DecodeError, InvalidInputError, MissingQueryError
+from .errors import InvalidInputError, MissingQueryError
+from .files import tab_records
 from .index import InvertedIndex, query
 
 GroundTruth = dict[str, set[str]]
@@ -47,30 +49,13 @@ def average_precision(ranked, relevant) -> float:
 def load_ground_truth(path) -> GroundTruth:
     """Parse `<query-id><TAB><relevant-id>[,<relevant-id>...]` lines."""
     gt: GroundTruth = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                if "\t" not in line:
-                    raise InvalidInputError(
-                        f"{path}:{lineno}: expected '<query><TAB><relevant,...>', got {line!r}"
-                    )
-                query_id, rest = line.split("\t", 1)
-                query_id = query_id.strip()
-                relevant = {tok.strip() for tok in rest.split(",") if tok.strip()}
-                if not query_id or not relevant:
-                    raise InvalidInputError(f"{path}:{lineno}: empty query id or relevant set")
-                if query_id in relevant:
-                    raise InvalidInputError(
-                        f"{path}:{lineno}: query {query_id!r} lists itself as relevant"
-                    )
-                if query_id in gt:
-                    raise InvalidInputError(f"{path}:{lineno}: duplicate query id {query_id!r}")
-                gt[query_id] = relevant
-    except OSError as exc:
-        raise DecodeError(f"cannot read ground truth {path}: {exc}") from exc
+    for where, query_id, rest in tab_records(path, "ground truth"):
+        relevant = {tok.strip() for tok in rest.split(",") if tok.strip()}
+        if not relevant:
+            raise InvalidInputError(f"{where}: empty relevant set")
+        if query_id in relevant:
+            raise InvalidInputError(f"{where}: query {query_id!r} lists itself as relevant")
+        gt[query_id] = relevant
     return gt
 
 

@@ -1,0 +1,104 @@
+"""Every read of an input file: binary containers, UTF-8 text, tab records
+and INI configs.
+
+One policy holds for all of them: a file that cannot be opened, read or
+decoded raises an `HmpError` whose message names the path, never an
+`OSError`, `UnicodeDecodeError` or `configparser` error. The codebook,
+descriptor and index formats share one container: a 4-byte magic, a
+version byte, then a body that each format lays out itself. The manifest
+and the ground truth share one record: `<id><TAB><rest>` per line.
+"""
+
+from __future__ import annotations
+
+import configparser
+import logging
+
+from .errors import ConfigError, DecodeError, InvalidInputError
+
+log = logging.getLogger("hmpsearch")
+
+
+def read_bytes(path, what: str) -> bytes:
+    """All bytes of the file; `what` names the kind of file in errors."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise DecodeError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_container(path, magic: bytes, version: int, min_len: int, what: str) -> bytes:
+    """Body of a file that starts with `magic` and the `version` byte; the
+    body must hold at least the `min_len` bytes of the format's header."""
+    raw = read_bytes(path, what)
+    if len(raw) < 5 + min_len or raw[:4] != magic:
+        raise DecodeError(f"{path} is not a {what} (bad magic or truncated header)")
+    if raw[4] != version:
+        raise DecodeError(f"{path}: unsupported {what} version {raw[4]}")
+    return raw[5:]
+
+
+def write_container(path, magic: bytes, version: int, *parts: bytes) -> None:
+    """Write `magic`, the `version` byte, then each part in order."""
+    with open(path, "wb") as fh:
+        fh.write(magic + bytes([version]))
+        for part in parts:
+            fh.write(part)
+
+
+def read_text(path, what: str, error: type[Exception] = DecodeError) -> str:
+    """The file as UTF-8 text, newlines normalized; a failure raises `error`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or a NUL in the path
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def tab_records(path, what: str) -> list[tuple[str, str, str]]:
+    """`(where, id, rest)` of each nonblank `<id><TAB><rest>` line, fields
+    stripped and `where` being `path:line`. A line without a tab, with an
+    empty field or with an id seen before raises InvalidInputError."""
+    records: list[tuple[str, str, str]] = []
+    seen: set[str] = set()
+    for lineno, line in enumerate(read_text(path, what).split("\n"), start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        if "\t" not in line:
+            raise InvalidInputError(f"{where}: expected '<id><TAB>...', got {line!r}")
+        ident, rest = (part.strip() for part in line.split("\t", 1))
+        if not ident or not rest:
+            raise InvalidInputError(f"{where}: empty id or empty field after the tab")
+        if ident in seen:
+            raise InvalidInputError(f"{where}: duplicate id {ident!r}")
+        seen.add(ident)
+        records.append((where, ident, rest))
+    return records
+
+
+def read_config(path, what: str, readers: dict[str, set[str]]) -> configparser.ConfigParser:
+    """Parse an INI file, taking `%` in values literally.
+
+    `readers` maps each section that some setting reads to the keys read
+    in it. Every other section and key, and a [DEFAULT] key that no section
+    reads, is ignored with one warning naming it and the file.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(read_text(path, what, ConfigError), source=str(path))
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: malformed {what}: {exc}") from exc
+    defaults = parser.defaults()
+    for key in defaults:
+        if not any(key in keys for keys in readers.values()):
+            log.warning("%s: ignoring [DEFAULT] key %r, which no setting reads", path, key)
+    for name in parser.sections():
+        if name not in readers:
+            log.warning("%s: ignoring section [%s], which no setting reads", path, name)
+            continue
+        for key in parser[name]:
+            if key not in readers[name] and key not in defaults:
+                log.warning("%s: ignoring [%s] key %r, which no setting reads", path, name, key)
+    return parser

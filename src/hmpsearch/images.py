@@ -6,7 +6,8 @@ installed. Color inputs become luminance with weights 0.299/0.587/0.114.
 Patches come out as a `FeatureGrid`, one row per patch with its pixel
 center; the encoder carries codes and pooled features in the same form.
 `assign_to_cells` labels points with their row-major cell in a square
-region, all points at once.
+region, all points at once. Image files and the manifest, a file of
+`hmpsearch.files` tab records, are read through that module.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecodeError, InvalidInputError, UnsupportedFormatError
+from .files import read_bytes, tab_records
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
@@ -131,11 +133,7 @@ def _pillow_decode(path) -> IntensityImage:
 
 def load_image(path) -> IntensityImage:
     """Decode a raster file into intensities scaled to [0, 1]."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DecodeError(f"cannot read image file {path}: {exc}") from exc
+    raw = read_bytes(path, "image file")
     if raw[:2] in (b"P5", b"P6"):
         return _parse_netpbm(raw, path)
     return _pillow_decode(path)
@@ -220,27 +218,4 @@ def read_manifest(path) -> list[tuple[str, str]]:
     Relative paths resolve against the manifest's own directory.
     """
     base = os.path.dirname(os.path.abspath(path))
-    records: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                if "\t" not in line:
-                    raise InvalidInputError(
-                        f"{path}:{lineno}: expected '<id><TAB><path>', got {line!r}"
-                    )
-                image_id, rel = line.split("\t", 1)
-                image_id = image_id.strip()
-                rel = rel.strip()
-                if not image_id or not rel:
-                    raise InvalidInputError(f"{path}:{lineno}: empty id or path")
-                if image_id in seen:
-                    raise InvalidInputError(f"{path}:{lineno}: duplicate image id {image_id!r}")
-                seen.add(image_id)
-                records.append((image_id, rel if os.path.isabs(rel) else os.path.join(base, rel)))
-    except OSError as exc:
-        raise DecodeError(f"cannot read manifest {path}: {exc}") from exc
-    return records
+    return [(image_id, os.path.join(base, rel)) for _, image_id, rel in tab_records(path, "manifest")]

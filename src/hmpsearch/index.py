@@ -8,7 +8,8 @@ in the index file. A query touches only the rows of its own nonzero
 dimensions; because descriptors are unit vectors, its sums are cosines.
 `exhaustive_scan` is the brute-force counterpart that scores every stored
 document; on any corpus where each document shares at least one dimension
-with the query the two return identical rankings.
+with the query the two return identical rankings. An index file is an
+`HMPI` container of `hmpsearch.files`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from .encoder import ImageDescriptor
 from .errors import DecodeError, DuplicateIdError, InvalidInputError
+from .files import read_container, write_container
 
 _INDEX_MAGIC = b"HMPI"
 _INDEX_VERSION = 1
@@ -168,65 +170,53 @@ def save_index(idx: InvertedIndex, path) -> None:
     table, one (dimension, length, entries) block per row, then an optional
     weight trailer."""
     entries = np.rec.fromarrays([idx.docs, idx.values], dtype=_POSTING_DTYPE)
-    with open(path, "wb") as fh:
-        fh.write(_INDEX_MAGIC)
-        fh.write(struct.pack("<B", _INDEX_VERSION))
-        fh.write(struct.pack("<II", idx.dimension, idx.doc_count))
-        for image_id in idx.ids:
-            encoded = image_id.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-        fh.write(struct.pack("<I", idx.dims.size))
-        bounds = idx.indptr.tolist()
-        for dim, lo, hi in zip(idx.dims.tolist(), bounds, bounds[1:]):
-            fh.write(struct.pack("<II", dim, hi - lo))
-            fh.write(entries[lo:hi].tobytes())
-        fh.write(struct.pack("<B", idx.idf is not None))
-        if idx.idf is not None:
-            fh.write(np.asarray(idx.idf, dtype="<f8").tobytes())
+    parts = [struct.pack("<II", idx.dimension, idx.doc_count)]
+    for image_id in idx.ids:
+        encoded = image_id.encode("utf-8")
+        parts += [struct.pack("<I", len(encoded)), encoded]
+    parts.append(struct.pack("<I", idx.dims.size))
+    bounds = idx.indptr.tolist()
+    for dim, lo, hi in zip(idx.dims.tolist(), bounds, bounds[1:]):
+        parts += [struct.pack("<II", dim, hi - lo), entries[lo:hi].tobytes()]
+    parts.append(struct.pack("<B", idx.idf is not None))
+    if idx.idf is not None:
+        parts.append(np.asarray(idx.idf, dtype="<f8").tobytes())
+    write_container(path, _INDEX_MAGIC, _INDEX_VERSION, *parts)
 
 
 def load_index(path) -> InvertedIndex:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DecodeError(f"cannot read index file {path}: {exc}") from exc
-    if len(raw) < 13 or raw[:4] != _INDEX_MAGIC:
-        raise DecodeError(f"{path} is not an index file (bad magic)")
-    if raw[4] != _INDEX_VERSION:
-        raise DecodeError(f"{path}: unsupported index version {raw[4]}")
-    dimension, doc_count = struct.unpack_from("<II", raw, 5)
-    pos = 13
+    body = read_container(path, _INDEX_MAGIC, _INDEX_VERSION, 8, "index file")
+    dimension, doc_count = struct.unpack_from("<II", body)
+    pos = 8
     try:
         ids = []
         for _ in range(doc_count):
-            (id_len,) = struct.unpack_from("<I", raw, pos)
-            ids.append(raw[pos + 4 : pos + 4 + id_len].decode("utf-8"))
+            (id_len,) = struct.unpack_from("<I", body, pos)
+            ids.append(body[pos + 4 : pos + 4 + id_len].decode("utf-8"))
             pos += 4 + id_len
-        (n_blocks,) = struct.unpack_from("<I", raw, pos)
+        (n_blocks,) = struct.unpack_from("<I", body, pos)
         pos += 4
         dims, blocks = [], [np.empty(0, dtype=_POSTING_DTYPE)]
         for _ in range(n_blocks):
-            dim, n_entries = struct.unpack_from("<II", raw, pos)
+            dim, n_entries = struct.unpack_from("<II", body, pos)
             if dim >= dimension or (dims and dim <= dims[-1]):
                 raise InvalidInputError(f"posting block for dimension {dim} is out of range or order")
-            blocks.append(np.frombuffer(raw, dtype=_POSTING_DTYPE, count=n_entries, offset=pos + 8))
+            blocks.append(np.frombuffer(body, dtype=_POSTING_DTYPE, count=n_entries, offset=pos + 8))
             dims.append(dim)
             pos += 8 + 12 * n_entries
         entries = np.concatenate(blocks)
         if np.any(entries["doc"] >= doc_count) or not np.all(np.isfinite(entries["value"])):
             raise InvalidInputError("a posting has a doc ordinal out of range or a non-finite value")
-        (has_idf,) = struct.unpack_from("<B", raw, pos)
+        (has_idf,) = struct.unpack_from("<B", body, pos)
         pos += 1
         idf = None
         if has_idf:
-            idf = np.frombuffer(raw, dtype="<f8", count=dimension, offset=pos).copy()
+            idf = np.frombuffer(body, dtype="<f8", count=dimension, offset=pos).copy()
             pos += 8 * dimension
             if not np.all(np.isfinite(idf)):
                 raise InvalidInputError("non-finite weights")
-        if pos != len(raw):
-            raise InvalidInputError(f"{len(raw) - pos} trailing bytes after the weight flag or weights")
+        if pos != len(body):
+            raise InvalidInputError(f"{len(body) - pos} trailing bytes after the weight flag or weights")
         entry_dims = np.repeat(np.array(dims, dtype=np.int64), [len(b) for b in blocks[1:]])
         return InvertedIndex(
             dimension, ids, entry_dims, entries["doc"].astype(np.int64), entries["value"], idf

@@ -141,6 +141,34 @@ class TestRunConfig:
         assert not (tmp_path / "dicts").exists()
 
 
+class TestInputFiles:
+    """A malformed input file exits 2 naming the file, never with a traceback."""
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("run.cfg", lambda raw: raw + b"# caf\xff\n"),
+            ("manifest.tsv", lambda raw: raw + b"g\xff\timages/g0m0.pgm\n"),
+            ("arch.cfg", lambda raw: raw.replace(b"codebook_size = 16", b"codebook_size = abc")),
+        ],
+        ids=["run-config-not-utf8", "manifest-not-utf8", "codebook-size-not-a-number"],
+    )
+    def test_malformed_file_exits_2_naming_it(self, tmp_path, capsys, name, edit):
+        cfg = make_workspace(tmp_path)
+        path = tmp_path / name
+        path.write_bytes(edit(path.read_bytes()))
+        assert run_cli(cfg, "train-dict") == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+
+    def test_percent_in_a_value_is_literal(self, tmp_path):
+        cfg = make_workspace(tmp_path)
+        (tmp_path / "manifest.tsv").rename(tmp_path / "50%.tsv")
+        set_run_key(cfg, "manifest", "50%.tsv")
+        assert load_run_config(cfg).manifest == str(tmp_path / "50%.tsv")
+        assert run_cli(cfg, "train-dict") == 0
+
+
 class TestTrainDict:
     def test_trains_one_codebook_with_unit_atoms(self, tmp_path, capsys):
         cfg = make_workspace(tmp_path)

@@ -461,7 +461,6 @@ class TestArchitectureFile:
         assert arch.layers[1].codebook_size == 32
         assert arch.layers[1].sparsity == 10  # final-layer default
         assert arch.pyramid == [1, 2]
-        assert arch.layers[0].dictionary_ref == "layer1.hmpd"
 
     @pytest.mark.parametrize(
         "text, warned",
@@ -473,8 +472,17 @@ class TestArchitectureFile:
                 "[DEFAULT]\nsparsity = 10\n[layer1]\ncodebook_size = 8\nsparsty = 2\n[pyramid]\n",
                 "[layer1] key 'sparsty'",
             ),
+            ("[layer1]\ncodebook_size = 8\ndictionary = my.hmpd\n", "[layer1] key 'dictionary'"),
+            ("[DEFAULT]\nsparsty = 2\n[layer1]\ncodebook_size = 8\n", "[DEFAULT] key 'sparsty'"),
         ],
-        ids=["layer-key", "pyramid-key", "section", "default-key-read-by-a-layer"],
+        ids=[
+            "layer-key",
+            "pyramid-key",
+            "section",
+            "default-key-read-by-a-layer",
+            "retired-dictionary-key",
+            "default-key-no-section-reads",
+        ],
     )
     def test_unread_key_or_section_warns(self, tmp_path, caplog, text, warned):
         cfg = tmp_path / "arch.cfg"
@@ -487,8 +495,25 @@ class TestArchitectureFile:
     def test_missing_codebook_size_rejected(self, tmp_path):
         cfg = tmp_path / "arch.cfg"
         cfg.write_text("[layer1]\npatch_size = 5\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="codebook_size") as err:
             load_architecture(cfg)
+        assert str(cfg) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[layer1]\ncodebook_size = abc\n",
+            "[layer1]\ncodebook_size = 8\n[layer2]\ncodebook_size = 8\nstride = 2\n",
+            "[layer1]\ncodebook_size = 8\nsparsity = 3%\n",
+        ],
+        ids=["not-a-number", "stride-above-layer-1", "percent"],
+    )
+    def test_bad_value_names_path(self, tmp_path, text):
+        cfg = tmp_path / "arch.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_architecture(cfg)
+        assert str(cfg) in str(err.value)
 
     def test_non_consecutive_layers_rejected(self, tmp_path):
         cfg = tmp_path / "arch.cfg"

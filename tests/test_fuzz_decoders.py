@@ -1,7 +1,9 @@
-"""Fuzzing of the three binary decoders and the netpbm parser.
+"""Fuzzing of the three binary decoders, the netpbm parser and the four
+text readers.
 
-Whatever the bytes, a decoder either returns a value or raises DecodeError;
-any other exception escaping is a bug.
+Whatever the bytes, a decoder either returns a value or raises DecodeError,
+and a text reader either returns or raises an HmpError naming the file; any
+other exception escaping is a bug.
 """
 
 import numpy as np
@@ -11,18 +13,23 @@ from hypothesis import strategies as st
 
 from hmpsearch import (
     DecodeError,
+    HmpError,
     ImageDescriptor,
     apply_idf,
     build_index,
     l2_normalize,
+    load_architecture,
     load_descriptor,
     load_dictionary,
+    load_ground_truth,
     load_image,
     load_index,
+    read_manifest,
     save_descriptor,
     save_dictionary,
     save_index,
 )
+from hmpsearch.cli import load_run_config
 from conftest import random_dictionary
 
 # no numeric warning escapes a decoder, not even on the way to a DecodeError
@@ -63,11 +70,11 @@ LOADERS = [load_descriptor, load_index, load_dictionary]
 MAGIC = {load_descriptor: b"HMPV\x01", load_index: b"HMPI\x01", load_dictionary: b"HMPD\x01"}
 
 
-def load_or_decode_error(loader, path, raw):
+def load_or_error(loader, path, raw, error=DecodeError):
     path.write_bytes(raw)
     try:
         loader(path)
-    except DecodeError as exc:
+    except error as exc:
         assert path.name in str(exc)
 
 
@@ -76,7 +83,7 @@ def load_or_decode_error(loader, path, raw):
 @given(data=st.binary(max_size=120), magic=st.booleans())
 def test_arbitrary_bytes(tmp_path, loader, data, magic):
     raw = MAGIC[loader] + data if magic else data
-    load_or_decode_error(loader, tmp_path / "fuzz.bin", raw)
+    load_or_error(loader, tmp_path / "fuzz.bin", raw)
 
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda f: f.__name__)
@@ -91,13 +98,13 @@ def test_truncated_or_flipped_valid_file(tmp_path, valid_files, loader, cut, fli
         raw[position % len(raw)] = value
     if cut % 2:
         raw = raw[: cut % len(raw)]
-    load_or_decode_error(loader, tmp_path / "fuzz.bin", bytes(raw))
+    load_or_error(loader, tmp_path / "fuzz.bin", bytes(raw))
 
 
 @FUZZ
 @given(magic=st.sampled_from([b"P5", b"P6"]), data=st.binary(max_size=120))
 def test_netpbm_arbitrary_bytes(tmp_path, magic, data):
-    load_or_decode_error(load_image, tmp_path / "fuzz.pgm", magic + data)
+    load_or_error(load_image, tmp_path / "fuzz.pgm", magic + data)
 
 
 # header fields: small sizes so bodies stay short, the maxval edges, and
@@ -127,4 +134,36 @@ def test_netpbm_structured_header(tmp_path, data):
     body = data.draw(st.binary(min_size=min(need, 80), max_size=min(need, 80)))
     # whole bodies, and bodies cut short
     cut = data.draw(st.one_of(st.just(0), st.integers(0, len(body))))
-    load_or_decode_error(load_image, tmp_path / "fuzz.pgm", header + body[cut:])
+    load_or_error(load_image, tmp_path / "fuzz.pgm", header + body[cut:])
+
+
+# one valid file per text reader
+TEXT_FILES = {
+    read_manifest: b"a\timages/a.pgm\nb c\t/abs/b.pgm\n",
+    load_ground_truth: b"q1\ta,b\nq2\tc\n",
+    load_run_config: b"[run]\nmanifest = m.tsv\narchitecture = arch.cfg\nseed = 3\nbaseline = no\n",
+    load_architecture: (
+        b"[layer1]\npatch_size = 5\nunit_size = 16\ncodebook_size = 8\n"
+        b"[layer2]\ncodebook_size = 4\n[pyramid]\ngrids = 1, 2\n"
+    ),
+}
+# bytes that mean something to one of the formats, or to UTF-8
+TEXT_TOKENS = st.sampled_from([
+    b"\xff", b"\xc3", b"\x00", b"\t", b"\n", b"\r", b"%", b"%(x)s", b"[", b"]", b"=", b":", b",",
+    b"abc", b"-1", b"0", b"[layer2]", b"[DEFAULT]", b"patch_size = 3",
+])
+
+
+@pytest.mark.parametrize("reader", list(TEXT_FILES), ids=lambda f: f.__name__)
+@FUZZ
+@given(
+    start=st.integers(0, 10**6),
+    cut=st.integers(0, 10**6),
+    pieces=st.lists(st.one_of(TEXT_TOKENS, st.binary(max_size=4)), max_size=6),
+)
+def test_spliced_text_file(tmp_path, reader, start, cut, pieces):
+    valid = TEXT_FILES[reader]
+    start %= len(valid) + 1
+    end = start + cut % (len(valid) - start + 1)
+    raw = valid[:start] + b"".join(pieces) + valid[end:]
+    load_or_error(reader, tmp_path / "fuzz.txt", raw, error=HmpError)
