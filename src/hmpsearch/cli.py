@@ -39,7 +39,7 @@ from .encoder import (
 )
 from .errors import ConfigError, DecodeError, HmpError, ImageTooSmallError, InvalidInputError
 from .evaluation import evaluate, load_ground_truth, write_report
-from .files import read_bytes, read_config
+from .files import read_bytes, read_config, write_file
 from .images import IntensityImage, load_image, read_manifest, resize_max_side
 from .index import apply_idf, build_index, load_index, query, save_index
 
@@ -187,7 +187,6 @@ def _codebooks(cfg: RunConfig, arch: ArchitectureConfig):
 def cmd_train_dict(cfg: RunConfig) -> int:
     arch = load_architecture(cfg.architecture)
     images = _load_corpus(cfg, arch)
-    os.makedirs(cfg.dictionary_dir, exist_ok=True)
     lines = []
     for label, depth, seed, layer in _codebooks(cfg, arch):
         signals = _layer_training_signals(cfg, arch, images, depth, np.random.default_rng(seed))
@@ -199,11 +198,10 @@ def cmd_train_dict(cfg: RunConfig) -> int:
         )
         dictionary, trace = train(TrainingSet(signals), tcfg)
         save_dictionary(dictionary, _dict_path(cfg, label))
-        lines.extend(f"{label}\t{i}\t{obj:.6f}" for i, obj in enumerate(trace))
+        lines.extend(f"{label}\t{i}\t{obj:.6f}\n" for i, obj in enumerate(trace))
         print(f"trained {label} codebook: {dictionary.size} atoms from {signals.shape[1]} signals")
         layer.dictionary = dictionary  # the layers above code their inputs with it
-    with open(os.path.join(cfg.dictionary_dir, "training.log"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_file(os.path.join(cfg.dictionary_dir, "training.log"), "training log", "".join(lines).encode())
     return 0
 
 
@@ -235,12 +233,12 @@ def cmd_encode(cfg: RunConfig) -> int:
         name = safe_filename(image_id) + ".hmpv"
         if owners.setdefault(name, image_id) != image_id:
             raise InvalidInputError(f"image ids {owners[name]!r} and {image_id!r} share {name}")
-    os.makedirs(cfg.descriptor_dir, exist_ok=True)
-    descriptors = [encode(image_id, img) for image_id, img in images]
-    for desc in descriptors:
-        save_descriptor(desc, os.path.join(cfg.descriptor_dir, safe_filename(desc.image_id) + ".hmpv"))
-    mean_nnz = sum(desc.nnz for desc in descriptors) / len(descriptors)
-    print(f"encoded {len(descriptors)} descriptors, mean nnz {mean_nnz:.1f}")
+    total_nnz = 0
+    for image_id, img in images:
+        desc = encode(image_id, img)
+        save_descriptor(desc, os.path.join(cfg.descriptor_dir, safe_filename(image_id) + ".hmpv"))
+        total_nnz += desc.nnz
+    print(f"encoded {len(images)} descriptors, mean nnz {total_nnz / len(images):.1f}")
     return 0
 
 
@@ -260,7 +258,6 @@ def cmd_build_index(cfg: RunConfig) -> int:
     idx = build_index(descriptors[0].length, descriptors)
     if cfg.use_idf:
         idx = apply_idf(idx)
-    os.makedirs(os.path.dirname(os.path.abspath(cfg.index_path)), exist_ok=True)
     save_index(idx, cfg.index_path)
     print(f"indexed {idx.doc_count} descriptors of dimension {idx.dimension}")
     return 0

@@ -18,14 +18,15 @@ elementwise `D^T y`; as it returns only an index, that index is the
 elementwise rule's. So for both, row i of a batch is bitwise the batch of
 one of column i: one signal `y` is coded as
 `omp_encode_batch(d, y[:, None], s)[0]`. Both are pure functions; a
-`Dictionary` is immutable and safe to share across threads. A codebook
-file is an `HMPD` container of `hmpsearch.files`.
+`Dictionary` is immutable, thread-safe and computes its Gram matrix on
+first OMP use. A codebook file is an `HMPD` container of `hmpsearch.files`.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,12 +48,10 @@ _DICT_VERSION = 1
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Codebook of unit-norm atoms, one per column of `atoms` (D x K), with
-    their transpose and K x K Gram matrix cached for the coding kernels."""
+    """Codebook of unit-norm atoms, one per column of `atoms` (D x K). The
+    K x K Gram matrix that OMP reads is computed on first use and cached."""
 
     atoms: np.ndarray
-    _atoms_t: np.ndarray = field(init=False, repr=False, compare=False)
-    _gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=np.float64)
@@ -71,15 +70,15 @@ class Dictionary:
             )
         atoms = atoms.copy()
         atoms.setflags(write=False)
-        atoms_t = np.ascontiguousarray(atoms.T)
-        atoms_t.setflags(write=False)
+        object.__setattr__(self, "atoms", atoms)
+
+    @functools.cached_property
+    def _gram(self) -> np.ndarray:
         # accumulated like the signal correlations, so that bitwise-equal
         # atoms have bitwise-equal Gram rows and tie toward the lower index
-        gram = _correlations(atoms_t, atoms)
+        gram = _correlations(self.atoms.T, self.atoms)
         gram.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "_atoms_t", atoms_t)
-        object.__setattr__(self, "_gram", gram)
+        return gram
 
     @property
     def signal_dim(self) -> int:
@@ -148,7 +147,7 @@ def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int)
             f" got {sparsity}"
         )
     n = y.shape[0]
-    atoms_t, gram = dictionary._atoms_t, dictionary._gram
+    atoms_t, gram = dictionary.atoms.T, dictionary._gram
     alpha = _correlations(y, dictionary.atoms)
     # per signal: atoms in pick order, their coefficients (zero in unused
     # slots) and the Cholesky factor of the support's Gram matrix
@@ -234,7 +233,7 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
     then D*K float64 values in column-major order."""
     d, k = dictionary.signal_dim, dictionary.size
     atoms = np.ascontiguousarray(dictionary.atoms, dtype="<f8").tobytes(order="F")
-    write_container(path, _DICT_MAGIC, _DICT_VERSION, struct.pack("<II", d, k), atoms)
+    write_container(path, "codebook file", _DICT_MAGIC, _DICT_VERSION, struct.pack("<II", d, k), atoms)
 
 
 def load_dictionary(path) -> Dictionary:

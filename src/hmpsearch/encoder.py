@@ -348,7 +348,7 @@ def save_descriptor(desc: ImageDescriptor, path) -> None:
     entries["index"] = desc.indices
     entries["value"] = desc.values
     header = struct.pack("<I", len(ident)) + ident + struct.pack("<II", desc.length, desc.nnz)
-    write_container(path, _DESC_MAGIC, _DESC_VERSION, header, entries.tobytes())
+    write_container(path, "descriptor file", _DESC_MAGIC, _DESC_VERSION, header, entries.tobytes())
 
 
 def load_descriptor(path) -> ImageDescriptor:

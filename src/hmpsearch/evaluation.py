@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, MissingQueryError
-from .files import tab_records
+from .files import tab_records, write_file
 from .index import InvertedIndex, query
 
 GroundTruth = dict[str, set[str]]
@@ -98,9 +98,7 @@ def evaluate(
 
 def write_report(report: EvalReport, path) -> None:
     """One `id AP seconds` line per query, then a `mAP <value>` summary."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if report.config_fingerprint:
-            fh.write(f"# config {report.config_fingerprint}\n")
-        for qid, ap, elapsed in report.per_query:
-            fh.write(f"{qid}\t{ap:.6f}\t{elapsed:.6f}\n")
-        fh.write(f"mAP {report.mean_ap:.6f}\n")
+    lines = [f"# config {report.config_fingerprint}"] if report.config_fingerprint else []
+    lines += [f"{qid}\t{ap:.6f}\t{elapsed:.6f}" for qid, ap, elapsed in report.per_query]
+    lines.append(f"mAP {report.mean_ap:.6f}")
+    write_file(path, "evaluation report", ("\n".join(lines) + "\n").encode())

@@ -1,20 +1,21 @@
-"""Every read of an input file: binary containers, UTF-8 text, tab records
-and INI configs.
+"""Every read of an input file and every write of an output file.
 
-One policy holds for all of them: a file that cannot be opened, read or
-decoded raises an `HmpError` whose message names the path, never an
-`OSError`, `UnicodeDecodeError` or `configparser` error. The codebook,
-descriptor and index formats share one container: a 4-byte magic, a
-version byte, then a body that each format lays out itself. The manifest
-and the ground truth share one record: `<id><TAB><rest>` per line.
+One policy holds for all of them: a file that cannot be opened, read,
+decoded or written raises an `HmpError` whose message names the path, never
+an `OSError`, `UnicodeDecodeError` or `configparser` error. A write makes
+the file's directory first. The codebook, descriptor and index formats
+share one container: a 4-byte magic, a version byte, then a body that each
+format lays out itself. The manifest and the ground truth share one record:
+`<id><TAB><rest>` per line.
 """
 
 from __future__ import annotations
 
 import configparser
 import logging
+import os
 
-from .errors import ConfigError, DecodeError, InvalidInputError
+from .errors import ConfigError, DecodeError, HmpError, InvalidInputError
 
 log = logging.getLogger("hmpsearch")
 
@@ -39,12 +40,20 @@ def read_container(path, magic: bytes, version: int, min_len: int, what: str) ->
     return raw[5:]
 
 
-def write_container(path, magic: bytes, version: int, *parts: bytes) -> None:
+def write_file(path, what: str, *parts: bytes) -> None:
+    """Write the parts in order, making the directory first; `what` names the file in errors."""
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "wb") as fh:
+            for part in parts:
+                fh.write(part)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise HmpError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def write_container(path, what: str, magic: bytes, version: int, *parts: bytes) -> None:
     """Write `magic`, the `version` byte, then each part in order."""
-    with open(path, "wb") as fh:
-        fh.write(magic + bytes([version]))
-        for part in parts:
-            fh.write(part)
+    write_file(path, what, magic + bytes([version]), *parts)
 
 
 def read_text(path, what: str, error: type[Exception] = DecodeError) -> str:

@@ -181,7 +181,7 @@ def save_index(idx: InvertedIndex, path) -> None:
     parts.append(struct.pack("<B", idx.idf is not None))
     if idx.idf is not None:
         parts.append(np.asarray(idx.idf, dtype="<f8").tobytes())
-    write_container(path, _INDEX_MAGIC, _INDEX_VERSION, *parts)
+    write_container(path, "index file", _INDEX_MAGIC, _INDEX_VERSION, *parts)
 
 
 def load_index(path) -> InvertedIndex:

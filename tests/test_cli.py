@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hmpsearch import load_descriptor, load_dictionary, load_index, save_dictionary
+from hmpsearch import cli, load_descriptor, load_dictionary, load_index, save_dictionary
 from hmpsearch.cli import load_run_config, main
 from conftest import random_dictionary, texture_image
 
@@ -387,3 +387,47 @@ class TestEvaluate:
             set_run_key(cfg, "resize_max_side", "64")
         assert run_cli(cfg, "evaluate") == 0
         assert report_fingerprint(tmp_path) != before
+
+
+class TestOutputPaths:
+    """Each stage makes the directory of every file it writes; an output
+    that cannot be written stops the stage at that write with exit 2
+    naming the path."""
+
+    def test_dictionary_dir_naming_a_file_exits_2(self, tmp_path, capsys):
+        cfg = make_workspace(tmp_path)
+        set_run_key(cfg, "dictionary_dir", "manifest.tsv")
+        assert run_cli(cfg, "train-dict") == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "manifest.tsv") in err and "Traceback" not in err
+
+    def test_index_path_naming_a_directory_exits_2(self, tmp_path, capsys):
+        cfg = make_workspace(tmp_path)
+        assert run_cli(cfg, "train-dict") == 0
+        assert run_cli(cfg, "encode") == 0
+        (tmp_path / "taken").mkdir()
+        set_run_key(cfg, "index_path", "taken")
+        assert run_cli(cfg, "build-index") == 2
+        assert str(tmp_path / "taken") in capsys.readouterr().err
+
+    def test_descriptor_dir_naming_a_file_stops_after_one_image(self, tmp_path, capsys, monkeypatch):
+        cfg = make_workspace(tmp_path)
+        assert run_cli(cfg, "train-dict") == 0
+        set_run_key(cfg, "descriptor_dir", "manifest.tsv")
+        calls = []
+        encode_image = cli.encode_image
+        monkeypatch.setattr(
+            cli, "encode_image", lambda *args: calls.append(args) or encode_image(*args)
+        )
+        assert run_cli(cfg, "encode") == 2
+        assert str(tmp_path / "manifest.tsv") in capsys.readouterr().err
+        assert len(calls) == 1
+
+    def test_missing_report_directory_is_made(self, tmp_path, capsys):
+        cfg = make_workspace(tmp_path)
+        set_run_key(cfg, "report", "reports/run1/report.txt")
+        for stage in ("train-dict", "encode", "build-index", "evaluate"):
+            assert run_cli(cfg, stage) == 0
+        printed = capsys.readouterr().out.strip().splitlines()[-1]
+        report = (tmp_path / "reports" / "run1" / "report.txt").read_text().splitlines()
+        assert printed.startswith("mAP ") and report[-1] == printed

@@ -67,6 +67,30 @@ class TestDictionary:
         with pytest.raises(ValueError):
             d.atoms[0, 0] = 5.0
 
+    def test_gram_is_computed_once_on_first_omp_use(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        atoms = random_dictionary(rng, 16, 24).atoms
+        save_dictionary(Dictionary(atoms), tmp_path / "d.hmpd")
+        shapes = []
+        loop = coding._correlations
+
+        def spy(mat, atoms):
+            shapes.append((mat.shape[0], atoms.shape[1]))
+            return loop(mat, atoms)
+
+        monkeypatch.setattr(coding, "_correlations", spy)
+        d = Dictionary(atoms)
+        load_dictionary(tmp_path / "d.hmpd")
+        signals = rng.standard_normal((16, 40))
+        vq_encode_batch(d, signals)
+        assert shapes == []
+        first = omp_encode_batch(d, signals, 3)
+        second = omp_encode_batch(d, signals, 3)
+        assert sorted(shapes) == [(24, 24), (40, 24), (40, 24)]
+        assert first.tobytes() == second.tobytes()
+        # the same loop over a C-ordered transpose gives the same bits
+        assert d._gram.tobytes() == loop(np.ascontiguousarray(atoms.T), atoms).tobytes()
+
 
 class TestOmpEncode:
     def test_atom_equals_signal_direction(self):
