@@ -7,7 +7,9 @@ index file, one evaluation report. Every stage that reads the manifest
 admits the same images: it skips, with a warning, each image that cannot be
 decoded or whose shorter side (after the optional resize) is too small for
 the pipeline. A malformed input file ends the stage with an error naming
-it. Set HMPSEARCH_LOG=debug|info|warning to control verbosity.
+it. `encode` and `query` check every codebook against the architecture
+before decoding any image, so a stale one ends the stage naming its file.
+Set HMPSEARCH_LOG=debug|info|warning to control verbosity.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .dictionary import TrainConfig, TrainingSet, train
 from .encoder import (
     ArchitectureConfig,
     LayerConfig,
-    attach_dictionaries,
+    check_codebook,
     encode_image,
     encode_image_bof,
     layer_inputs,
@@ -161,12 +163,13 @@ def _subsample_columns(mat: np.ndarray, cap: int, rng: np.random.Generator) -> n
     return mat[:, np.sort(picks)]
 
 
-def _layer_training_signals(cfg, arch, images, depth: int, rng) -> np.ndarray:
-    """Signals feeding layer `depth`, sampled per image then capped."""
+def _layer_training_signals(cfg, arch, images, codebooks, rng) -> np.ndarray:
+    """Signals feeding the layer above `codebooks`, sampled per image then
+    capped."""
     per_image = max(1, math.ceil(2 * cfg.sample_cap / len(images)))
     chunks = []
     for _, img in images:
-        vectors = layer_inputs(img, arch, depth).vectors
+        vectors = layer_inputs(img, arch, codebooks).vectors
         if vectors.shape[0] > per_image:
             picks = rng.choice(vectors.shape[0], size=per_image, replace=False)
             vectors = vectors[np.sort(picks)]
@@ -188,8 +191,9 @@ def cmd_train_dict(cfg: RunConfig) -> int:
     arch = load_architecture(cfg.architecture)
     images = _load_corpus(cfg, arch)
     lines = []
-    for label, depth, seed, layer in _codebooks(cfg, arch):
-        signals = _layer_training_signals(cfg, arch, images, depth, np.random.default_rng(seed))
+    codebooks = []  # the layers above code their inputs with these
+    for label, _, seed, layer in _codebooks(cfg, arch):
+        signals = _layer_training_signals(cfg, arch, images, codebooks, np.random.default_rng(seed))
         tcfg = TrainConfig(
             codebook_size=layer.codebook_size,
             sparsity=layer.sparsity,
@@ -200,28 +204,30 @@ def cmd_train_dict(cfg: RunConfig) -> int:
         save_dictionary(dictionary, _dict_path(cfg, label))
         lines.extend(f"{label}\t{i}\t{obj:.6f}\n" for i, obj in enumerate(trace))
         print(f"trained {label} codebook: {dictionary.size} atoms from {signals.shape[1]} signals")
-        layer.dictionary = dictionary  # the layers above code their inputs with it
+        codebooks.append(dictionary)
     write_file(os.path.join(cfg.dictionary_dir, "training.log"), "training log", "".join(lines).encode())
     return 0
 
 
 def _encoder(cfg: RunConfig, arch: ArchitectureConfig):
     """`(image_id, img) -> ImageDescriptor` for the pipeline `cfg` selects,
-    with its trained codebooks loaded."""
-    def codebook(label):
+    with its trained codebooks loaded, each checked against the architecture
+    so that a stale one fails naming its file before any image is decoded."""
+    def codebook(label, depth, layer):
         path = _dict_path(cfg, label)
         if not os.path.exists(path):
             raise ConfigError(f"codebook {path} not found; run train-dict first")
-        return load_dictionary(path)
+        dictionary = load_dictionary(path)
+        check_codebook(dictionary, layer, arch.layer_input_dim(depth), f"codebook {path}")
+        return dictionary
 
-    codebooks = [codebook(label) for label, *_ in _codebooks(cfg, arch)]
+    codebooks = [codebook(label, depth, layer) for label, depth, _, layer in _codebooks(cfg, arch)]
     if cfg.baseline:
         first = arch.layers[0]
         return lambda image_id, img: encode_image_bof(
             img, codebooks[0], first.input_patch_size, first.stride, image_id
         )
-    arch = attach_dictionaries(arch, codebooks)
-    return lambda image_id, img: encode_image(img, arch, image_id)
+    return lambda image_id, img: encode_image(img, arch, codebooks, image_id)
 
 
 def cmd_encode(cfg: RunConfig) -> int:

@@ -18,6 +18,8 @@ pixel center of each row, and the image extent. All geometry lives in
 original-image pixel coordinates: every feature carries the pixel center of
 the area it summarizes, and units, cells, and pyramid regions claim
 features by center. Units that do not fit whole at the border are dropped.
+The architecture is configuration; the codebooks, one per layer in layer
+order, are the trained model and are passed beside it as arguments.
 Descriptor files are `HMPV` containers of `hmpsearch.files`, which also
 reads the architecture file.
 """
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +53,7 @@ _ARCH_READERS = {f"layer{d}": _LAYER_KEYS for d in range(1, MAX_LAYERS + 1)} | {
 
 @dataclass
 class LayerConfig:
-    """Geometry and codebook of one coding layer.
+    """Geometry of one coding layer; its codebook is passed beside it.
 
     `input_patch_size` and `stride` describe how layer-1 signals are cut from
     the image; higher layers code one inherited feature at a time, so there
@@ -65,7 +67,6 @@ class LayerConfig:
     stride: int = 1
     coding_unit_size: int = 16
     cell_grid: int = 4
-    dictionary: Dictionary | None = None
 
     def __post_init__(self):
         if self.codebook_size < 2:
@@ -132,22 +133,16 @@ class ArchitectureConfig:
             return p * p
         return self.layers[depth - 2].output_dim
 
-    def validate_dictionaries(self) -> None:
-        for depth, layer in enumerate(self.layers, start=1):
-            if layer.dictionary is None:
-                raise ConfigError(f"layer {depth} has no dictionary attached")
-            expect = self.layer_input_dim(depth)
-            got = layer.dictionary.signal_dim
-            if got != expect:
-                raise ConfigError(
-                    f"layer {depth} dictionary codes {got}-dimensional signals,"
-                    f" expected {expect}"
-                )
-            if layer.dictionary.size != layer.codebook_size:
-                raise ConfigError(
-                    f"layer {depth} dictionary has {layer.dictionary.size} atoms,"
-                    f" expected {layer.codebook_size}"
-                )
+
+def check_codebook(dictionary: Dictionary, layer: LayerConfig, dim: int, subject: str) -> None:
+    """Raise a ConfigError naming `subject` unless `dictionary` has the
+    atom count of `layer` and atoms of dimension `dim`."""
+    size = layer.codebook_size
+    if (dictionary.size, dictionary.signal_dim) != (size, dim):
+        raise ConfigError(
+            f"{subject} has {dictionary.size} atoms of dimension {dictionary.signal_dim};"
+            f" the architecture expects {size} of dimension {dim}"
+        )
 
 
 @dataclass(frozen=True)
@@ -220,23 +215,22 @@ def signed_max_pool(codes: np.ndarray, labels: np.ndarray, count: int) -> np.nda
     return out
 
 
-def _code_grid(features: FeatureGrid, layer: LayerConfig) -> FeatureGrid:
-    if layer.dictionary is None:
-        raise ConfigError("layer has no dictionary attached")
-    sparsity = min(layer.sparsity, layer.dictionary.signal_dim, layer.dictionary.size)
-    codes = omp_encode_batch(layer.dictionary, features.vectors.T, sparsity)
+def _code_grid(features: FeatureGrid, layer: LayerConfig, dictionary: Dictionary) -> FeatureGrid:
+    sparsity = min(layer.sparsity, dictionary.signal_dim, dictionary.size)
+    codes = omp_encode_batch(dictionary, features.vectors.T, sparsity)
     return FeatureGrid(features.centers, codes, features.extent)
 
 
-def encode_layer(features: FeatureGrid, layer: LayerConfig) -> FeatureGrid:
-    """One interior coding layer: code, pool per cell, concatenate, normalize.
+def encode_layer(features: FeatureGrid, layer: LayerConfig, dictionary: Dictionary) -> FeatureGrid:
+    """One interior coding layer: code against `dictionary`, pool per cell,
+    concatenate, normalize.
 
     Returns one feature per whole coding unit that fits in the extent, in
     row-major unit order; its center is the unit's center so the next layer
     sees the coarser grid.
     """
     unit = layer.coding_unit_size
-    grid = _code_grid(features, layer)
+    grid = _code_grid(features, layer, dictionary)
     h, w = grid.extent
     units_r, units_c = h // unit, w // unit
     unit_rc = grid.centers // unit
@@ -290,29 +284,33 @@ def minimum_image_side(arch: ArchitectureConfig) -> int:
     return max([arch.layers[0].input_patch_size, *units])
 
 
-def layer_inputs(img: IntensityImage, arch: ArchitectureConfig, depth: int) -> FeatureGrid:
-    """Signals entering the layer at 1-based `depth`: layer-1 patches, coded
-    and pooled by every layer below `depth`."""
+def layer_inputs(img: IntensityImage, arch: ArchitectureConfig, codebooks) -> FeatureGrid:
+    """Signals entering the layer above the given codebooks: layer-1 patches,
+    coded and pooled by one layer per codebook, in layer order."""
     first = arch.layers[0]
     grid = extract_patches(img, first.input_patch_size, first.stride)
-    for layer in arch.layers[: depth - 1]:
-        grid = encode_layer(grid, layer)
+    for layer, dictionary in zip(arch.layers, codebooks):
+        grid = encode_layer(grid, layer, dictionary)
     return grid
 
 
 def encode_image(
-    img: IntensityImage, arch: ArchitectureConfig, image_id: str = ""
+    img: IntensityImage, arch: ArchitectureConfig, codebooks, image_id: str = ""
 ) -> ImageDescriptor:
-    """Run the full layered pipeline on one image."""
-    arch.validate_dictionaries()
+    """Run the full layered pipeline on one image, coding each layer with
+    its codebook from `codebooks` (one per layer, in layer order)."""
+    if len(codebooks) != len(arch.layers):
+        raise ConfigError(f"{len(arch.layers)} layers need as many codebooks, got {len(codebooks)}")
+    for depth, (layer, dictionary) in enumerate(zip(arch.layers, codebooks), start=1):
+        check_codebook(dictionary, layer, arch.layer_input_dim(depth), f"layer {depth} codebook")
     need = minimum_image_side(arch)
     if min(img.height, img.width) < need:
         raise ImageTooSmallError(
             f"image {image_id!r} is {img.height}x{img.width}; the configured"
             f" pipeline needs at least {need}x{need} pixels"
         )
-    grid = layer_inputs(img, arch, len(arch.layers))
-    return pyramid_pool(_code_grid(grid, arch.final_layer), arch.pyramid, image_id)
+    grid = layer_inputs(img, arch, codebooks[:-1])
+    return pyramid_pool(_code_grid(grid, arch.final_layer, codebooks[-1]), arch.pyramid, image_id)
 
 
 def encode_image_bof(
@@ -368,26 +366,18 @@ def load_descriptor(path) -> ImageDescriptor:
 
 
 def _layer_from_section(section, depth: int, total: int) -> LayerConfig:
-    def geti(key, default):
-        return section.getint(key, default)
-
-    is_first = depth == 1
+    geti = section.getint
     is_final = depth == total
     default_unit = DEFAULT_UNIT_SIZES[min(depth, len(DEFAULT_UNIT_SIZES)) - 1]
     default_cells = DEFAULT_CELL_GRIDS[min(depth, len(DEFAULT_CELL_GRIDS)) - 1]
     default_sparsity = DEFAULT_FINAL_SPARSITY if is_final else DEFAULT_HIDDEN_SPARSITY
     if "codebook_size" not in section:
         raise ConfigError(f"layer {depth}: codebook_size is required")
-    if not is_first and ("patch_size" in section or "stride" in section):
-        raise ConfigError(
-            f"layer {depth}: patch_size and stride only apply to layer 1;"
-            " higher layers code one inherited feature at a time"
-        )
     return LayerConfig(
         codebook_size=geti("codebook_size", 0),
         sparsity=geti("sparsity", default_sparsity),
-        input_patch_size=geti("patch_size", 5) if is_first else 1,
-        stride=geti("stride", 1) if is_first else 1,
+        input_patch_size=geti("patch_size", 5 if depth == 1 else 1),
+        stride=geti("stride", 1),
         coding_unit_size=geti("unit_size", default_unit),
         cell_grid=geti("cell_grid", default_cells),
     )
@@ -419,14 +409,3 @@ def load_architecture(path) -> ArchitectureConfig:
         return ArchitectureConfig(layers, pyramid)
     except (ConfigError, ValueError) as exc:  # ValueError covers InvalidInputError
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def attach_dictionaries(arch: ArchitectureConfig, dictionaries) -> ArchitectureConfig:
-    """Return a copy of `arch` with one dictionary per layer, in layer order."""
-    layers = [
-        replace(layer, dictionary=dictionary)
-        for layer, dictionary in zip(arch.layers, dictionaries, strict=True)
-    ]
-    out = ArchitectureConfig(layers, list(arch.pyramid))
-    out.validate_dictionaries()
-    return out

@@ -60,25 +60,14 @@ def load_ground_truth(path) -> GroundTruth:
 
 
 def evaluate(
-    index,
+    index: InvertedIndex,
     descriptors,
     gt: GroundTruth,
     self_exclude: bool = True,
     config_fingerprint: str = "",
 ) -> EvalReport:
-    """Run every ground-truth query and report AP per query plus the mean.
-
-    `index` is an InvertedIndex, or any callable with the signature
-    (descriptor, top_k, self_exclude) -> ranked (id, score) list, which lets
-    a brute-force scanner stand in for the inverted file.
-    `descriptors` maps image id to descriptor.
-    """
-    if isinstance(index, InvertedIndex):
-        searcher = lambda q, k, excl: query(index, q, k, excl)  # noqa: E731
-    elif callable(index):
-        searcher = index
-    else:
-        raise InvalidInputError("index must be an InvertedIndex or a searcher callable")
+    """Run every ground-truth query against `index` and report AP per query
+    plus the mean. `descriptors` maps image id to descriptor."""
     if not gt:
         raise InvalidInputError("ground truth lists no queries")
     missing = [qid for qid in gt if qid not in descriptors]
@@ -88,7 +77,7 @@ def evaluate(
     total = 0.0
     for qid in sorted(gt):
         start = time.perf_counter()
-        ranked = searcher(descriptors[qid], None, self_exclude)
+        ranked = query(index, descriptors[qid], None, self_exclude)
         elapsed = time.perf_counter() - start
         ap = average_precision([image_id for image_id, _ in ranked], gt[qid])
         per_query.append((qid, ap, elapsed))

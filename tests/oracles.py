@@ -100,10 +100,10 @@ def assign_to_cells(centers, region_size, cell_grid, origin=(0.0, 0.0)) -> list[
     return cells
 
 
-def encode_layer(features: FeatureGrid, layer) -> FeatureGrid:
-    """Per-signal coding, unit buckets, per-cell pools, concatenation."""
+def encode_layer(features: FeatureGrid, layer, d) -> FeatureGrid:
+    """Per-signal coding against `d`, unit buckets, per-cell pools,
+    concatenation."""
     unit = layer.coding_unit_size
-    d = layer.dictionary
     sparsity = min(layer.sparsity, d.signal_dim, d.size)
     codes = [omp_one(d, features.vectors[i], sparsity) for i in range(features.count)]
     h, w = features.extent

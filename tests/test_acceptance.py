@@ -55,14 +55,12 @@ def test_criterion_1_descriptor_length_law():
 
     def single_layer_arch(pyramid):
         d = random_dictionary(rng, 25, 1000)
-        layer = LayerConfig(
-            codebook_size=1000, sparsity=4, input_patch_size=5, stride=2, dictionary=d
-        )
-        return ArchitectureConfig([layer], pyramid)
+        layer = LayerConfig(codebook_size=1000, sparsity=4, input_patch_size=5, stride=2)
+        return ArchitectureConfig([layer], pyramid), [d]
 
-    desc_single = encode_image(image, single_layer_arch([1]), "a")
+    desc_single = encode_image(image, *single_layer_arch([1]), "a")
     assert desc_single.length == 2000
-    desc_combined = encode_image(image, single_layer_arch([1, 2, 3]), "b")
+    desc_combined = encode_image(image, *single_layer_arch([1, 2, 3]), "b")
     assert desc_combined.length == 28000
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -249,30 +247,23 @@ def _directional_run(seed, k_final=64, k1=32, patch=5, stride=1, l1=4, lf=4):
         stride=stride,
         coding_unit_size=ARRANGEMENT_TILE,
         cell_grid=2,
-        dictionary=_train_codebook(patches, k1, l1, seed),
     )
+    layer1_dict = _train_codebook(patches, k1, l1, seed)
     unit_features = []
     for img in images.values():
-        unit_features.append(encode_layer(extract_patches(img, patch, stride), layer1).vectors.T)
+        grid = encode_layer(extract_patches(img, patch, stride), layer1, layer1_dict)
+        unit_features.append(grid.vectors.T)
     layer2_dict = _train_codebook(np.concatenate(unit_features, axis=1), k_final, lf, seed)
-    two_layer = ArchitectureConfig(
-        [layer1, LayerConfig(codebook_size=k_final, sparsity=lf, dictionary=layer2_dict)], [1]
-    )
+    two_layer = ArchitectureConfig([layer1, LayerConfig(codebook_size=k_final, sparsity=lf)], [1])
     one_layer = ArchitectureConfig(
-        [
-            LayerConfig(
-                codebook_size=k_final,
-                sparsity=lf,
-                input_patch_size=patch,
-                stride=stride,
-                dictionary=_train_codebook(patches, k_final, lf, seed),
-            )
-        ],
+        [LayerConfig(codebook_size=k_final, sparsity=lf, input_patch_size=patch, stride=stride)],
         [1],
     )
+    one_dict = _train_codebook(patches, k_final, lf, seed)
     bof_dict = _train_codebook(patches, k_final, 1, seed)
-    two = _mean_ap({i: encode_image(img, two_layer, i) for i, img in images.items()}, gt)
-    one = _mean_ap({i: encode_image(img, one_layer, i) for i, img in images.items()}, gt)
+    two_books, one_books = [layer1_dict, layer2_dict], [one_dict]
+    two = _mean_ap({i: encode_image(img, two_layer, two_books, i) for i, img in images.items()}, gt)
+    one = _mean_ap({i: encode_image(img, one_layer, one_books, i) for i, img in images.items()}, gt)
     bof = _mean_ap(
         {i: encode_image_bof(img, bof_dict, patch, stride, i) for i, img in images.items()}, gt
     )
@@ -369,15 +360,13 @@ def test_criterion_8_invariant_suite():
     d1 = random_dictionary(rng, 25, 12)
     layer1 = LayerConfig(
         codebook_size=12, sparsity=3, input_patch_size=5, stride=2,
-        coding_unit_size=16, cell_grid=4, dictionary=d1,
+        coding_unit_size=16, cell_grid=4,
     )
     d2 = random_dictionary(rng, 2 * 12 * 16, 10)
-    arch = ArchitectureConfig(
-        [layer1, LayerConfig(codebook_size=10, sparsity=3, dictionary=d2)], [1, 2]
-    )
+    arch = ArchitectureConfig([layer1, LayerConfig(codebook_size=10, sparsity=3)], [1, 2])
     img = IntensityImage(texture_image(11, side=64))
-    first = encode_image(img, arch, "img")
-    second = encode_image(img, arch, "img")
+    first = encode_image(img, arch, [d1, d2], "img")
+    second = encode_image(img, arch, [d1, d2], "img")
     assert first.length == 2 * 10 * 5
     npt.assert_allclose(np.linalg.norm(first.values), 1.0, atol=1e-9)
     assert first.values.tobytes() == second.values.tobytes()

@@ -278,6 +278,33 @@ class TestEncode:
         assert not (tmp_path / "descriptors").exists()
 
 
+class TestStaleCodebooks:
+    """encode checks every codebook against the architecture before it
+    decodes any image; a stale one exits 2 naming its file."""
+
+    @pytest.mark.parametrize(
+        "flags, edit, name",
+        [
+            (["--baseline"], ("codebook_size = 16", "codebook_size = 12"), "baseline.hmpd"),
+            (["--baseline"], ("patch_size = 5", "patch_size = 3"), "baseline.hmpd"),
+            ([], ("patch_size = 5", "patch_size = 3"), "layer1.hmpd"),
+        ],
+        ids=["baseline-atoms", "baseline-patch", "layer1-patch"],
+    )
+    def test_stale_codebook_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, flags, edit, name):
+        cfg = make_workspace(tmp_path)
+        assert run_cli(cfg, *flags, "train-dict") == 0
+        arch = tmp_path / "arch.cfg"
+        arch.write_text(arch.read_text().replace(*edit))
+        decoded = []
+        load_image = cli.load_image
+        monkeypatch.setattr(cli, "load_image", lambda path: decoded.append(path) or load_image(path))
+        assert run_cli(cfg, *flags, "encode") == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "dicts" / name) in err and "Traceback" not in err
+        assert decoded == [] and not (tmp_path / "descriptors").exists()
+
+
 class TestIndexAndQuery:
     @pytest.fixture()
     def pipeline(self, tmp_path):

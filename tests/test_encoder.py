@@ -93,10 +93,8 @@ class TestEncodeLayer:
         rng = np.random.default_rng(3)
         d = random_dictionary(rng, 9, 12)
         grid = feature_grid_from_image(rng.uniform(size=(8, 8)))
-        layer = LayerConfig(
-            codebook_size=12, sparsity=3, coding_unit_size=8, cell_grid=1, dictionary=d
-        )
-        out = encode_layer(grid, layer)
+        layer = LayerConfig(codebook_size=12, sparsity=3, coding_unit_size=8, cell_grid=1)
+        out = encode_layer(grid, layer, d)
         assert out.count == 1
         codes = [oracles.omp_one(d, grid.vectors[i], 3) for i in range(grid.count)]
         expected = l2_normalize(oracles.signed_max_pool(codes, 12))
@@ -109,10 +107,8 @@ class TestEncodeLayer:
         rng = np.random.default_rng(4)
         d = random_dictionary(rng, 9, 8)
         grid = feature_grid_from_image(np.full((16, 16), 0.5))
-        layer = LayerConfig(
-            codebook_size=8, sparsity=2, coding_unit_size=8, cell_grid=2, dictionary=d
-        )
-        out = encode_layer(grid, layer)
+        layer = LayerConfig(codebook_size=8, sparsity=2, coding_unit_size=8, cell_grid=2)
+        out = encode_layer(grid, layer, d)
         assert out.count == 4
         npt.assert_array_equal(out.vectors, 0.0)
 
@@ -120,10 +116,8 @@ class TestEncodeLayer:
         rng = np.random.default_rng(5)
         d = random_dictionary(rng, 9, 10)
         grid = feature_grid_from_image(rng.uniform(size=(16, 16)))
-        layer = LayerConfig(
-            codebook_size=10, sparsity=2, coding_unit_size=8, cell_grid=2, dictionary=d
-        )
-        out = encode_layer(grid, layer)
+        layer = LayerConfig(codebook_size=10, sparsity=2, coding_unit_size=8, cell_grid=2)
+        out = encode_layer(grid, layer, d)
         assert out.vectors.shape == (4, 2 * 10 * 4)
         norms = np.linalg.norm(out.vectors, axis=1)
         npt.assert_allclose(norms, 1.0, atol=1e-9)
@@ -132,10 +126,8 @@ class TestEncodeLayer:
         rng = np.random.default_rng(6)
         d = random_dictionary(rng, 9, 8)
         grid = feature_grid_from_image(rng.uniform(size=(16, 16)))
-        layer = LayerConfig(
-            codebook_size=8, sparsity=2, coding_unit_size=8, cell_grid=2, dictionary=d
-        )
-        out = encode_layer(grid, layer)
+        layer = LayerConfig(codebook_size=8, sparsity=2, coding_unit_size=8, cell_grid=2)
+        out = encode_layer(grid, layer, d)
         npt.assert_allclose(out.centers, [[4, 4], [4, 12], [12, 4], [12, 12]])
 
     def test_permuting_features_within_cell_is_invariant(self):
@@ -145,33 +137,23 @@ class TestEncodeLayer:
         # each unit holds a 2x2 block of patch centers, one per cell
         pixels = rng.uniform(size=(4, 8))
         grid = feature_grid_from_image(pixels, patch_size=2, stride=2)
-        layer = LayerConfig(
-            codebook_size=6, sparsity=2, coding_unit_size=4, cell_grid=1, dictionary=d
-        )
-        out = encode_layer(grid, layer)
+        layer = LayerConfig(codebook_size=6, sparsity=2, coding_unit_size=4, cell_grid=1)
+        out = encode_layer(grid, layer, d)
         # permute the two features inside unit 0 (centers in columns < 4)
         members = [i for i in range(grid.count) if grid.centers[i][1] < 4]
         swapped = grid.vectors.copy()
         swapped[[members[0], members[1]]] = swapped[[members[1], members[0]]]
-        out2 = encode_layer(FeatureGrid(grid.centers, swapped, grid.extent), layer)
+        out2 = encode_layer(FeatureGrid(grid.centers, swapped, grid.extent), layer, d)
         npt.assert_allclose(out2.vectors[0], out.vectors[0], atol=1e-12)
 
     def test_dimension_mismatch_reports_shapes(self):
         rng = np.random.default_rng(8)
         d = random_dictionary(rng, 5, 6)
         grid = feature_grid_from_image(rng.uniform(size=(8, 8)))  # 9-dim patches
-        layer = LayerConfig(
-            codebook_size=6, sparsity=2, coding_unit_size=8, cell_grid=2, dictionary=d
-        )
-        with pytest.raises(InvalidInputError) as err:
-            encode_layer(grid, layer)
-        assert "9" in str(err.value) and "5" in str(err.value)
-
-    def test_missing_dictionary_rejected(self):
-        grid = feature_grid_from_image(np.full((8, 8), 0.5))
         layer = LayerConfig(codebook_size=6, sparsity=2, coding_unit_size=8, cell_grid=2)
-        with pytest.raises(ConfigError):
-            encode_layer(grid, layer)
+        with pytest.raises(InvalidInputError) as err:
+            encode_layer(grid, layer, d)
+        assert "9" in str(err.value) and "5" in str(err.value)
 
 
 def code_grid(rng, k, centers, extent, density=0.6):
@@ -242,11 +224,10 @@ def two_layer_architecture(rng, k_final=16, pyramid=(1,)):
         stride=1,
         coding_unit_size=16,
         cell_grid=4,
-        dictionary=d1,
     )
     d2 = random_dictionary(rng, 2 * 12 * 16, k_final)
-    layer2 = LayerConfig(codebook_size=k_final, sparsity=4, dictionary=d2)
-    return ArchitectureConfig([layer1, layer2], list(pyramid))
+    layer2 = LayerConfig(codebook_size=k_final, sparsity=4)
+    return ArchitectureConfig([layer1, layer2], list(pyramid)), [d1, d2]
 
 
 class TestArchitectureConfig:
@@ -280,77 +261,75 @@ class TestArchitectureConfig:
 
     def test_dimension_chain_validated(self):
         rng = np.random.default_rng(13)
-        arch = two_layer_architecture(rng)
-        arch.validate_dictionaries()
-        bad = ArchitectureConfig(
-            [arch.layers[0], LayerConfig(codebook_size=16, sparsity=4, dictionary=random_dictionary(rng, 100, 16))],
-            [1],
-        )
+        arch, (d1, d2) = two_layer_architecture(rng)
+        img = IntensityImage(np.full((16, 16), 0.5))
+        assert encode_image(img, arch, [d1, d2]).length == 32
+        bad = random_dictionary(rng, 100, 16)
+        with pytest.raises(ConfigError, match="layer 2"):
+            encode_image(img, arch, [d1, bad])
         with pytest.raises(ConfigError):
-            bad.validate_dictionaries()
+            encode_image(img, arch, [d1])
 
     def test_descriptor_length_formula(self):
         rng = np.random.default_rng(14)
-        arch = two_layer_architecture(rng, k_final=7, pyramid=(1, 2))
+        arch, _ = two_layer_architecture(rng, k_final=7, pyramid=(1, 2))
         assert arch.descriptor_length() == 2 * 7 * 5
 
 
 class TestEncodeImage:
     def test_blank_image_gives_zero_descriptor(self):
         rng = np.random.default_rng(15)
-        arch = two_layer_architecture(rng)
-        desc = encode_image(IntensityImage(np.full((72, 72), 0.5)), arch, "blank")
+        arch, codebooks = two_layer_architecture(rng)
+        desc = encode_image(IntensityImage(np.full((72, 72), 0.5)), arch, codebooks, "blank")
         assert desc.nnz == 0
         assert desc.length == 32
 
     def test_two_layer_length_and_unit_norm(self):
         rng = np.random.default_rng(16)
-        arch = two_layer_architecture(rng, k_final=16, pyramid=(1,))
+        arch, codebooks = two_layer_architecture(rng, k_final=16, pyramid=(1,))
         img = IntensityImage(texture_image(5, side=72))
-        desc = encode_image(img, arch, "synthetic")
+        desc = encode_image(img, arch, codebooks, "synthetic")
         assert desc.length == 2 * 16
         npt.assert_allclose(np.linalg.norm(desc.values), 1.0, atol=1e-9)
 
     def test_deterministic_bit_for_bit(self):
         rng = np.random.default_rng(17)
-        arch = two_layer_architecture(rng)
+        arch, codebooks = two_layer_architecture(rng)
         img = IntensityImage(texture_image(6, side=48))
-        a = encode_image(img, arch, "x")
-        b = encode_image(img, arch, "x")
+        a = encode_image(img, arch, codebooks, "x")
+        b = encode_image(img, arch, codebooks, "x")
         assert a.indices.tolist() == b.indices.tolist()
         assert a.values.tobytes() == b.values.tobytes()
 
     def test_too_small_image_names_minimum(self):
         rng = np.random.default_rng(18)
-        arch = two_layer_architecture(rng)
+        arch, codebooks = two_layer_architecture(rng)
         with pytest.raises(ImageTooSmallError) as err:
-            encode_image(IntensityImage(np.full((12, 12), 0.5)), arch, "tiny")
+            encode_image(IntensityImage(np.full((12, 12), 0.5)), arch, codebooks, "tiny")
         assert "16" in str(err.value)
 
     def test_too_small_for_a_deeper_unit_names_its_minimum(self):
         # 20 px holds one 16 px layer-1 unit but no 36 px layer-2 unit
         rng = np.random.default_rng(24)
-        layer1, layer2 = two_layer_architecture(rng, k_final=4).layers
+        two, codebooks = two_layer_architecture(rng, k_final=4)
+        layer1, layer2 = two.layers
         layer2 = replace(layer2, coding_unit_size=36, cell_grid=2)
-        layer3 = LayerConfig(
-            codebook_size=4, sparsity=2, dictionary=random_dictionary(rng, 2 * 4 * 4, 4)
-        )
+        codebooks.append(random_dictionary(rng, 2 * 4 * 4, 4))
+        layer3 = LayerConfig(codebook_size=4, sparsity=2)
         arch = ArchitectureConfig([layer1, layer2, layer3], [1])
         assert minimum_image_side(arch) == 36
         with pytest.raises(ImageTooSmallError, match="36x36"):
-            encode_image(IntensityImage(texture_image(8, side=20)), arch, "tiny")
-        desc = encode_image(IntensityImage(texture_image(8, side=36)), arch, "fits")
+            encode_image(IntensityImage(texture_image(8, side=20)), arch, codebooks, "tiny")
+        desc = encode_image(IntensityImage(texture_image(8, side=36)), arch, codebooks, "fits")
         assert desc.nnz > 0
 
     def test_single_layer_pipeline(self):
         rng = np.random.default_rng(19)
         d = random_dictionary(rng, 25, 10)
-        layer = LayerConfig(
-            codebook_size=10, sparsity=3, input_patch_size=5, stride=2, dictionary=d
-        )
+        layer = LayerConfig(codebook_size=10, sparsity=3, input_patch_size=5, stride=2)
         arch = ArchitectureConfig([layer], [1, 2])
         img = IntensityImage(texture_image(7, side=32))
-        desc = encode_image(img, arch, "one-layer")
+        desc = encode_image(img, arch, [d], "one-layer")
         assert desc.length == 2 * 10 * 5
         npt.assert_allclose(np.linalg.norm(desc.values), 1.0, atol=1e-9)
 

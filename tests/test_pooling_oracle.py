@@ -85,10 +85,10 @@ def test_encode_layer_matches_unit_bucket_loops(seed, cell_grid, cell_width, ext
         sparsity=int(rng.integers(1, 4)),
         coding_unit_size=unit,
         cell_grid=cell_grid,
-        dictionary=random_dictionary(rng, dim, k),
     )
-    got = encode_layer(features, layer)
-    want = oracles.encode_layer(features, layer)
+    d = random_dictionary(rng, dim, k)
+    got = encode_layer(features, layer, d)
+    want = oracles.encode_layer(features, layer, d)
     assert got.centers.tobytes() == want.centers.tobytes()
     assert got.vectors.shape == want.vectors.shape
     assert got.vectors.tobytes() == want.vectors.tobytes()

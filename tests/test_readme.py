@@ -1,9 +1,14 @@
-"""The README's library example runs as written."""
+"""The README's library example runs and its config examples load as
+written."""
 
+import logging
 import re
 from pathlib import Path
 
 import numpy as np
+
+from hmpsearch import load_architecture
+from hmpsearch.cli import load_run_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,3 +21,17 @@ def test_python_blocks_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_config_blocks_load_without_warnings(tmp_path, caplog):
+    run_block, arch_block = re.findall(
+        r"^```ini\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S
+    )
+    (tmp_path / "run.cfg").write_text(run_block)
+    (tmp_path / "arch.cfg").write_text(arch_block)
+    caplog.set_level(logging.DEBUG)
+    cfg = load_run_config(tmp_path / "run.cfg")
+    arch = load_architecture(cfg.architecture)
+    assert cfg.seed == 0
+    assert [layer.codebook_size for layer in arch.layers] == [128, 1000]
+    assert caplog.records == []
