@@ -19,6 +19,7 @@ from .encoder import (
     FeatureGrid,
     ImageDescriptor,
     LayerConfig,
+    baseline_architecture,
     encode_image,
     encode_image_bof,
     encode_layer,

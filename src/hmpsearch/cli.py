@@ -8,7 +8,10 @@ admits the same images: it skips, with a warning, each image that cannot be
 decoded or whose shorter side (after the optional resize) is too small for
 the pipeline. A malformed input file ends the stage with an error naming
 it. `encode` and `query` check every codebook against the architecture
-before decoding any image, so a stale one ends the stage naming its file.
+before decoding any image or the index, so a stale one ends the stage
+naming its file. The run file is the one source of every run setting, the
+seed included. `--baseline`, given to every stage, codes with the one-layer
+`encoder.baseline_architecture`; `build-index --idf` weights the index.
 Set HMPSEARCH_LOG=debug|info|warning to control verbosity.
 """
 
@@ -29,14 +32,14 @@ from .coding import load_dictionary, save_dictionary
 from .dictionary import TrainConfig, TrainingSet, train
 from .encoder import (
     ArchitectureConfig,
-    LayerConfig,
+    baseline_architecture,
     check_codebook,
+    check_image_size,
     encode_image,
     encode_image_bof,
     layer_inputs,
     load_architecture,
     load_descriptor,
-    minimum_image_side,
     save_descriptor,
 )
 from .errors import ConfigError, DecodeError, HmpError, ImageTooSmallError, InvalidInputError
@@ -59,15 +62,20 @@ class RunConfig:
     report: str = ""
     seed: int = 0
     resize_max_side: int = 0
-    baseline: bool = False
-    use_idf: bool = False
+    baseline: bool = False  # the --baseline flag; the file has no such key
     train_iterations: int = 15
     sample_cap: int = 20000
 
 
+# Smallest value each [run] number may take.
+_RUN_MINIMUMS = dict(seed=0, train_iterations=1, sample_cap=1, resize_max_side=0)
+
+
 def load_run_config(path) -> RunConfig:
-    """Read the [run] section; `%` in a value is literal."""
-    parser = read_config(path, "run config", {"run": {field.name for field in fields(RunConfig)}})
+    """Read the [run] section; `%` in a value is literal, and a number below
+    its minimum is a ConfigError naming the file."""
+    keys = {field.name for field in fields(RunConfig)} - {"baseline"}
+    parser = read_config(path, "run config", {"run": keys})
     if not parser.has_section("run"):
         raise ConfigError(f"{path}: missing [run] section")
     section = parser["run"]
@@ -88,8 +96,6 @@ def load_run_config(path) -> RunConfig:
             report=resolve("report"),
             seed=section.getint("seed", 0),
             resize_max_side=section.getint("resize_max_side", 0),
-            baseline=section.getboolean("baseline", False),
-            use_idf=section.getboolean("use_idf", False),
             train_iterations=section.getint("train_iterations", 15),
             sample_cap=section.getint("sample_cap", 20000),
         )
@@ -99,18 +105,11 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: [run] manifest is required")
     if not cfg.architecture:
         raise ConfigError(f"{path}: [run] architecture is required")
-    return cfg
-
-
-# Smallest value each [run] number (and the --seed override) may take.
-_RUN_MINIMUMS = dict(seed=0, train_iterations=1, sample_cap=1, resize_max_side=0)
-
-
-def _check_run_numbers(cfg: RunConfig, path) -> None:
     for key, low in _RUN_MINIMUMS.items():
         value = getattr(cfg, key)
         if value < low:
             raise ConfigError(f"{path}: {key} must be >= {low}, got {value}")
+    return cfg
 
 
 def safe_filename(image_id: str) -> str:
@@ -124,10 +123,16 @@ def _read_image(cfg: RunConfig, path) -> IntensityImage:
     return img
 
 
+def _architecture(cfg: RunConfig) -> ArchitectureConfig:
+    """The architecture the run codes with: the file's, or with --baseline
+    the one-layer bag-of-features architecture derived from it."""
+    arch = load_architecture(cfg.architecture)
+    return baseline_architecture(arch) if cfg.baseline else arch
+
+
 def _load_corpus(cfg: RunConfig, arch: ArchitectureConfig):
     """Decode every manifest image, skipping (and logging) the unreadable
     ones and those too small for the pipeline."""
-    need = arch.layers[0].input_patch_size if cfg.baseline else minimum_image_side(arch)
     records = read_manifest(cfg.manifest)
     if not records:
         raise InvalidInputError(f"manifest {cfg.manifest} lists no images")
@@ -135,11 +140,7 @@ def _load_corpus(cfg: RunConfig, arch: ArchitectureConfig):
     for image_id, path in records:
         try:
             img = _read_image(cfg, path)
-            if min(img.height, img.width) < need:
-                raise ImageTooSmallError(
-                    f"{path} is {img.height}x{img.width}; the pipeline needs at least"
-                    f" {need}x{need} pixels"
-                )
+            check_image_size(img, arch, path)
         except (DecodeError, ImageTooSmallError) as exc:
             log.warning("skipping %s: %s", image_id, exc)
             continue
@@ -182,13 +183,12 @@ def _codebooks(cfg: RunConfig, arch: ArchitectureConfig):
     """(label, input depth, seed, layer) of each codebook the run trains, in
     layer order; the label names the codebook file `<label>.hmpd`."""
     if cfg.baseline:
-        # one nearest-atom codebook over layer-1 patches
-        return [("baseline", 1, cfg.seed, LayerConfig(arch.final_layer.codebook_size, sparsity=1))]
+        return [("baseline", 1, cfg.seed, arch.layers[0])]
     return [(f"layer{d}", d, cfg.seed + d, layer) for d, layer in enumerate(arch.layers, start=1)]
 
 
 def cmd_train_dict(cfg: RunConfig) -> int:
-    arch = load_architecture(cfg.architecture)
+    arch = _architecture(cfg)
     images = _load_corpus(cfg, arch)
     lines = []
     codebooks = []  # the layers above code their inputs with these
@@ -222,16 +222,12 @@ def _encoder(cfg: RunConfig, arch: ArchitectureConfig):
         return dictionary
 
     codebooks = [codebook(label, depth, layer) for label, depth, _, layer in _codebooks(cfg, arch)]
-    if cfg.baseline:
-        first = arch.layers[0]
-        return lambda image_id, img: encode_image_bof(
-            img, codebooks[0], first.input_patch_size, first.stride, image_id
-        )
-    return lambda image_id, img: encode_image(img, arch, codebooks, image_id)
+    encode = encode_image_bof if cfg.baseline else encode_image
+    return lambda image_id, img: encode(img, arch, codebooks, image_id)
 
 
 def cmd_encode(cfg: RunConfig) -> int:
-    arch = load_architecture(cfg.architecture)
+    arch = _architecture(cfg)
     encode = _encoder(cfg, arch)
     images = _load_corpus(cfg, arch)
     owners: dict[str, str] = {}
@@ -259,10 +255,10 @@ def _load_descriptors(cfg: RunConfig):
     return [load_descriptor(os.path.join(cfg.descriptor_dir, name)) for name in files]
 
 
-def cmd_build_index(cfg: RunConfig) -> int:
+def cmd_build_index(cfg: RunConfig, idf: bool) -> int:
     descriptors = _load_descriptors(cfg)
     idx = build_index(descriptors[0].length, descriptors)
-    if cfg.use_idf:
+    if idf:
         idx = apply_idf(idx)
     save_index(idx, cfg.index_path)
     print(f"indexed {idx.doc_count} descriptors of dimension {idx.dimension}")
@@ -270,10 +266,10 @@ def cmd_build_index(cfg: RunConfig) -> int:
 
 
 def cmd_query(cfg: RunConfig, image_path: str, top_k: int, self_exclude: bool) -> int:
+    encode = _encoder(cfg, _architecture(cfg))
     if not os.path.exists(cfg.index_path):
         raise ConfigError(f"index {cfg.index_path} not found; run build-index first")
     idx = load_index(cfg.index_path)
-    encode = _encoder(cfg, load_architecture(cfg.architecture))
     desc = encode(os.path.splitext(os.path.basename(image_path))[0], _read_image(cfg, image_path))
     for rank, (image_id, score) in enumerate(
         query(idx, desc, top_k, self_exclude=self_exclude), start=1
@@ -288,8 +284,7 @@ def _fingerprint(cfg: RunConfig, idf: bool) -> str:
     missing files are skipped."""
     paths = [cfg.architecture]
     try:
-        arch = load_architecture(cfg.architecture)
-        paths += [_dict_path(cfg, label) for label, *_ in _codebooks(cfg, arch)]
+        paths += [_dict_path(cfg, label) for label, *_ in _codebooks(cfg, _architecture(cfg))]
     except ConfigError:
         pass
     digest = hashlib.sha256()
@@ -305,7 +300,7 @@ def _fingerprint(cfg: RunConfig, idf: bool) -> str:
     return digest.hexdigest()[:16]
 
 
-def cmd_evaluate(cfg: RunConfig, self_exclude: bool = True) -> int:
+def cmd_evaluate(cfg: RunConfig) -> int:
     if not cfg.ground_truth:
         raise ConfigError("[run] ground_truth is required for evaluate")
     if not os.path.exists(cfg.index_path):
@@ -314,9 +309,7 @@ def cmd_evaluate(cfg: RunConfig, self_exclude: bool = True) -> int:
     idx = load_index(cfg.index_path)
     descriptors = {desc.image_id: desc for desc in _load_descriptors(cfg)}
     fingerprint = _fingerprint(cfg, idf=idx.idf is not None)
-    report = evaluate(
-        idx, descriptors, gt, self_exclude=self_exclude, config_fingerprint=fingerprint
-    )
+    report = evaluate(idx, descriptors, gt, config_fingerprint=fingerprint)
     report_path = cfg.report or cfg.index_path + ".report.txt"
     write_report(report, report_path)
     print(f"mAP {report.mean_ap:.6f}")
@@ -330,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         " encode descriptors, index, query, evaluate.",
     )
     parser.add_argument("--config", required=True, help="run config file")
-    parser.add_argument("--seed", type=int, help="override [run] seed")
     parser.add_argument(
         "--baseline", action="store_true", help="bag-of-features pipeline instead of layered coding"
     )
@@ -345,10 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument(
         "--no-self-exclude", action="store_true", help="let the query match its own id"
     )
-    p_eval = sub.add_parser("evaluate", help="mean average precision over the ground truth")
-    p_eval.add_argument(
-        "--no-self-exclude", action="store_true", help="count the query itself as a hit"
-    )
+    sub.add_parser("evaluate", help="mean average precision over the ground truth")
     return parser
 
 
@@ -357,24 +346,17 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_run_config(args.config)
-        cfg = replace(
-            cfg,
-            seed=cfg.seed if args.seed is None else args.seed,
-            baseline=cfg.baseline or args.baseline,
-            use_idf=cfg.use_idf or getattr(args, "idf", False),
-        )
-        _check_run_numbers(cfg, args.config)
+        cfg = replace(load_run_config(args.config), baseline=args.baseline)
         if args.command == "train-dict":
             return cmd_train_dict(cfg)
         if args.command == "encode":
             return cmd_encode(cfg)
         if args.command == "build-index":
-            return cmd_build_index(cfg)
+            return cmd_build_index(cfg, args.idf)
         if args.command == "query":
             return cmd_query(cfg, args.image, args.top_k, not args.no_self_exclude)
         if args.command == "evaluate":
-            return cmd_evaluate(cfg, self_exclude=not args.no_self_exclude)
+            return cmd_evaluate(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
     except HmpError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -284,6 +284,25 @@ def minimum_image_side(arch: ArchitectureConfig) -> int:
     return max([arch.layers[0].input_patch_size, *units])
 
 
+def check_image_size(img: IntensityImage, arch: ArchitectureConfig, subject: str) -> None:
+    """Raise an ImageTooSmallError naming `subject` unless the shorter side
+    of `img` reaches `minimum_image_side(arch)`."""
+    need = minimum_image_side(arch)
+    if min(img.height, img.width) < need:
+        raise ImageTooSmallError(
+            f"{subject} is {img.height}x{img.width}; the pipeline needs at least"
+            f" {need}x{need} pixels"
+        )
+
+
+def baseline_architecture(arch: ArchitectureConfig) -> ArchitectureConfig:
+    """The bag-of-features baseline of `arch`: one layer that codes layer-1
+    patches with one nearest-atom codebook the size of the final layer's."""
+    first = arch.layers[0]
+    layer = LayerConfig(arch.final_layer.codebook_size, 1, first.input_patch_size, first.stride)
+    return ArchitectureConfig([layer])
+
+
 def layer_inputs(img: IntensityImage, arch: ArchitectureConfig, codebooks) -> FeatureGrid:
     """Signals entering the layer above the given codebooks: layer-1 patches,
     coded and pooled by one layer per codebook, in layer order."""
@@ -294,46 +313,42 @@ def layer_inputs(img: IntensityImage, arch: ArchitectureConfig, codebooks) -> Fe
     return grid
 
 
+def _check_inputs(img: IntensityImage, arch: ArchitectureConfig, codebooks, image_id: str) -> None:
+    """The checks both encoders make: one codebook per layer, each with its
+    layer's atom count and input dimension, and an image large enough."""
+    if len(codebooks) != len(arch.layers):
+        raise ConfigError(f"{len(arch.layers)} layers need as many codebooks, got {len(codebooks)}")
+    for depth, (layer, dictionary) in enumerate(zip(arch.layers, codebooks), start=1):
+        check_codebook(dictionary, layer, arch.layer_input_dim(depth), f"layer {depth} codebook")
+    check_image_size(img, arch, f"image {image_id!r}")
+
+
 def encode_image(
     img: IntensityImage, arch: ArchitectureConfig, codebooks, image_id: str = ""
 ) -> ImageDescriptor:
     """Run the full layered pipeline on one image, coding each layer with
     its codebook from `codebooks` (one per layer, in layer order)."""
-    if len(codebooks) != len(arch.layers):
-        raise ConfigError(f"{len(arch.layers)} layers need as many codebooks, got {len(codebooks)}")
-    for depth, (layer, dictionary) in enumerate(zip(arch.layers, codebooks), start=1):
-        check_codebook(dictionary, layer, arch.layer_input_dim(depth), f"layer {depth} codebook")
-    need = minimum_image_side(arch)
-    if min(img.height, img.width) < need:
-        raise ImageTooSmallError(
-            f"image {image_id!r} is {img.height}x{img.width}; the configured"
-            f" pipeline needs at least {need}x{need} pixels"
-        )
+    _check_inputs(img, arch, codebooks, image_id)
     grid = layer_inputs(img, arch, codebooks[:-1])
     return pyramid_pool(_code_grid(grid, arch.final_layer, codebooks[-1]), arch.pyramid, image_id)
 
 
 def encode_image_bof(
-    img: IntensityImage,
-    dictionary: Dictionary,
-    patch_size: int,
-    stride: int = 1,
-    image_id: str = "",
+    img: IntensityImage, arch: ArchitectureConfig, codebooks, image_id: str = ""
 ) -> ImageDescriptor:
-    """Baseline bag-of-features encoding: nearest-atom histogram.
+    """Bag-of-features encoding: nearest-atom histogram.
 
-    Every mean-subtracted patch is hard-assigned to its nearest atom, the
-    one-hot codes are average-pooled over the whole image, and the histogram
-    is normalized; the descriptor length equals the codebook size.
+    Takes the arguments of `encode_image`, with the architecture that
+    `baseline_architecture` gives: every mean-subtracted layer-1 patch is
+    hard-assigned to its nearest atom, the one-hot codes are average-pooled
+    over the whole image, and the histogram is normalized; the descriptor
+    length equals the codebook size. Under a deeper architecture the
+    signals entering the final layer take the place of the patches.
     """
-    if min(img.height, img.width) < patch_size:
-        raise ImageTooSmallError(
-            f"image {image_id!r} is {img.height}x{img.width}; patches need at"
-            f" least {patch_size}x{patch_size} pixels"
-        )
-    patches = extract_patches(img, patch_size, stride)
-    nearest = vq_encode_batch(dictionary, patches.vectors.T)
-    hist = np.bincount(nearest, minlength=dictionary.size) / patches.count
+    _check_inputs(img, arch, codebooks, image_id)
+    grid = layer_inputs(img, arch, codebooks[:-1])
+    nearest = vq_encode_batch(codebooks[-1], grid.vectors.T)
+    hist = np.bincount(nearest, minlength=codebooks[-1].size) / grid.count
     return descriptor_from_dense(image_id, l2_normalize(hist))
 
 

@@ -17,6 +17,7 @@ from hmpsearch import (
     TrainConfig,
     TrainingSet,
     average_precision,
+    baseline_architecture,
     build_index,
     encode_image,
     encode_image_bof,
@@ -264,8 +265,9 @@ def _directional_run(seed, k_final=64, k1=32, patch=5, stride=1, l1=4, lf=4):
     two_books, one_books = [layer1_dict, layer2_dict], [one_dict]
     two = _mean_ap({i: encode_image(img, two_layer, two_books, i) for i, img in images.items()}, gt)
     one = _mean_ap({i: encode_image(img, one_layer, one_books, i) for i, img in images.items()}, gt)
+    bof_layer, bof_books = baseline_architecture(two_layer), [bof_dict]
     bof = _mean_ap(
-        {i: encode_image_bof(img, bof_dict, patch, stride, i) for i, img in images.items()}, gt
+        {i: encode_image_bof(img, bof_layer, bof_books, i) for i, img in images.items()}, gt
     )
     return two, one, bof
 

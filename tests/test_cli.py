@@ -101,12 +101,13 @@ def report_fingerprint(root):
 
 
 class TestRunConfig:
-    @pytest.mark.parametrize("key", ["threads", "incoherence_weight"])
+    @pytest.mark.parametrize("key", ["threads", "incoherence_weight", "baseline", "use_idf"])
     def test_retired_key_still_loads(self, tmp_path, caplog, key):
         cfg = make_workspace(tmp_path)
-        cfg.write_text(cfg.read_text() + f"{key} = 4\n")
+        cfg.write_text(cfg.read_text() + f"{key} = yes\n")
         loaded = load_run_config(cfg)
-        assert loaded.seed == 0 and not hasattr(loaded, key)
+        # only the --baseline flag sets `baseline`
+        assert loaded.seed == 0 and getattr(loaded, key, False) is False
         [warning] = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert str(cfg) in warning and repr(key) in warning
 
@@ -115,7 +116,6 @@ class TestRunConfig:
         [
             ("seed", "-1", []),
             ("seed", "-1", ["--baseline"]),
-            ("seed", None, ["--seed", "-3"]),
             ("sample_cap", "-5", []),
             ("sample_cap", "0", []),
             ("train_iterations", "0", []),
@@ -124,7 +124,6 @@ class TestRunConfig:
         ids=[
             "negative-seed",
             "negative-seed-baseline",
-            "negative-seed-flag",
             "negative-sample-cap",
             "zero-sample-cap",
             "zero-iterations",
@@ -133,8 +132,7 @@ class TestRunConfig:
     )
     def test_bad_number_rejected_before_any_work(self, tmp_path, capsys, key, value, flags):
         cfg = make_workspace(tmp_path)
-        if value is not None:
-            set_run_key(cfg, key, value)
+        set_run_key(cfg, key, value)
         assert run_cli(cfg, *flags, "train-dict") == 2
         err = capsys.readouterr().err
         assert str(cfg) in err and key in err
@@ -303,6 +301,16 @@ class TestStaleCodebooks:
         err = capsys.readouterr().err
         assert str(tmp_path / "dicts" / name) in err and "Traceback" not in err
         assert decoded == [] and not (tmp_path / "descriptors").exists()
+
+    def test_query_checks_codebooks_before_the_index(self, tmp_path, capsys):
+        cfg = make_workspace(tmp_path)
+        assert run_cli(cfg, "train-dict") == 0
+        (tmp_path / "corpus.hmpi").write_bytes(b"HMPI\x01 not an index")
+        arch = tmp_path / "arch.cfg"
+        arch.write_text(arch.read_text().replace("patch_size = 5", "patch_size = 3"))
+        assert run_cli(cfg, "query", str(tmp_path / "images" / "g0m0.pgm")) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "dicts" / "layer1.hmpd") in err and "corpus.hmpi" not in err
 
 
 class TestIndexAndQuery:

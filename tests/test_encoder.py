@@ -15,6 +15,7 @@ from hmpsearch import (
     IntensityImage,
     InvalidInputError,
     LayerConfig,
+    baseline_architecture,
     encode_image,
     encode_image_bof,
     encode_layer,
@@ -263,12 +264,18 @@ class TestArchitectureConfig:
         rng = np.random.default_rng(13)
         arch, (d1, d2) = two_layer_architecture(rng)
         img = IntensityImage(np.full((16, 16), 0.5))
-        assert encode_image(img, arch, [d1, d2]).length == 32
         bad = random_dictionary(rng, 100, 16)
-        with pytest.raises(ConfigError, match="layer 2"):
-            encode_image(img, arch, [d1, bad])
-        with pytest.raises(ConfigError):
-            encode_image(img, arch, [d1])
+        cases = [
+            (encode_image, arch, [d1, d2], 32),
+            (encode_image_bof, baseline_architecture(arch), [random_dictionary(rng, 25, 16)], 16),
+        ]
+        for encode, layers, codebooks, length in cases:
+            assert encode(img, layers, codebooks).length == length
+            # a wrong dimension in the last codebook, then the last one missing
+            with pytest.raises(ConfigError, match=f"layer {len(codebooks)} codebook"):
+                encode(img, layers, [*codebooks[:-1], bad])
+            with pytest.raises(ConfigError):
+                encode(img, layers, codebooks[:-1])
 
     def test_descriptor_length_formula(self):
         rng = np.random.default_rng(14)
@@ -304,9 +311,14 @@ class TestEncodeImage:
     def test_too_small_image_names_minimum(self):
         rng = np.random.default_rng(18)
         arch, codebooks = two_layer_architecture(rng)
-        with pytest.raises(ImageTooSmallError) as err:
-            encode_image(IntensityImage(np.full((12, 12), 0.5)), arch, codebooks, "tiny")
-        assert "16" in str(err.value)
+        bof_books = [random_dictionary(rng, 25, 16)]
+        cases = [
+            (encode_image, arch, codebooks, 12, "16x16"),
+            (encode_image_bof, baseline_architecture(arch), bof_books, 4, "5x5"),
+        ]
+        for encode, layers, books, side, need in cases:
+            with pytest.raises(ImageTooSmallError, match=need):
+                encode(IntensityImage(np.full((side, side), 0.5)), layers, books, "tiny")
 
     def test_too_small_for_a_deeper_unit_names_its_minimum(self):
         # 20 px holds one 16 px layer-1 unit but no 36 px layer-2 unit
@@ -335,11 +347,19 @@ class TestEncodeImage:
 
 
 class TestBofBaseline:
+    def test_baseline_architecture_is_one_nearest_atom_layer(self):
+        arch, _ = two_layer_architecture(np.random.default_rng(22), k_final=7)
+        arch.layers[0] = replace(arch.layers[0], stride=2)
+        [layer] = baseline_architecture(arch).layers
+        assert (layer.codebook_size, layer.sparsity) == (7, 1)
+        assert (layer.input_patch_size, layer.stride) == (5, 2)
+
     def test_histogram_length_equals_codebook(self):
         rng = np.random.default_rng(20)
         d = random_dictionary(rng, 25, 16)
         img = IntensityImage(texture_image(8, side=24))
-        desc = encode_image_bof(img, d, 5, 1, "bof")
+        arch = ArchitectureConfig([LayerConfig(codebook_size=16, sparsity=1, input_patch_size=5)])
+        desc = encode_image_bof(img, arch, [d], "bof")
         assert desc.length == 16
         npt.assert_allclose(np.linalg.norm(desc.values), 1.0, atol=1e-9)
 
@@ -347,7 +367,8 @@ class TestBofBaseline:
         rng = np.random.default_rng(21)
         d = random_dictionary(rng, 9, 6)
         img = IntensityImage(texture_image(9, side=8))
-        desc = encode_image_bof(img, d, 3, 1, "bof")
+        arch = ArchitectureConfig([LayerConfig(codebook_size=6, sparsity=1, input_patch_size=3)])
+        desc = encode_image_bof(img, arch, [d], "bof")
         grid = extract_patches(img, 3, 1)
         hist = np.zeros(6)
         for i in range(grid.count):

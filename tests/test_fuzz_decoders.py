@@ -141,7 +141,7 @@ def test_netpbm_structured_header(tmp_path, data):
 TEXT_FILES = {
     read_manifest: b"a\timages/a.pgm\nb c\t/abs/b.pgm\n",
     load_ground_truth: b"q1\ta,b\nq2\tc\n",
-    load_run_config: b"[run]\nmanifest = m.tsv\narchitecture = arch.cfg\nseed = 3\nbaseline = no\n",
+    load_run_config: b"[run]\nmanifest = m.tsv\narchitecture = arch.cfg\nseed = 3\n",
     load_architecture: (
         b"[layer1]\npatch_size = 5\nunit_size = 16\ncodebook_size = 8\n"
         b"[layer2]\ncodebook_size = 4\n[pyramid]\ngrids = 1, 2\n"

@@ -1,16 +1,32 @@
-"""The README's library example runs and its config examples load as
-written."""
+"""The README's library example runs, its config examples load as
+written, and it documents the run keys and flags the CLI has."""
 
+import argparse
 import logging
 import re
 from pathlib import Path
 
 import numpy as np
 
-from hmpsearch import load_architecture
-from hmpsearch.cli import load_run_config
+from hmpsearch import cli, load_architecture
+from hmpsearch.cli import build_parser, load_run_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def ini_blocks():
+    return re.findall(r"^```ini\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def parser_options(parser) -> set[str]:
+    """Every option string of `parser` and of its subcommands."""
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= parser_options(sub)
+    return options
 
 
 def test_python_blocks_run(tmp_path, monkeypatch):
@@ -24,9 +40,7 @@ def test_python_blocks_run(tmp_path, monkeypatch):
 
 
 def test_config_blocks_load_without_warnings(tmp_path, caplog):
-    run_block, arch_block = re.findall(
-        r"^```ini\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S
-    )
+    run_block, arch_block = ini_blocks()
     (tmp_path / "run.cfg").write_text(run_block)
     (tmp_path / "arch.cfg").write_text(arch_block)
     caplog.set_level(logging.DEBUG)
@@ -35,3 +49,22 @@ def test_config_blocks_load_without_warnings(tmp_path, caplog):
     assert cfg.seed == 0
     assert [layer.codebook_size for layer in arch.layers] == [128, 1000]
     assert caplog.records == []
+
+
+def test_run_keys_and_flags_match_the_cli(tmp_path, monkeypatch):
+    run_block, _ = ini_blocks()
+    (tmp_path / "run.cfg").write_text(run_block)
+    read_keys = set()
+    read_config = cli.read_config
+
+    def spy(path, what, readers):
+        read_keys.update(readers["run"])
+        return read_config(path, what, readers)
+
+    monkeypatch.setattr(cli, "read_config", spy)
+    load_run_config(tmp_path / "run.cfg")
+    assert set(re.findall(r"^(\w+) =", run_block, re.M)) == read_keys
+    text = README.read_text(encoding="utf-8")
+    cli_section = text[text.index("\n## CLI\n") : text.index("\n## Benchmark\n")]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", cli_section))
+    assert named and named <= parser_options(build_parser())
