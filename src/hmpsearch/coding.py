@@ -11,15 +11,17 @@ atoms or once the residual is negligible, and returns an N x K code matrix.
 `vq_encode_batch` is the bag-of-features rule, hard assignment to the
 nearest atom: for unit-norm atoms |a - y|^2 = 1 + |y|^2 - 2 a^T y, so it
 returns per signal the index of the largest entry of the same `D^T y`,
-ties toward the lowest. OMP takes every product over N elementwise. VQ
-screens the atoms with one BLAS product, whose rows may depend on the
-batch, and settles every row left with more than one candidate by OMP's
-elementwise `D^T y`; as it returns only an index, that index is the
-elementwise rule's. So for both, row i of a batch is bitwise the batch of
-one of column i: one signal `y` is coded as
+ties toward the lowest. Both screen with fast products (BLAS for VQ, einsum
+for OMP), whose rows may depend on the batch, under a rounding-error bound,
+and take each value that reaches their output from `_dots`, which sums
+over D in order: VQ a row's correlations where more than one atom is left,
+OMP alpha and the Gram entries on the support, and a row's candidates where
+more than one is left. So for both, row i of a batch is bitwise the batch
+of one of column i: one signal `y` is coded as
 `omp_encode_batch(d, y[:, None], s)[0]`. Both are pure functions; a
-`Dictionary` is immutable, thread-safe and computes its Gram matrix on
-first OMP use. A codebook file is an `HMPD` container of `hmpsearch.files`.
+`Dictionary` is immutable, thread-safe and computes its screening Gram
+matrix on first OMP use. A codebook file is an `HMPD` container of
+`hmpsearch.files`.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ _DICT_VERSION = 1
 @dataclass(frozen=True)
 class Dictionary:
     """Codebook of unit-norm atoms, one per column of `atoms` (D x K). The
-    K x K Gram matrix that OMP reads is computed on first use and cached."""
+    screen that OMP reads is computed on first use and cached."""
 
     atoms: np.ndarray
 
@@ -73,12 +75,9 @@ class Dictionary:
         object.__setattr__(self, "atoms", atoms)
 
     @functools.cached_property
-    def _gram(self) -> np.ndarray:
-        # accumulated like the signal correlations, so that bitwise-equal
-        # atoms have bitwise-equal Gram rows and tie toward the lower index
-        gram = _correlations(self.atoms.T, self.atoms)
-        gram.setflags(write=False)
-        return gram
+    def _screen(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Gram matrix, by einsum like OMP's screen, and the ell1 norms."""
+        return np.einsum("dk,dj->kj", self.atoms, self.atoms), np.sum(np.abs(self.atoms), axis=0)
 
     @property
     def signal_dim(self) -> int:
@@ -102,22 +101,42 @@ def _check_signals(dictionary: Dictionary, signals: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(mat.T)
 
 
-def _correlations(mat: np.ndarray, atoms: np.ndarray) -> np.ndarray:
-    """N x K inner products of the rows of `mat` (N x D) with the atoms
-    (columns of `atoms`, D x K), accumulated over the D signal rows in order
-    so that a row's result never depends on the rest of the batch."""
-    out = np.zeros((mat.shape[0], atoms.shape[1]))
-    for d in range(mat.shape[1]):
-        out += mat[:, d : d + 1] * atoms[d]
+def _dots(u: np.ndarray, i: np.ndarray, v: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Inner products of columns u[:, i] and v[:, j] (u, v: D x n) for index
+    arrays broadcast together, each summed from zero over D in order, so
+    that it never depends on what else is computed with it."""
+    i, j = np.broadcast_arrays(i, j)
+    out = np.zeros(i.shape)
+    flat, i, j = out.reshape(-1), i.ravel(), j.ravel()
+    step = max(1, 2**16 // u.shape[0])  # blocks of 2^16 products bound the work arrays
+    for lo in range(0, i.size, step):
+        # add.reduce adds the rows of a D x P block one by one, as np.sum
+        # documents for a slow axis; a spare column keeps P >= 2
+        prod = np.take(u, np.append(i[lo : lo + step], 0), axis=1)
+        prod *= np.take(v, np.append(j[lo : lo + step], 0), axis=1)
+        flat[lo : lo + step] = np.add.reduce(prod, axis=0, initial=0.0)[:-1]
     return out
 
 
-def _solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L x = rhs per row for lower-triangular L (N x t x t)."""
-    x = np.empty_like(rhs)
-    for i in range(rhs.shape[1]):
-        x[:, i] = (rhs[:, i] - np.sum(chol[:, i, :i] * x[:, :i], axis=1)) / chol[:, i, i]
-    return x
+def _correlations(mat: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """N x K `_dots` of the rows of `mat` (N x D) with the columns of `atoms`."""
+    return _dots(mat.T, np.arange(mat.shape[0])[:, None], atoms, np.arange(atoms.shape[1]))
+
+
+def _gram_at(atoms: np.ndarray, gram: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Exact Gram entries gram[p, q]; the NaN ones are computed, each pair once."""
+    need = np.zeros(gram.shape, dtype=bool)
+    need[p, q] = True
+    pm, qm = np.nonzero(need & np.isnan(gram))
+    gram[pm, qm] = gram[qm, pm] = _dots(atoms, pm, atoms, qm)
+    return gram[p, q]
+
+
+def _corrected(alpha: np.ndarray, coef: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """alpha - sum_j coef[:, j] * gram[:, j], subtracted in support order."""
+    for j in range(coef.shape[1]):
+        alpha = alpha - coef[:, j] * gram[:, j]
+    return alpha
 
 
 def _solve_upper(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -131,57 +150,95 @@ def _solve_upper(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int) -> np.ndarray:
     """Greedy sparse approximation of each column of `signals` (D x N).
 
-    Returns the N x K code matrix, one row per signal. The batch is copied
-    once into an N x D C-ordered array and every product over N is taken
-    elementwise, so a row depends only on its own signal, never on the rest
-    of the batch or on the memory layout it is passed in. Atom selection
-    ties break toward the lowest index; coding stops early once the residual
-    norm falls under RESIDUAL_STOP, once the residual is orthogonal to every
+    Returns the N x K code matrix; a row depends only on its own signal, not
+    on the batch, its memory layout or the BLAS thread count. Selection ties
+    break toward the lowest index; coding stops early once the residual norm
+    falls under RESIDUAL_STOP, once the residual is orthogonal to every
     remaining atom, or once the next atom's Cholesky pivot is at most
-    PIVOT_STOP, leaving fewer than `sparsity` nonzeros.
+    PIVOT_STOP. A column whose squared norm overflows raises InvalidInputError.
     """
     y = _check_signals(dictionary, signals)
-    if not 1 <= sparsity <= min(dictionary.signal_dim, dictionary.size):
+    n, dim = y.shape
+    if not 1 <= sparsity <= min(dim, dictionary.size):
         raise InvalidInputError(
-            f"sparsity must be in [1, min(D, K)] = [1, {min(dictionary.signal_dim, dictionary.size)}],"
-            f" got {sparsity}"
+            f"sparsity must be in [1, min(D, K)] = [1, {min(dim, dictionary.size)}], got {sparsity}"
         )
-    n = y.shape[0]
-    atoms_t, gram = dictionary.atoms.T, dictionary._gram
-    alpha = _correlations(y, dictionary.atoms)
-    # per signal: atoms in pick order, their coefficients (zero in unused
-    # slots) and the Cholesky factor of the support's Gram matrix
-    support = np.zeros((n, sparsity), dtype=np.intp)
-    coef = np.zeros((n, sparsity))
-    chol = np.zeros((n, sparsity, sparsity))
-    rows = np.arange(n)  # signals still being coded; each holds t atoms
+    y_l1 = np.sum(np.abs(y), axis=1)
+    with np.errstate(over="ignore"):  # |y|^2 <= |y|_1^2 overflows only where |y|_1 is huge
+        overflow = [int(i) for i in np.flatnonzero(y_l1 >= 1e154) if np.isinf(np.sum(y[i] * y[i]))]
+    if overflow:
+        raise InvalidInputError(f"squared norm of signal column(s) {overflow} overflows")
+    atoms, (screen, l1), yt = dictionary.atoms, dictionary._screen, np.ascontiguousarray(y.T)
+    support, coef = np.zeros((n, sparsity), dtype=np.intp), np.zeros((n, sparsity))
+    gram = np.full((dictionary.size,) * 2, np.nan)  # exact entries, as they are needed
+    # per row still coding: screened alpha, |y|_1, atoms in pick order and
+    # their coefficients, the Cholesky factor L of the support's Gram matrix
+    # and L^-1 alpha_S; a row that stops leaves its atoms and coefficients
+    approx = np.einsum("dn,dk->nk", yt, atoms)  # not BLAS, whose threads stall on a busy host
+    rows, sup, c = np.arange(n), support.copy(), coef.copy()
+    chol, fwd = np.zeros((n, sparsity, sparsity)), np.zeros((n, sparsity))
     for t in range(sparsity):
-        sup, c = support[rows, :t], coef[rows, :t]
-        residual, corr = y[rows], alpha[rows]
+        at = np.arange(rows.size)
+        mag, share = approx.copy(), np.empty_like(approx)
         for j in range(t):
-            residual = residual - c[:, j : j + 1] * atoms_t[sup[:, j]]
-            corr = corr - c[:, j : j + 1] * gram[sup[:, j]]
-        res_norm = np.sqrt(np.sum(residual * residual, axis=1))
-        mag = np.abs(corr)
-        mag[np.arange(rows.size)[:, None], sup] = -1.0
+            np.take(screen, sup[:, j], axis=0, out=share)
+            share *= c[:, j : j + 1]
+            mag -= share
+        np.abs(mag, out=mag)
+        mag[at[:, None], sup[:, :t]] = -np.inf
         best = np.argmax(mag, axis=1)
-        # stop once the residual is negligible or orthogonal to every
-        # remaining atom
-        go = (res_norm >= RESIDUAL_STOP) & (np.max(mag, axis=1) > 1e-12 * res_norm)
-        # the new row of the Cholesky factor
-        w = _solve_lower(chol[rows, :t, :t], gram[sup, best[:, None]])
-        pivot = gram[best, best] - np.sum(w * w, axis=1)
+        top = mag[at, best]
+        # Screened and exact corrected correlations and the residual norm lie
+        # within tol of their exact values: alpha and G in any summation
+        # order within D eps/2 of sum_d |y_d a_dk| and |c_j| sum_d |a_dj a_dk|
+        # (Higham 3.1; |a_dk| <= 1 + 1e-9), 2t updates within eps/2 of bound.
+        bound = y_l1 + np.sum(np.abs(c[:, :t]) * l1[sup[:, :t]], axis=1)
+        tol = 4 * (dim + t + 2) * np.finfo(np.float64).eps * bound + 1e-300
+        floor = top - 2 * tol  # an atom above it may hold the exact maximum
+        mag[at, best] = -np.inf
+        tied = ~(mag[at, np.argmax(mag, axis=1)] < floor)
+        # by max|corr_k| <= |r| <= bound both stop tests pass; other rows take |r|
+        lo, hi = top - tol, bound * (1 + 1e-8) + tol
+        go = (lo * (1 - 1e-8) - tol >= RESIDUAL_STOP) & (lo > 1e-12 * hi) & (hi < 1e154)
+        unsure = np.flatnonzero(~go)
+        if unsure.size:
+            residual = _corrected(y[rows[unsure]], c[unsure, :t, None], atoms.T[sup[unsure, :t]])
+            with np.errstate(over="ignore"):
+                res_norm = np.sqrt(np.sum(residual * residual, axis=1))
+            go[unsure] = res_norm >= RESIDUAL_STOP
+        tied = np.flatnonzero(tied & go)
+        if tied.size:  # settled by the exact corrected correlations
+            cand = ~(mag[tied] < floor[tied, None])
+            cand[np.arange(tied.size), best[tied]] = True
+            cand[np.arange(tied.size)[:, None], sup[tied, :t]] = False
+            i, k = np.nonzero(cand)
+            g = _gram_at(atoms, gram, sup[tied[i], :t], k[:, None])
+            scores = np.full(cand.shape, -np.inf)
+            scores[i, k] = np.abs(_corrected(_dots(yt, rows[tied[i]], atoms, k), c[tied[i], :t], g))
+            best[tied] = np.argmax(scores, axis=1)
+        sup[:, t] = best  # slot t takes a coefficient only if the row goes on
+        alpha = _dots(yt, rows, atoms, best)
+        g = _gram_at(atoms, gram, sup[:, : t + 1], best[:, None])  # G[S, best], G[best, best]
+        if unsure.size:
+            exact = _corrected(alpha[unsure], c[unsure, :t], g[unsure, :t])
+            go[unsure] &= np.abs(exact) > 1e-12 * res_norm
+        w = np.empty((rows.size, t))  # the new row of L: L w = G[S, best]
+        for i in range(t):
+            w[:, i] = (g[:, i] - np.sum(chol[:, i, :i] * w[:, :i], axis=1)) / chol[:, i, i]
+        pivot = g[:, t] - np.sum(w * w, axis=1)
         go &= pivot > PIVOT_STOP
-        rows, best, w, pivot = rows[go], best[go], w[go], pivot[go]
-        chol[rows, t, :t] = w
-        chol[rows, t, t] = np.sqrt(pivot)
-        support[rows, t] = best
-        factor = chol[rows, : t + 1, : t + 1]
-        z = _solve_lower(factor, alpha[rows[:, None], support[rows, : t + 1]])
-        coef[rows, : t + 1] = _solve_upper(factor, z)
+        if not go.all():
+            support[rows[~go]], coef[rows[~go]] = sup[~go], c[~go]
+            rows, approx, y_l1, sup, c, chol, fwd, w, pivot, alpha = (
+                x[go] for x in (rows, approx, y_l1, sup, c, chol, fwd, w, pivot, alpha)
+            )
+        chol[:, t, :t], chol[:, t, t] = w, np.sqrt(pivot)
+        fwd[:, t] = (alpha - np.sum(w * fwd[:, :t], axis=1)) / chol[:, t, t]
+        c[:, : t + 1] = _solve_upper(chol[:, : t + 1, : t + 1], fwd[:, : t + 1])
+    support[rows], coef[rows] = sup, c
     codes = np.zeros((n, dictionary.size))
-    # an unused slot adds zero to atom 0
-    np.add.at(codes, (np.arange(n)[:, None], support), coef)
+    nz = coef != 0.0  # as if added onto zero: unused slots and zeros leave 0.0
+    codes[np.nonzero(nz)[0], support[nz]] = coef[nz]
     return codes
 
 

@@ -208,10 +208,12 @@ def signed_max_pool(codes: np.ndarray, labels: np.ndarray, count: int) -> np.nda
         )
     if labels.size and (labels.min() < 0 or labels.max() >= count):
         raise InvalidInputError(f"labels must lie in [0, {count})")
-    # np.where, not np.maximum, so that no -0.0 enters the pooled features
-    parts = np.hstack([np.where(codes > 0.0, codes, 0.0), np.where(codes < 0.0, -codes, 0.0)])
-    out = np.zeros((count, parts.shape[1]))
-    np.maximum.at(out, labels, parts)
+    rows, dims = np.nonzero(codes)
+    values = codes[rows, dims]
+    keep = (values > 0.0) | (values < 0.0)  # a NaN pools to nothing
+    slots = np.where(values > 0.0, dims, dims + codes.shape[1])[keep]
+    out = np.zeros((count, 2 * codes.shape[1]))
+    np.maximum.at(out, (labels[rows[keep]], slots), np.abs(values[keep]))
     return out
 
 

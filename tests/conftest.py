@@ -1,8 +1,28 @@
 """Shared synthetic data builders for the test suite."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 
+import hmpsearch
 from hmpsearch import Dictionary, IntensityImage
+
+
+def outputs_under_blas_threads(code: str, *args: str) -> list[str]:
+    """Standard output of `python -c code *args`, run once with OpenBLAS's
+    default thread count and once with one thread. The tests directory and
+    the package are on the path."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    src = os.path.dirname(os.path.dirname(hmpsearch.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src, os.path.dirname(__file__)])
+    return [
+        subprocess.run(
+            [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True, env=e
+        ).stdout
+        for e in (env, {**env, "OPENBLAS_NUM_THREADS": "1"})
+    ]
 
 
 def random_dictionary(rng, dim: int, size: int) -> Dictionary:

@@ -4,7 +4,10 @@ index code.
 Coding runs one signal at a time, as a batch of one column; `omp_pursuit`
 is the per-signal greedy pursuit that re-solves the support by a fresh
 Cholesky factorization at every step, the reference for the Batch-OMP
-kernel, and `vq_exact` is nearest-atom coding without the BLAS screen.
+kernel. `omp_exact` is that kernel without its screen: every correlation
+and Gram entry comes from the elementwise `correlations` loop, and
+`omp_encode_batch` must equal it bit for bit. `vq_exact` is nearest-atom
+coding without the screen.
 Pooling loops over points, cells and regions, pooling dense code rows one
 at a time. The inverted file is a dict of (id, value) posting lists grown
 one descriptor at a time. Tests hold the array implementations
@@ -19,7 +22,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from hmpsearch import FeatureGrid, l2_normalize, omp_encode_batch, vq_encode_batch
-from hmpsearch.coding import RESIDUAL_STOP, _check_signals, _correlations
+from hmpsearch.coding import PIVOT_STOP, RESIDUAL_STOP, _check_signals
 
 
 def omp_pursuit(atoms: np.ndarray, y: np.ndarray, sparsity: int):
@@ -65,11 +68,86 @@ def vq_one(dictionary, signal) -> int:
     return int(vq_encode_batch(dictionary, np.asarray(signal, dtype=float)[:, None])[0])
 
 
+def correlations(mat: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """N x K inner products of the rows of `mat` (N x D) with the atoms
+    (columns of `atoms`, D x K), accumulated over the D signal rows in order
+    so that a row's result never depends on the rest of the batch."""
+    out = np.zeros((mat.shape[0], atoms.shape[1]))
+    for d in range(mat.shape[1]):
+        out += mat[:, d : d + 1] * atoms[d]
+    return out
+
+
 def vq_exact(dictionary, signals) -> np.ndarray:
     """Nearest atom per column of `signals` (D x N): the argmax over all K
-    atoms of the elementwise `_correlations` loop, ties toward the lowest
+    atoms of the elementwise `correlations` loop, ties toward the lowest
     index."""
-    return np.argmax(_correlations(_check_signals(dictionary, signals), dictionary.atoms), axis=1)
+    return np.argmax(correlations(_check_signals(dictionary, signals), dictionary.atoms), axis=1)
+
+
+def _solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L x = rhs per row for lower-triangular L (N x t x t)."""
+    x = np.empty_like(rhs)
+    for i in range(rhs.shape[1]):
+        x[:, i] = (rhs[:, i] - np.sum(chol[:, i, :i] * x[:, :i], axis=1)) / chol[:, i, i]
+    return x
+
+
+def _solve_upper(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L^T x = rhs per row for lower-triangular L (N x t x t)."""
+    x = np.empty_like(rhs)
+    for i in reversed(range(rhs.shape[1])):
+        x[:, i] = (rhs[:, i] - np.sum(chol[:, i + 1 :, i] * x[:, i + 1 :], axis=1)) / chol[:, i, i]
+    return x
+
+
+def omp_exact(dictionary, signals: np.ndarray, sparsity: int) -> np.ndarray:
+    """Batch-OMP over the columns of `signals` (D x N) with every
+    correlation, Gram entry and residual taken elementwise: the full N x K
+    correlations and the full K x K Gram matrix come from `correlations`,
+    and each step recomputes the residual and the corrected correlations of
+    every row still coding. Ties break toward the lowest atom index; a row
+    stops on the same three tests as `omp_encode_batch`."""
+    y = _check_signals(dictionary, signals)
+    assert 1 <= sparsity <= min(dictionary.signal_dim, dictionary.size)
+    n = y.shape[0]
+    atoms_t = dictionary.atoms.T
+    gram = correlations(atoms_t, dictionary.atoms)
+    alpha = correlations(y, dictionary.atoms)
+    # per signal: atoms in pick order, their coefficients (zero in unused
+    # slots) and the Cholesky factor of the support's Gram matrix
+    support = np.zeros((n, sparsity), dtype=np.intp)
+    coef = np.zeros((n, sparsity))
+    chol = np.zeros((n, sparsity, sparsity))
+    rows = np.arange(n)  # signals still being coded; each holds t atoms
+    for t in range(sparsity):
+        sup, c = support[rows, :t], coef[rows, :t]
+        residual, corr = y[rows], alpha[rows]
+        for j in range(t):
+            residual = residual - c[:, j : j + 1] * atoms_t[sup[:, j]]
+            corr = corr - c[:, j : j + 1] * gram[sup[:, j]]
+        res_norm = np.sqrt(np.sum(residual * residual, axis=1))
+        mag = np.abs(corr)
+        mag[np.arange(rows.size)[:, None], sup] = -1.0
+        best = np.argmax(mag, axis=1)
+        # stop once the residual is negligible or orthogonal to every
+        # remaining atom
+        go = (res_norm >= RESIDUAL_STOP) & (np.max(mag, axis=1) > 1e-12 * res_norm)
+        # the new row of the Cholesky factor
+        w = _solve_lower(chol[rows, :t, :t], gram[sup, best[:, None]])
+        pivot = gram[best, best] - np.sum(w * w, axis=1)
+        go &= pivot > PIVOT_STOP
+        rows, best, w, pivot = rows[go], best[go], w[go], pivot[go]
+        chol[rows, t, :t] = w
+        chol[rows, t, t] = np.sqrt(pivot)
+        support[rows, t] = best
+        factor = chol[rows, : t + 1, : t + 1]
+        z = _solve_lower(factor, alpha[rows[:, None], support[rows, : t + 1]])
+        coef[rows, : t + 1] = _solve_upper(factor, z)
+    codes = np.zeros((n, dictionary.size))
+    # an unused slot adds zero to atom 0
+    np.add.at(codes, (np.arange(n)[:, None], support), coef)
+    return codes
 
 
 def signed_max_pool(codes, code_length: int) -> np.ndarray:

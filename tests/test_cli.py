@@ -5,7 +5,7 @@ import pytest
 
 from hmpsearch import cli, load_descriptor, load_dictionary, load_index, save_dictionary
 from hmpsearch.cli import load_run_config, main
-from conftest import random_dictionary, texture_image
+from conftest import outputs_under_blas_threads, random_dictionary, texture_image
 
 ARCH_ONE_LAYER = """\
 [layer1]
@@ -391,6 +391,22 @@ class TestEvaluate:
             # timing column varies run to run; compare ids, APs, and the mean
             reports.append([line.split("\t")[:2] for line in lines[1:]])
         assert reports[0] == reports[1]
+
+    def test_codebooks_and_descriptors_do_not_depend_on_blas_threads(self, tmp_path):
+        cfg = make_workspace(tmp_path, groups=3, members=1, side=36, arch=ARCH_TWO_LAYER)
+        code = """
+import hashlib, pathlib, sys
+from hmpsearch.cli import main
+cfg = pathlib.Path(sys.argv[1])
+assert main(["--config", str(cfg), "train-dict"]) == 0
+assert main(["--config", str(cfg), "encode"]) == 0
+written = [*cfg.parent.glob("dicts/*.hmpd"), *cfg.parent.glob("descriptors/*.hmpv")]
+for path in sorted(written):
+    print(path.name, hashlib.sha256(path.read_bytes()).hexdigest())
+"""
+        outputs = outputs_under_blas_threads(code, str(cfg))
+        assert "layer2.hmpd" in outputs[0] and "g2m0.hmpv" in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_empty_ground_truth_exits_with_message(self, tmp_path, capsys):
         cfg = make_workspace(tmp_path)

@@ -30,8 +30,8 @@ from hmpsearch import (
 )
 from hmpsearch import coding
 from hmpsearch.errors import DecodeError
-from conftest import random_dictionary
-from oracles import omp_one, omp_pursuit, vq_exact, vq_one
+from conftest import outputs_under_blas_threads, random_dictionary
+from oracles import correlations, omp_exact, omp_one, omp_pursuit, vq_exact, vq_one
 
 
 def best_single_atom(atoms: np.ndarray, y: np.ndarray):
@@ -43,6 +43,29 @@ def best_single_atom(atoms: np.ndarray, y: np.ndarray):
         if err < best_err - 1e-15:
             best_err, best_k, best_coef = err, k, coef
     return best_k, best_coef
+
+
+def support_pairs(codes: np.ndarray) -> int:
+    """The number of unordered pairs of atoms, an atom with itself included,
+    that share the support of some row of `codes`."""
+    pairs = set()
+    for row in codes:
+        s = np.flatnonzero(row)
+        pairs.update(zip(np.minimum.outer(s, s).ravel().tolist(), np.maximum.outer(s, s).ravel().tolist()))
+    return len(pairs)
+
+
+def spy_on_dots(monkeypatch) -> list:
+    """Record (columns of the left table, number of products) for every
+    `coding._dots` call."""
+    calls, dots = [], coding._dots
+
+    def spy(u, i, v, j):
+        calls.append((u.shape[1], np.broadcast(i, j).size))
+        return dots(u, i, v, j)
+
+    monkeypatch.setattr(coding, "_dots", spy)
+    return calls
 
 
 class TestDictionary:
@@ -71,25 +94,27 @@ class TestDictionary:
         rng = np.random.default_rng(3)
         atoms = random_dictionary(rng, 16, 24).atoms
         save_dictionary(Dictionary(atoms), tmp_path / "d.hmpd")
-        shapes = []
-        loop = coding._correlations
-
-        def spy(mat, atoms):
-            shapes.append((mat.shape[0], atoms.shape[1]))
-            return loop(mat, atoms)
-
-        monkeypatch.setattr(coding, "_correlations", spy)
+        calls = spy_on_dots(monkeypatch)
         d = Dictionary(atoms)
         load_dictionary(tmp_path / "d.hmpd")
         signals = rng.standard_normal((16, 40))
         vq_encode_batch(d, signals)
-        assert shapes == []
+        assert calls == [] and "_screen" not in d.__dict__
         first = omp_encode_batch(d, signals, 3)
+        screen = d._screen
         second = omp_encode_batch(d, signals, 3)
-        assert sorted(shapes) == [(24, 24), (40, 24), (40, 24)]
-        assert first.tobytes() == second.tobytes()
-        # the same loop over a C-ordered transpose gives the same bits
-        assert d._gram.tobytes() == loop(np.ascontiguousarray(atoms.T), atoms).tobytes()
+        assert d._screen is screen
+        assert first.tobytes() == second.tobytes() == omp_exact(d, signals, 3).tobytes()
+        # per call, one correlation per row and step (from the signal table,
+        # of 40 columns) and the Gram entries of support pairs, each at most
+        # once per orientation (from the atoms, 24 columns): never all 40 x 24
+        # correlations or the 24 x 24 Gram matrix
+        assert np.count_nonzero(first) == 40 * 3
+        pairs = support_pairs(first)
+        per_call = len(calls) // 2
+        for batch in (calls[:per_call], calls[per_call:]):
+            assert sum(size for cols, size in batch if cols == 40) == 40 * 3
+            assert pairs <= sum(size for cols, size in batch if cols == 24) <= 2 * pairs < 24 * 24
 
 
 class TestOmpEncode:
@@ -394,6 +419,80 @@ def test_omp_matches_per_signal_pursuit(case, seed):
             assert abs(got_res - want_res) <= tol
 
 
+def near_tie_batch(rng, dim: int, size: int, count: int):
+    """A codebook with exact, negated and 1e-11-perturbed copies of atoms,
+    and signals that are random, atoms, sums of two atoms or zero, each
+    scaled by a power of ten from 1e-193 to 1e150."""
+    atoms = np.array(with_duplicates(rng, random_dictionary(rng, dim, size)).atoms)
+    for dst in rng.integers(0, size, int(rng.integers(0, 3))):
+        twin = atoms[:, rng.integers(0, size)] + 1e-11 * rng.standard_normal(dim)
+        atoms[:, dst] = twin / np.linalg.norm(twin)
+    d = Dictionary(atoms)
+    i, j = rng.integers(0, size, (2, count))
+    kind = rng.integers(0, 4, count)
+    signals = rng.standard_normal((dim, count))
+    signals[:, kind == 1] = d.atoms[:, i[kind == 1]]
+    signals[:, kind == 2] = (d.atoms[:, i] + d.atoms[:, j])[:, kind == 2]
+    signals[:, kind == 3] = 0.0
+    return d, signals * 10.0 ** rng.uniform(-193, 150, count)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_omp_equals_exact_kernel_on_near_ties(seed):
+    rng = np.random.default_rng(seed)
+    dim, size = int(rng.integers(1, 26)), int(rng.integers(2, 41))
+    d, signals = near_tie_batch(rng, dim, size, 40)
+    for sparsity in range(1, min(dim, size) + 1):
+        got = omp_encode_batch(d, signals, sparsity)
+        assert got.tobytes() == omp_exact(d, signals, sparsity).tobytes()
+
+
+def test_omp_rejects_a_signal_whose_squared_norm_overflows():
+    # the squared norm of a 1e160 signal overflows float64; the exact kernel
+    # stops such a row at once and codes it as zero
+    rng = np.random.default_rng(2)
+    d = random_dictionary(rng, 25, 32)
+    signals = rng.standard_normal((25, 6))
+    huge = signals.copy()
+    huge[:, 4] *= 1e160
+    with pytest.raises(InvalidInputError, match=r"column\(s\) \[4\]"):
+        omp_encode_batch(d, huge, 4)
+    large = signals * 1e150
+    want = omp_exact(d, large, 4)
+    assert np.count_nonzero(want) == 6 * 4
+    assert omp_encode_batch(d, large, 4).tobytes() == want.tobytes()
+
+
+def test_omp_exact_values_are_support_entries_only(monkeypatch):
+    # 1000 atoms of dimension 1024, 450 signals, 10 atoms each: every row
+    # runs all 10 steps, each taking one correlation, and the Gram entries
+    # are those of support pairs: never the 450 x 1000 correlations or the
+    # 1000 x 1000 Gram matrix
+    rng = np.random.default_rng(11)
+    d = random_dictionary(rng, 1024, 1000)
+    signals = rng.standard_normal((1024, 450))
+    calls = spy_on_dots(monkeypatch)
+    codes = omp_encode_batch(d, signals, 10)
+    assert np.count_nonzero(codes) == 450 * 10
+    assert sum(size for cols, size in calls if cols == 450) == 450 * 10
+    pairs = support_pairs(codes)
+    assert pairs <= sum(size for cols, size in calls if cols == 1000) <= 2 * pairs
+    assert max(size for _, size in calls) < 450 * 1000 // 10
+
+
+@pytest.mark.parametrize("dim, count", [(1, 1), (1, 5), (2, 1), (25, 3000), (300, 7), (5000, 40)])
+def test_exact_correlations_equal_the_ordered_loop(dim, count):
+    # one row of -0.0, whose sum from zero is +0.0; batches that span
+    # several of the helper's blocks and dimensions far beyond the screen's
+    rng = np.random.default_rng(dim * count)
+    d = random_dictionary(rng, dim, 9)
+    mat = rng.standard_normal((count, dim)) * 10.0 ** rng.integers(-5, 6, (count, dim))
+    mat[0] = -0.0
+    want = correlations(mat, d.atoms)
+    assert coding._correlations(mat, d.atoms).tobytes() == want.tobytes()
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy's import would cost every CLI run a quarter of a second
     code = "import sys, hmpsearch.cli; print('scipy' in sys.modules)"
@@ -499,14 +598,23 @@ signals = np.concatenate(
 )
 print(hashlib.sha256(vq_encode_batch(d, signals).tobytes()).hexdigest())
 """
-    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hmpsearch.__file__))
-    digests = [
-        subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=e
-        ).stdout
-        for e in (env, {**env, "OPENBLAS_NUM_THREADS": "1"})
-    ]
+    digests = outputs_under_blas_threads(code)
+    assert digests[0] and digests[0] == digests[1]
+
+
+def test_omp_does_not_depend_on_blas_threads():
+    # copies, negated copies and near copies of atoms, sums of two atoms
+    # and zeros, at scales from 1e-193 to 1e150: most rows tie somewhere
+    code = """
+import hashlib
+import numpy as np
+from hmpsearch import omp_encode_batch
+from test_coding import near_tie_batch
+rng = np.random.default_rng(5)
+d, signals = near_tie_batch(rng, 25, 64, 4000)
+print(hashlib.sha256(omp_encode_batch(d, signals, 6).tobytes()).hexdigest())
+"""
+    digests = outputs_under_blas_threads(code)
     assert digests[0] and digests[0] == digests[1]
 
 

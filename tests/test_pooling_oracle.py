@@ -50,6 +50,26 @@ def test_signed_max_pool_matches_per_group_lists(seed, n, k, count):
 @SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 30),
+    k=st.integers(1, 6),
+    count=st.integers(1, 8),
+)
+def test_signed_max_pool_matches_lists_on_signed_zeros_and_repeated_maxima(seed, n, k, count):
+    # codes from a few magnitudes, so that maxima repeat within a group and
+    # across signs, with some entries -0.0; labels skip some groups, which
+    # must pool to +0.0 throughout
+    rng = np.random.default_rng(seed)
+    codes = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=(n, k))
+    labels = rng.choice(rng.integers(0, count, size=max(1, count // 2)), size=n)
+    pooled = signed_max_pool(codes, labels, count)
+    for g in range(count):
+        members = [codes[i] for i in np.flatnonzero(labels == g)]
+        assert pooled[g].tobytes() == oracles.signed_max_pool(members, k).tobytes()
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
     cell_grid=st.integers(1, 4),
     width=st.integers(1, 6),
     n=st.integers(0, 30),
