@@ -2,15 +2,16 @@
 
 Every stage reads one run config file and validates its inputs before doing
 any long-running work, so stages can be re-run independently. Artifacts are
-plain files: one codebook per layer, one descriptor file per image, one
-index file, one evaluation report. Every stage that reads the manifest
-admits the same images: it skips, with a warning, each image that cannot be
-decoded or whose shorter side (after the optional resize) is too small for
-the pipeline. A malformed input file ends the stage with an error naming
-it. `encode` and `query` check every codebook against the architecture
-before decoding any image or the index, so a stale one ends the stage
-naming its file. The run file is the one source of every run setting, the
-seed included. `--baseline`, given to every stage, codes with the one-layer
+plain files: one codebook per layer, one descriptor file per image, one index
+file, one evaluation report. Every stage that reads the manifest admits the
+same images: it skips, with a warning, each image that cannot be decoded or
+whose shorter side (after the optional resize) is too small for the pipeline,
+and decodes an admitted image again when it uses it, so one decoded image is
+held at a time. A malformed input file ends the stage with an error naming it.
+`encode` and `query` check every codebook against the architecture before
+decoding any image or the index, so a stale one ends the stage naming its
+file. The run file is the one source of every run setting, the seed included.
+`--baseline`, given to every stage, codes with the one-layer
 `encoder.baseline_architecture`; `build-index --idf` weights the index.
 Set HMPSEARCH_LOG=debug|info|warning to control verbosity.
 """
@@ -130,27 +131,26 @@ def _architecture(cfg: RunConfig) -> ArchitectureConfig:
     return baseline_architecture(arch) if cfg.baseline else arch
 
 
-def _load_corpus(cfg: RunConfig, arch: ArchitectureConfig):
-    """Decode every manifest image, skipping (and logging) the unreadable
-    ones and those too small for the pipeline."""
+def _load_corpus(cfg: RunConfig, arch: ArchitectureConfig) -> list[tuple[str, str]]:
+    """(image id, path) of each manifest image, decoded once and dropped,
+    skipping (and logging) the unreadable ones and those too small."""
     records = read_manifest(cfg.manifest)
     if not records:
         raise InvalidInputError(f"manifest {cfg.manifest} lists no images")
-    images: list[tuple[str, IntensityImage]] = []
+    admitted = []
     for image_id, path in records:
         try:
-            img = _read_image(cfg, path)
-            check_image_size(img, arch, path)
+            check_image_size(_read_image(cfg, path), arch, path)
         except (DecodeError, ImageTooSmallError) as exc:
             log.warning("skipping %s: %s", image_id, exc)
             continue
-        images.append((image_id, img))
-    skipped = len(records) - len(images)
+        admitted.append((image_id, path))
+    skipped = len(records) - len(admitted)
     if skipped * 2 > len(records):
         raise HmpError(
             f"{skipped} of {len(records)} manifest images are unreadable or too small; aborting"
         )
-    return images
+    return admitted
 
 
 def _dict_path(cfg: RunConfig, label: str) -> str:
@@ -169,8 +169,8 @@ def _layer_training_signals(cfg, arch, images, codebooks, rng) -> np.ndarray:
     capped."""
     per_image = max(1, math.ceil(2 * cfg.sample_cap / len(images)))
     chunks = []
-    for _, img in images:
-        vectors = layer_inputs(img, arch, codebooks).vectors
+    for _, path in images:
+        vectors = layer_inputs(_read_image(cfg, path), arch, codebooks).vectors
         if vectors.shape[0] > per_image:
             picks = rng.choice(vectors.shape[0], size=per_image, replace=False)
             vectors = vectors[np.sort(picks)]
@@ -236,8 +236,8 @@ def cmd_encode(cfg: RunConfig) -> int:
         if owners.setdefault(name, image_id) != image_id:
             raise InvalidInputError(f"image ids {owners[name]!r} and {image_id!r} share {name}")
     total_nnz = 0
-    for image_id, img in images:
-        desc = encode(image_id, img)
+    for image_id, path in images:
+        desc = encode(image_id, _read_image(cfg, path))
         save_descriptor(desc, os.path.join(cfg.descriptor_dir, safe_filename(image_id) + ".hmpv"))
         total_nnz += desc.nnz
     print(f"encoded {len(images)} descriptors, mean nnz {total_nnz / len(images):.1f}")

@@ -2,12 +2,15 @@
 in hierarchical matching pursuit (Bo, Ren & Fox, NIPS 2011).
 
 Each iteration greedy-codes every training signal, then updates the atoms
-one at a time: an atom and its row of codes become the best rank-1 fit, by
-SVD, of the residual of the signals that use it, and an atom no signal uses
-takes over the worst-reconstructed signal. The rank-1 fit cannot raise the
-objective, and the coding pass keeps a signal's previous code whenever
-fresh greedy coding would make its residual worse, so the reported trace
-of the objective is non-increasing.
+one at a time: an atom and its codes become the best rank-1 fit, by SVD, of
+the residual of the signals that use it, and an atom no signal uses takes
+over the worst-reconstructed signal. The rank-1 fit cannot raise the
+objective, and the coding pass keeps a signal's previous code whenever fresh
+greedy coding would make its residual worse, so the reported trace of the
+objective is non-increasing. Each code is s = min(sparsity, D, K) (atom,
+coefficient) slots, so memory follows the nonzeros, not K x N, and each
+residual is summed slot by slot, elementwise, never by a BLAS product, so
+the codebook does not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -103,24 +106,49 @@ def init_dictionary(train: TrainingSet, cfg: TrainConfig) -> Dictionary:
     return Dictionary(atoms)
 
 
-def _code_pass(signals, atoms, codes, cfg) -> None:
+def _residual(y, atoms, support, coef) -> np.ndarray:
+    """y - sum_j coef[:, j] * atoms[:, support[:, j]] for the D x n signals
+    `y` and their n x s codes, subtracted slot by slot, elementwise, into a
+    C-ordered array, whose norms add.reduce sums row by row."""
+    res = y - np.take(atoms, support[:, 0], axis=1) * coef[:, 0]
+    for j in range(1, support.shape[1]):
+        res -= np.take(atoms, support[:, j], axis=1) * coef[:, j]
+    return res
+
+
+def _residual_norms(signals, atoms, support, coef) -> np.ndarray:
+    """The residual norm of every signal, CODE_CHUNK columns at a time. A
+    last single column joins the chunk before it: add.reduce sums the rows
+    of a D x n block one by one, but a lone column pairwise."""
+    bounds = [*range(0, max(signals.shape[1] - 1, 1), CODE_CHUNK), signals.shape[1]]
+    return np.concatenate([
+        np.linalg.norm(_residual(signals[:, lo:hi], atoms, support[lo:hi], coef[lo:hi]), axis=0)
+        for lo, hi in zip(bounds, bounds[1:])
+    ])
+
+
+def _code_pass(signals, atoms, support, coef) -> None:
     """Greedy-code every signal, keeping the old code when it fits better."""
     dictionary = Dictionary(atoms)
-    sparsity = min(cfg.sparsity, dictionary.signal_dim, dictionary.size)
     # fixed-size chunks bound the kernel's N x K work arrays; a code row
     # depends only on its own signal, whatever the chunk holds
     for lo in range(0, signals.shape[1], CODE_CHUNK):
         chunk = slice(lo, lo + CODE_CHUNK)
-        new = omp_encode_batch(dictionary, signals[:, chunk], sparsity).T
-        old_res = np.linalg.norm(signals[:, chunk] - atoms @ codes[:, chunk], axis=0)
-        new_res = np.linalg.norm(signals[:, chunk] - atoms @ new, axis=0)
-        better = new_res <= old_res
-        codes[:, lo + np.flatnonzero(better)] = new[:, better]
+        y = signals[:, chunk]
+        new = omp_encode_batch(dictionary, y, support.shape[1])
+        rows, atom = np.nonzero(new)
+        new_support, new_coef = np.zeros_like(support[chunk]), np.zeros_like(coef[chunk])
+        slot = np.arange(rows.size) - np.searchsorted(rows, rows)
+        new_support[rows, slot], new_coef[rows, slot] = atom, new[rows, atom]
+        del new  # the dense chunk, freed before the residuals and the next chunk
+        old_res = np.linalg.norm(_residual(y, atoms, support[chunk], coef[chunk]), axis=0)
+        new_res = np.linalg.norm(_residual(y, atoms, new_support, new_coef), axis=0)
+        better = lo + np.flatnonzero(new_res <= old_res)
+        support[better], coef[better] = new_support[better - lo], new_coef[better - lo]
 
 
-def _worst_signal(signals, atoms, codes, skip: set[int]) -> int | None:
-    residual_norms = np.linalg.norm(signals - atoms @ codes, axis=0)
-    for idx in np.argsort(-residual_norms):
+def _worst_signal(signals, atoms, support, coef, skip: set[int]) -> int | None:
+    for idx in np.argsort(-_residual_norms(signals, atoms, support, coef)):
         i = int(idx)
         if i in skip:
             continue
@@ -129,27 +157,31 @@ def _worst_signal(signals, atoms, codes, skip: set[int]) -> int | None:
     return None
 
 
-def _update_pass(signals, atoms, codes, rng) -> None:
+def _update_pass(signals, atoms, support, coef, rng) -> None:
     """Sequential atom updates; unused atoms take the worst-coded signal."""
+    size = atoms.shape[1]
+    # the nonzero slots of each atom's users, in signal order, from one
+    # stable sort; an update changes only its own atom's codes
+    keys = np.where(coef != 0.0, support, size).ravel()
+    slots = np.argsort(keys, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=size + 1))])
     taken: set[int] = set()
-    for k in range(atoms.shape[1]):
-        users = np.nonzero(codes[k, :])[0]
-        if users.size == 0:
-            pick = _worst_signal(signals, atoms, codes, taken)
+    for k in range(size):
+        own = slots[bounds[k] : bounds[k + 1]]
+        if own.size == 0:
+            pick = _worst_signal(signals, atoms, support, coef, taken)
             if pick is None:
                 atoms[:, k] = _random_unit(rng, atoms.shape[0])
             else:
                 taken.add(pick)
                 atoms[:, k] = signals[:, pick] / np.linalg.norm(signals[:, pick])
             continue
-        restricted = (
-            signals[:, users]
-            - atoms @ codes[:, users]
-            + np.outer(atoms[:, k], codes[k, users])
-        )
+        users = own // support.shape[1]
+        restricted = _residual(signals[:, users], atoms, support[users], coef[users])
+        restricted += np.outer(atoms[:, k], coef.flat[own])
         atom = np.linalg.svd(restricted, full_matrices=False)[0][:, 0]
         atoms[:, k] = atom
-        codes[k, users] = atom @ restricted
+        coef.flat[own] = atom @ restricted
 
 
 def train(train_set: TrainingSet, cfg: TrainConfig) -> tuple[Dictionary, list[float]]:
@@ -157,10 +189,12 @@ def train(train_set: TrainingSet, cfg: TrainConfig) -> tuple[Dictionary, list[fl
     rng = np.random.default_rng(cfg.seed)
     signals = train_set.signals
     atoms = np.array(init_dictionary(train_set, cfg).atoms)
-    codes = np.zeros((cfg.codebook_size, train_set.count))
+    # each signal's code: atoms and coefficients in s slots, zero when unused
+    slots = (train_set.count, min(cfg.sparsity, *atoms.shape))
+    support, coef = np.zeros(slots, dtype=np.intp), np.zeros(slots)
     trace: list[float] = []
     for _ in range(cfg.iterations):
-        _code_pass(signals, atoms, codes, cfg)
-        _update_pass(signals, atoms, codes, rng)
-        trace.append(float(np.linalg.norm(signals - atoms @ codes, "fro") ** 2))
+        _code_pass(signals, atoms, support, coef)
+        _update_pass(signals, atoms, support, coef, rng)
+        trace.append(float(np.sum(np.square(_residual_norms(signals, atoms, support, coef)))))
     return Dictionary(atoms), trace

@@ -8,11 +8,14 @@ kernel. `omp_exact` is that kernel without its screen: every correlation
 and Gram entry comes from the elementwise `correlations` loop, and
 `omp_encode_batch` must equal it bit for bit. `vq_exact` is nearest-atom
 coding without the screen.
+`ksvd_dense` is K-SVD training with dense K x N codes, each reconstruction
+a BLAS product `atoms @ codes`; `dictionary.train` must equal it bit for
+bit at sparsity 1, where each reconstruction has one nonzero term.
 Pooling loops over points, cells and regions, pooling dense code rows one
 at a time. The inverted file is a dict of (id, value) posting lists grown
 one descriptor at a time. Tests hold the array implementations
-in `hmpsearch.coding`, `hmpsearch.images`, `hmpsearch.encoder` and
-`hmpsearch.index` to them.
+in `hmpsearch.coding`, `hmpsearch.dictionary`, `hmpsearch.images`,
+`hmpsearch.encoder` and `hmpsearch.index` to them.
 """
 
 import math
@@ -21,8 +24,9 @@ from bisect import insort
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from hmpsearch import FeatureGrid, l2_normalize, omp_encode_batch, vq_encode_batch
+from hmpsearch import Dictionary, FeatureGrid, l2_normalize, omp_encode_batch, vq_encode_batch
 from hmpsearch.coding import PIVOT_STOP, RESIDUAL_STOP, _check_signals
+from hmpsearch.dictionary import CODE_CHUNK, _random_unit, init_dictionary
 
 
 def omp_pursuit(atoms: np.ndarray, y: np.ndarray, sparsity: int):
@@ -148,6 +152,70 @@ def omp_exact(dictionary, signals: np.ndarray, sparsity: int) -> np.ndarray:
     # an unused slot adds zero to atom 0
     np.add.at(codes, (np.arange(n)[:, None], support), coef)
     return codes
+
+
+def _code_pass(signals, atoms, codes, cfg) -> None:
+    """Greedy-code every signal, keeping the old code when it fits better."""
+    dictionary = Dictionary(atoms)
+    sparsity = min(cfg.sparsity, dictionary.signal_dim, dictionary.size)
+    # fixed-size chunks bound the kernel's N x K work arrays; a code row
+    # depends only on its own signal, whatever the chunk holds
+    for lo in range(0, signals.shape[1], CODE_CHUNK):
+        chunk = slice(lo, lo + CODE_CHUNK)
+        new = omp_encode_batch(dictionary, signals[:, chunk], sparsity).T
+        old_res = np.linalg.norm(signals[:, chunk] - atoms @ codes[:, chunk], axis=0)
+        new_res = np.linalg.norm(signals[:, chunk] - atoms @ new, axis=0)
+        better = new_res <= old_res
+        codes[:, lo + np.flatnonzero(better)] = new[:, better]
+
+
+def _worst_signal(signals, atoms, codes, skip: set[int]) -> int | None:
+    residual_norms = np.linalg.norm(signals - atoms @ codes, axis=0)
+    for idx in np.argsort(-residual_norms):
+        i = int(idx)
+        if i in skip:
+            continue
+        if np.linalg.norm(signals[:, i]) > 1e-12:
+            return i
+    return None
+
+
+def _update_pass(signals, atoms, codes, rng) -> None:
+    """Sequential atom updates; unused atoms take the worst-coded signal."""
+    taken: set[int] = set()
+    for k in range(atoms.shape[1]):
+        users = np.nonzero(codes[k, :])[0]
+        if users.size == 0:
+            pick = _worst_signal(signals, atoms, codes, taken)
+            if pick is None:
+                atoms[:, k] = _random_unit(rng, atoms.shape[0])
+            else:
+                taken.add(pick)
+                atoms[:, k] = signals[:, pick] / np.linalg.norm(signals[:, pick])
+            continue
+        restricted = (
+            signals[:, users]
+            - atoms @ codes[:, users]
+            + np.outer(atoms[:, k], codes[k, users])
+        )
+        atom = np.linalg.svd(restricted, full_matrices=False)[0][:, 0]
+        atoms[:, k] = atom
+        codes[k, users] = atom @ restricted
+
+
+def ksvd_dense(train_set, cfg) -> tuple[Dictionary, list[float]]:
+    """`dictionary.train` with dense K x N codes and BLAS reconstructions
+    `atoms @ codes`; returns the codebook and the objective trace."""
+    rng = np.random.default_rng(cfg.seed)
+    signals = train_set.signals
+    atoms = np.array(init_dictionary(train_set, cfg).atoms)
+    codes = np.zeros((cfg.codebook_size, train_set.count))
+    trace: list[float] = []
+    for _ in range(cfg.iterations):
+        _code_pass(signals, atoms, codes, cfg)
+        _update_pass(signals, atoms, codes, rng)
+        trace.append(float(np.linalg.norm(signals - atoms @ codes, "fro") ** 2))
+    return Dictionary(atoms), trace
 
 
 def signed_max_pool(codes, code_length: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """End-to-end command-line pipeline tests on a small synthetic corpus."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,37 @@ class TestTooSmallImages:
         assert run_cli(cfg, "train-dict") == 2
         assert "6 of 10" in capsys.readouterr().err
         assert not (tmp_path / "dicts").exists()
+
+
+class TestStreaming:
+    """Each stage decodes an admitted image when it uses it and drops it
+    before decoding the next, so at most one decoded image is alive."""
+
+    @pytest.mark.parametrize(
+        "flags, arch, stage",
+        [
+            (["--baseline"], ARCH_ONE_LAYER, "train-dict"),
+            ([], ARCH_TWO_LAYER, "train-dict"),
+            ([], ARCH_TWO_LAYER, "encode"),
+        ],
+        ids=["train-baseline", "train-two-layer", "encode"],
+    )
+    def test_one_decoded_image_alive_at_a_time(self, tmp_path, monkeypatch, flags, arch, stage):
+        cfg = make_workspace(tmp_path, arch=arch)
+        if stage == "encode":
+            assert run_cli(cfg, *flags, "train-dict") == 0
+        decoded, alive = [], []
+        load_image = cli.load_image
+
+        def spy(path):
+            img = load_image(path)
+            decoded.append(weakref.ref(img))
+            alive.append(sum(ref() is not None for ref in decoded))
+            return img
+
+        monkeypatch.setattr(cli, "load_image", spy)
+        assert run_cli(cfg, *flags, stage) == 0
+        assert len(decoded) >= 20 and max(alive) == 1
 
 
 class TestEncode:

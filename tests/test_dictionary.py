@@ -1,14 +1,19 @@
-"""Codebook training tests: descent, recovery, and housekeeping rules."""
+"""Codebook training tests: descent, recovery, housekeeping rules, and the
+sparse-code trainer held to the dense one, `oracles.ksvd_dense`."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmpsearch import InvalidInputError, TrainConfig, TrainingSet, init_dictionary, train
-from conftest import packed_dictionary, planted_signals
-from oracles import omp_one
+from hmpsearch.dictionary import CODE_CHUNK
+from conftest import outputs_under_blas_threads, packed_dictionary, planted_signals
+from oracles import ksvd_dense, omp_one
 
 
 def reconstruction_error(signals, dictionary, sparsity):
@@ -177,3 +182,72 @@ class TestTrain:
         # the outlier is only reconstructable if some atom was reassigned
         assert err < 0.1
         npt.assert_allclose(np.linalg.norm(dictionary.atoms, axis=0), 1.0, atol=1e-9)
+
+
+class TestSparseCodes:
+    """`train` keeps each signal's code as s (atom, coefficient) slots and
+    sums every reconstruction elementwise; `ksvd_dense` keeps a dense K x N
+    code matrix and reconstructs by BLAS products."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(1, 30),
+        size=st.integers(2, 40),
+        distinct=st.integers(1, 12),
+        count=st.one_of(st.integers(1, 60), st.integers(CODE_CHUNK - 1, CODE_CHUNK + 40)),
+        order=st.sampled_from("CF"),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_dense_oracle_at_sparsity_one(self, dim, size, distinct, count, order, seed):
+        # repeated signals, a zero signal and codebooks larger than the number
+        # of distinct signals leave atoms unused, which then take over the
+        # worst-coded signal; the command line passes either memory layout
+        rng = np.random.default_rng(seed)
+        pool = rng.standard_normal((dim, distinct))
+        pool[:, 0] = 0.0
+        repeated = rng.random(count) < 0.5
+        copies = pool[:, rng.integers(0, distinct, count)]
+        signals = np.where(repeated, copies, rng.standard_normal((dim, count)))
+        signals = np.asarray(signals, order=order)
+        cfg = TrainConfig(codebook_size=size, sparsity=1, iterations=2, seed=seed % 1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # fewer signals than atoms
+            sparse, _ = train(TrainingSet(signals), cfg)
+            dense, _ = ksvd_dense(TrainingSet(signals), cfg)
+        assert sparse.atoms.tobytes() == dense.atoms.tobytes()
+
+    @pytest.mark.parametrize("sparsity", range(2, 7))
+    def test_matches_dense_oracle_above_sparsity_one(self, sparsity):
+        # only the rounding of each reconstruction differs
+        rng = np.random.default_rng(sparsity)
+        signals = rng.standard_normal((16, 700))
+        cfg = TrainConfig(codebook_size=24, sparsity=sparsity, iterations=4, seed=sparsity)
+        sparse, trace = train(TrainingSet(signals), cfg)
+        dense, _ = ksvd_dense(TrainingSet(signals), cfg)
+        npt.assert_allclose(sparse.atoms, dense.atoms, rtol=0, atol=1e-10)
+        assert np.all(np.diff(trace) <= 1e-6)
+
+    def test_codebook_does_not_depend_on_blas_threads(self):
+        code = """
+import hashlib
+import numpy as np
+from hmpsearch import TrainConfig, TrainingSet, train
+for seed in range(4):
+    signals = np.random.default_rng(seed).standard_normal((88, 3628))
+    dictionary, _ = train(TrainingSet(signals), TrainConfig(84, 6, 2, 5))
+    print(hashlib.sha256(dictionary.atoms.tobytes()).hexdigest())
+"""
+        digests = outputs_under_blas_threads(code)
+        assert len(digests[0].split()) == 4
+        assert digests[0] == digests[1]
+
+    def test_memory_follows_the_nonzeros(self):
+        # dense K x N codes alone would take 256 * 20000 * 8 bytes = 41 MB
+        signals = TrainingSet(np.random.default_rng(0).standard_normal((25, 20000)))
+        tracemalloc.start()
+        try:
+            train(signals, TrainConfig(codebook_size=256, sparsity=1, iterations=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
