@@ -54,11 +54,14 @@ log = logging.getLogger("hmpsearch")
 
 @dataclass
 class RunConfig:
-    manifest: str
-    architecture: str
-    dictionary_dir: str
-    descriptor_dir: str
-    index_path: str
+    """The [run] settings; relative paths, the defaults included, resolve
+    against the run file's directory, and an empty path stays empty."""
+
+    manifest: str = ""  # required
+    architecture: str = ""  # required
+    dictionary_dir: str = "dicts"
+    descriptor_dir: str = "descriptors"
+    index_path: str = "index.hmpi"
     ground_truth: str = ""
     report: str = ""
     seed: int = 0
@@ -68,7 +71,7 @@ class RunConfig:
     sample_cap: int = 20000
 
 
-# Smallest value each [run] number may take.
+# Smallest value each [run] number may take; every other key is a path.
 _RUN_MINIMUMS = dict(seed=0, train_iterations=1, sample_cap=1, resize_max_side=0)
 
 
@@ -80,28 +83,16 @@ def load_run_config(path) -> RunConfig:
     if not parser.has_section("run"):
         raise ConfigError(f"{path}: missing [run] section")
     section = parser["run"]
-    base = os.path.dirname(os.path.abspath(path))
-
-    def resolve(key, default=""):
-        value = section.get(key, default)
-        return os.path.join(base, value) if value else value
-
     try:
-        cfg = RunConfig(
-            manifest=resolve("manifest"),
-            architecture=resolve("architecture"),
-            dictionary_dir=resolve("dictionary_dir", "dicts"),
-            descriptor_dir=resolve("descriptor_dir", "descriptors"),
-            index_path=resolve("index_path", "index.hmpi"),
-            ground_truth=resolve("ground_truth"),
-            report=resolve("report"),
-            seed=section.getint("seed", 0),
-            resize_max_side=section.getint("resize_max_side", 0),
-            train_iterations=section.getint("train_iterations", 15),
-            sample_cap=section.getint("sample_cap", 20000),
-        )
+        cfg = RunConfig(**{
+            key: section.getint(key) if key in _RUN_MINIMUMS else section[key]
+            for key in keys if key in section
+        })
     except ValueError as exc:
         raise ConfigError(f"{path}: bad value in [run]: {exc}") from exc
+    base = os.path.dirname(os.path.abspath(path))
+    paths = {key: getattr(cfg, key) for key in keys - _RUN_MINIMUMS.keys()}
+    cfg = replace(cfg, **{key: os.path.join(base, value) for key, value in paths.items() if value})
     if not cfg.manifest:
         raise ConfigError(f"{path}: [run] manifest is required")
     if not cfg.architecture:

@@ -152,7 +152,9 @@ def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int)
 
     Returns the N x K code matrix; a row depends only on its own signal, not
     on the batch, its memory layout or the BLAS thread count. Selection ties
-    break toward the lowest index; coding stops early once the residual norm
+    between correlations equal in floating point break toward the lowest
+    index; correlations equal only in exact arithmetic are ordered by their
+    rounding. Coding stops early once the residual norm
     falls under RESIDUAL_STOP, once the residual is orthogonal to every
     remaining atom, or once the next atom's Cholesky pivot is at most
     PIVOT_STOP. A column whose squared norm overflows raises InvalidInputError.

@@ -26,9 +26,10 @@ reads the architecture file.
 
 from __future__ import annotations
 
+import logging
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,26 +47,22 @@ DEFAULT_CELL_GRIDS = (4, 2)
 DEFAULT_HIDDEN_SPARSITY = 4
 DEFAULT_FINAL_SPARSITY = 10
 MAX_LAYERS = 3
-# the keys `load_architecture` reads in each section it knows
-_LAYER_KEYS = {"codebook_size", "sparsity", "patch_size", "stride", "unit_size", "cell_grid"}
-_ARCH_READERS = {f"layer{d}": _LAYER_KEYS for d in range(1, MAX_LAYERS + 1)} | {"pyramid": {"grids"}}
+
+log = logging.getLogger("hmpsearch")
 
 
 @dataclass
 class LayerConfig:
-    """Geometry of one coding layer; its codebook is passed beside it.
+    """One coding layer, each field named after its architecture-file key;
+    its codebook is passed beside it.
 
-    `input_patch_size` and `stride` describe how layer-1 signals are cut from
-    the image; higher layers code one inherited feature at a time, so there
-    they must both be 1. `coding_unit_size` and `cell_grid` drive the pooling
-    step of interior layers and are ignored on the final layer.
+    `unit_size` and `cell_grid` drive the pooling step of interior layers;
+    the final layer pools over the pyramid instead.
     """
 
     codebook_size: int
     sparsity: int
-    input_patch_size: int = 1
-    stride: int = 1
-    coding_unit_size: int = 16
+    unit_size: int = 16
     cell_grid: int = 4
 
     def __post_init__(self):
@@ -73,10 +70,8 @@ class LayerConfig:
             raise InvalidInputError(f"codebook_size must be >= 2, got {self.codebook_size}")
         if self.sparsity < 1:
             raise InvalidInputError(f"sparsity must be >= 1, got {self.sparsity}")
-        if self.input_patch_size < 1 or self.stride < 1:
-            raise InvalidInputError("input_patch_size and stride must be >= 1")
-        if self.coding_unit_size < 1 or self.cell_grid < 1:
-            raise InvalidInputError("coding_unit_size and cell_grid must be >= 1")
+        if self.unit_size < 1 or self.cell_grid < 1:
+            raise InvalidInputError("unit_size and cell_grid must be >= 1")
 
     @property
     def cells(self) -> int:
@@ -90,10 +85,14 @@ class LayerConfig:
 
 @dataclass
 class ArchitectureConfig:
-    """Ordered coding layers plus the whole-image pyramid grids."""
+    """Ordered coding layers, the whole-image pyramid grids, and how layer 1
+    cuts its `patch_size` patches every `stride` pixels; each higher layer
+    codes the pooled features of the layer below, one at a time."""
 
     layers: list[LayerConfig]
     pyramid: list[int] = field(default_factory=lambda: [1])
+    patch_size: int = 5
+    stride: int = 1
 
     def __post_init__(self):
         if not 1 <= len(self.layers) <= MAX_LAYERS:
@@ -106,17 +105,12 @@ class ArchitectureConfig:
             raise InvalidInputError(
                 f"pyramid grids must be distinct values from {{1, 2, 3}}, got {self.pyramid}"
             )
-        for depth, layer in enumerate(self.layers[1:], start=2):
-            if layer.input_patch_size != 1 or layer.stride != 1:
-                raise InvalidInputError(
-                    f"layer {depth} codes one inherited feature at a time;"
-                    " input_patch_size and stride must be 1"
-                )
+        if self.patch_size < 1 or self.stride < 1:
+            raise InvalidInputError("patch_size and stride must be >= 1")
         for layer in self.layers[:-1]:
-            if layer.coding_unit_size % layer.cell_grid != 0:
+            if layer.unit_size % layer.cell_grid != 0:
                 raise InvalidInputError(
-                    f"coding_unit_size {layer.coding_unit_size} is not divisible by"
-                    f" cell_grid {layer.cell_grid}"
+                    f"unit_size {layer.unit_size} is not divisible by cell_grid {layer.cell_grid}"
                 )
 
     @property
@@ -129,8 +123,7 @@ class ArchitectureConfig:
     def layer_input_dim(self, depth: int) -> int:
         """Signal dimension entering the layer at 1-based `depth`."""
         if depth == 1:
-            p = self.layers[0].input_patch_size
-            return p * p
+            return self.patch_size * self.patch_size
         return self.layers[depth - 2].output_dim
 
 
@@ -231,7 +224,7 @@ def encode_layer(features: FeatureGrid, layer: LayerConfig, dictionary: Dictiona
     row-major unit order; its center is the unit's center so the next layer
     sees the coarser grid.
     """
-    unit = layer.coding_unit_size
+    unit = layer.unit_size
     grid = _code_grid(features, layer, dictionary)
     h, w = grid.extent
     units_r, units_c = h // unit, w // unit
@@ -282,8 +275,7 @@ def pyramid_pool(codes: FeatureGrid, pyramid, image_id: str = "") -> ImageDescri
 
 def minimum_image_side(arch: ArchitectureConfig) -> int:
     """Shorter image side below which some layer has no whole patch or unit."""
-    units = [layer.coding_unit_size for layer in arch.layers[:-1]]
-    return max([arch.layers[0].input_patch_size, *units])
+    return max([arch.patch_size, *(layer.unit_size for layer in arch.layers[:-1])])
 
 
 def check_image_size(img: IntensityImage, arch: ArchitectureConfig, subject: str) -> None:
@@ -300,16 +292,14 @@ def check_image_size(img: IntensityImage, arch: ArchitectureConfig, subject: str
 def baseline_architecture(arch: ArchitectureConfig) -> ArchitectureConfig:
     """The bag-of-features baseline of `arch`: one layer that codes layer-1
     patches with one nearest-atom codebook the size of the final layer's."""
-    first = arch.layers[0]
-    layer = LayerConfig(arch.final_layer.codebook_size, 1, first.input_patch_size, first.stride)
-    return ArchitectureConfig([layer])
+    layer = LayerConfig(arch.final_layer.codebook_size, 1)
+    return ArchitectureConfig([layer], patch_size=arch.patch_size, stride=arch.stride)
 
 
 def layer_inputs(img: IntensityImage, arch: ArchitectureConfig, codebooks) -> FeatureGrid:
     """Signals entering the layer above the given codebooks: layer-1 patches,
     coded and pooled by one layer per codebook, in layer order."""
-    first = arch.layers[0]
-    grid = extract_patches(img, first.input_patch_size, first.stride)
+    grid = extract_patches(img, arch.patch_size, arch.stride)
     for layer, dictionary in zip(arch.layers, codebooks):
         grid = encode_layer(grid, layer, dictionary)
     return grid
@@ -382,22 +372,25 @@ def load_descriptor(path) -> ImageDescriptor:
         raise DecodeError(f"{path}: truncated or corrupt descriptor: {exc}") from exc
 
 
+# the [layer1] keys that set the architecture's patch geometry; above
+# layer 1 they may only repeat the value 1
+_PATCH_KEYS = ("patch_size", "stride")
+_ARCH_READERS = {
+    f"layer{d}": {f.name for f in fields(LayerConfig)} | set(_PATCH_KEYS)
+    for d in range(1, MAX_LAYERS + 1)
+} | {"pyramid": {"grids"}}
+
+
 def _layer_from_section(section, depth: int, total: int) -> LayerConfig:
-    geti = section.getint
-    is_final = depth == total
-    default_unit = DEFAULT_UNIT_SIZES[min(depth, len(DEFAULT_UNIT_SIZES)) - 1]
-    default_cells = DEFAULT_CELL_GRIDS[min(depth, len(DEFAULT_CELL_GRIDS)) - 1]
-    default_sparsity = DEFAULT_FINAL_SPARSITY if is_final else DEFAULT_HIDDEN_SPARSITY
     if "codebook_size" not in section:
         raise ConfigError(f"layer {depth}: codebook_size is required")
-    return LayerConfig(
-        codebook_size=geti("codebook_size", 0),
-        sparsity=geti("sparsity", default_sparsity),
-        input_patch_size=geti("patch_size", 5 if depth == 1 else 1),
-        stride=geti("stride", 1),
-        coding_unit_size=geti("unit_size", default_unit),
-        cell_grid=geti("cell_grid", default_cells),
+    values = dict(
+        sparsity=DEFAULT_FINAL_SPARSITY if depth == total else DEFAULT_HIDDEN_SPARSITY,
+        unit_size=DEFAULT_UNIT_SIZES[min(depth, len(DEFAULT_UNIT_SIZES)) - 1],
+        cell_grid=DEFAULT_CELL_GRIDS[min(depth, len(DEFAULT_CELL_GRIDS)) - 1],
     )
+    values.update((f.name, section.getint(f.name)) for f in fields(LayerConfig) if f.name in section)
+    return LayerConfig(**values)
 
 
 def load_architecture(path) -> ArchitectureConfig:
@@ -423,6 +416,18 @@ def load_architecture(path) -> ArchitectureConfig:
             _layer_from_section(parser[name], depth, len(layer_names))
             for depth, name in enumerate(layer_names, start=1)
         ]
-        return ArchitectureConfig(layers, pyramid)
+        for name in layer_names[1:]:
+            for key in _PATCH_KEYS:
+                if parser[name].getint(key, 1) != 1:
+                    raise ConfigError(f"[{name}] {key} must be 1: only layer 1 cuts patches")
+        first = parser["layer1"]
+        arch = ArchitectureConfig(
+            layers, pyramid, **{key: first.getint(key) for key in _PATCH_KEYS if key in first}
+        )
     except (ConfigError, ValueError) as exc:  # ValueError covers InvalidInputError
         raise ConfigError(f"{path}: {exc}") from exc
+    final = layer_names[-1]
+    for key in ("unit_size", "cell_grid"):
+        if key in parser[final] and key not in parser.defaults():
+            log.warning("%s: ignoring [%s] key %r, which only interior layers read", path, final, key)
+    return arch

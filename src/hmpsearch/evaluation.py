@@ -3,8 +3,8 @@
 Average precision of one ranked list sums precision-at-r over the ranks r
 holding relevant items and divides by the total number of relevant items, so
 relevant items that never appear contribute zero. Evaluation runs every
-ground-truth query against the index with self-exclusion on by default,
-since a query image stored in the corpus must not count as its own hit.
+ground-truth query against the index with self-exclusion always on, since a
+query image stored in the corpus must not count as its own hit.
 The ground truth is a file of `hmpsearch.files` tab records.
 """
 
@@ -63,11 +63,11 @@ def evaluate(
     index: InvertedIndex,
     descriptors,
     gt: GroundTruth,
-    self_exclude: bool = True,
     config_fingerprint: str = "",
 ) -> EvalReport:
     """Run every ground-truth query against `index` and report AP per query
-    plus the mean. `descriptors` maps image id to descriptor."""
+    plus the mean, never counting a query as its own hit. `descriptors`
+    maps image id to descriptor."""
     if not gt:
         raise InvalidInputError("ground truth lists no queries")
     missing = [qid for qid in gt if qid not in descriptors]
@@ -77,7 +77,7 @@ def evaluate(
     total = 0.0
     for qid in sorted(gt):
         start = time.perf_counter()
-        ranked = query(index, descriptors[qid], None, self_exclude)
+        ranked = query(index, descriptors[qid], None, self_exclude=True)
         elapsed = time.perf_counter() - start
         ap = average_precision([image_id for image_id, _ in ranked], gt[qid])
         per_query.append((qid, ap, elapsed))

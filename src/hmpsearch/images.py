@@ -21,6 +21,8 @@ from .errors import DecodeError, InvalidInputError, UnsupportedFormatError
 from .files import read_bytes, tab_records
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
+# full scale of each grayscale Pillow mode that is read without conversion
+_GRAY_FULL_SCALE = {"L": 255.0, "I;16": 65535.0, "I": 65535.0}
 
 
 @dataclass(frozen=True)
@@ -115,11 +117,8 @@ def _pillow_decode(path) -> IntensityImage:
         ) from None
     try:
         with Image.open(path) as img:
-            if img.mode in ("L", "I;16", "I"):
-                arr = np.asarray(img, dtype=np.float64)
-                peak = arr.max()
-                scale = 255.0 if peak <= 255 else 65535.0
-                gray = arr / scale
+            if img.mode in _GRAY_FULL_SCALE:
+                gray = np.asarray(img, dtype=np.float64) / _GRAY_FULL_SCALE[img.mode]
             else:
                 rgb = np.asarray(img.convert("RGB"), dtype=np.float64) / 255.0
                 r, g, b = LUMA_WEIGHTS

@@ -249,7 +249,7 @@ def assign_to_cells(centers, region_size, cell_grid, origin=(0.0, 0.0)) -> list[
 def encode_layer(features: FeatureGrid, layer, d) -> FeatureGrid:
     """Per-signal coding against `d`, unit buckets, per-cell pools,
     concatenation."""
-    unit = layer.coding_unit_size
+    unit = layer.unit_size
     sparsity = min(layer.sparsity, d.signal_dim, d.size)
     codes = [omp_one(d, features.vectors[i], sparsity) for i in range(features.count)]
     h, w = features.extent

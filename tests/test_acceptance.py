@@ -56,8 +56,8 @@ def test_criterion_1_descriptor_length_law():
 
     def single_layer_arch(pyramid):
         d = random_dictionary(rng, 25, 1000)
-        layer = LayerConfig(codebook_size=1000, sparsity=4, input_patch_size=5, stride=2)
-        return ArchitectureConfig([layer], pyramid), [d]
+        layer = LayerConfig(codebook_size=1000, sparsity=4)
+        return ArchitectureConfig([layer], pyramid, patch_size=5, stride=2), [d]
 
     desc_single = encode_image(image, *single_layer_arch([1]), "a")
     assert desc_single.length == 2000
@@ -241,25 +241,18 @@ def _directional_run(seed, k_final=64, k1=32, patch=5, stride=1, l1=4, lf=4):
     images, gt = arrangement_corpus(1000 + seed)
     rng = np.random.default_rng(seed)
     patches = _sample_patch_columns(images, patch, stride, 1200, rng)
-    layer1 = LayerConfig(
-        codebook_size=k1,
-        sparsity=l1,
-        input_patch_size=patch,
-        stride=stride,
-        coding_unit_size=ARRANGEMENT_TILE,
-        cell_grid=2,
-    )
+    layer1 = LayerConfig(codebook_size=k1, sparsity=l1, unit_size=ARRANGEMENT_TILE, cell_grid=2)
     layer1_dict = _train_codebook(patches, k1, l1, seed)
     unit_features = []
     for img in images.values():
         grid = encode_layer(extract_patches(img, patch, stride), layer1, layer1_dict)
         unit_features.append(grid.vectors.T)
     layer2_dict = _train_codebook(np.concatenate(unit_features, axis=1), k_final, lf, seed)
-    two_layer = ArchitectureConfig([layer1, LayerConfig(codebook_size=k_final, sparsity=lf)], [1])
-    one_layer = ArchitectureConfig(
-        [LayerConfig(codebook_size=k_final, sparsity=lf, input_patch_size=patch, stride=stride)],
-        [1],
+    geometry = dict(patch_size=patch, stride=stride)
+    two_layer = ArchitectureConfig(
+        [layer1, LayerConfig(codebook_size=k_final, sparsity=lf)], [1], **geometry
     )
+    one_layer = ArchitectureConfig([LayerConfig(codebook_size=k_final, sparsity=lf)], [1], **geometry)
     one_dict = _train_codebook(patches, k_final, lf, seed)
     bof_dict = _train_codebook(patches, k_final, 1, seed)
     two_books, one_books = [layer1_dict, layer2_dict], [one_dict]
@@ -360,12 +353,11 @@ def test_criterion_8_invariant_suite():
 
     # unit-norm law and pipeline determinism
     d1 = random_dictionary(rng, 25, 12)
-    layer1 = LayerConfig(
-        codebook_size=12, sparsity=3, input_patch_size=5, stride=2,
-        coding_unit_size=16, cell_grid=4,
-    )
+    layer1 = LayerConfig(codebook_size=12, sparsity=3, unit_size=16, cell_grid=4)
     d2 = random_dictionary(rng, 2 * 12 * 16, 10)
-    arch = ArchitectureConfig([layer1, LayerConfig(codebook_size=10, sparsity=3)], [1, 2])
+    arch = ArchitectureConfig(
+        [layer1, LayerConfig(codebook_size=10, sparsity=3)], [1, 2], patch_size=5, stride=2
+    )
     img = IntensityImage(texture_image(11, side=64))
     first = encode_image(img, arch, [d1, d2], "img")
     second = encode_image(img, arch, [d1, d2], "img")

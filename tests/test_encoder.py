@@ -94,7 +94,7 @@ class TestEncodeLayer:
         rng = np.random.default_rng(3)
         d = random_dictionary(rng, 9, 12)
         grid = feature_grid_from_image(rng.uniform(size=(8, 8)))
-        layer = LayerConfig(codebook_size=12, sparsity=3, coding_unit_size=8, cell_grid=1)
+        layer = LayerConfig(codebook_size=12, sparsity=3, unit_size=8, cell_grid=1)
         out = encode_layer(grid, layer, d)
         assert out.count == 1
         codes = [oracles.omp_one(d, grid.vectors[i], 3) for i in range(grid.count)]
@@ -108,7 +108,7 @@ class TestEncodeLayer:
         rng = np.random.default_rng(4)
         d = random_dictionary(rng, 9, 8)
         grid = feature_grid_from_image(np.full((16, 16), 0.5))
-        layer = LayerConfig(codebook_size=8, sparsity=2, coding_unit_size=8, cell_grid=2)
+        layer = LayerConfig(codebook_size=8, sparsity=2, unit_size=8, cell_grid=2)
         out = encode_layer(grid, layer, d)
         assert out.count == 4
         npt.assert_array_equal(out.vectors, 0.0)
@@ -117,7 +117,7 @@ class TestEncodeLayer:
         rng = np.random.default_rng(5)
         d = random_dictionary(rng, 9, 10)
         grid = feature_grid_from_image(rng.uniform(size=(16, 16)))
-        layer = LayerConfig(codebook_size=10, sparsity=2, coding_unit_size=8, cell_grid=2)
+        layer = LayerConfig(codebook_size=10, sparsity=2, unit_size=8, cell_grid=2)
         out = encode_layer(grid, layer, d)
         assert out.vectors.shape == (4, 2 * 10 * 4)
         norms = np.linalg.norm(out.vectors, axis=1)
@@ -127,7 +127,7 @@ class TestEncodeLayer:
         rng = np.random.default_rng(6)
         d = random_dictionary(rng, 9, 8)
         grid = feature_grid_from_image(rng.uniform(size=(16, 16)))
-        layer = LayerConfig(codebook_size=8, sparsity=2, coding_unit_size=8, cell_grid=2)
+        layer = LayerConfig(codebook_size=8, sparsity=2, unit_size=8, cell_grid=2)
         out = encode_layer(grid, layer, d)
         npt.assert_allclose(out.centers, [[4, 4], [4, 12], [12, 4], [12, 12]])
 
@@ -138,7 +138,7 @@ class TestEncodeLayer:
         # each unit holds a 2x2 block of patch centers, one per cell
         pixels = rng.uniform(size=(4, 8))
         grid = feature_grid_from_image(pixels, patch_size=2, stride=2)
-        layer = LayerConfig(codebook_size=6, sparsity=2, coding_unit_size=4, cell_grid=1)
+        layer = LayerConfig(codebook_size=6, sparsity=2, unit_size=4, cell_grid=1)
         out = encode_layer(grid, layer, d)
         # permute the two features inside unit 0 (centers in columns < 4)
         members = [i for i in range(grid.count) if grid.centers[i][1] < 4]
@@ -151,7 +151,7 @@ class TestEncodeLayer:
         rng = np.random.default_rng(8)
         d = random_dictionary(rng, 5, 6)
         grid = feature_grid_from_image(rng.uniform(size=(8, 8)))  # 9-dim patches
-        layer = LayerConfig(codebook_size=6, sparsity=2, coding_unit_size=8, cell_grid=2)
+        layer = LayerConfig(codebook_size=6, sparsity=2, unit_size=8, cell_grid=2)
         with pytest.raises(InvalidInputError) as err:
             encode_layer(grid, layer, d)
         assert "9" in str(err.value) and "5" in str(err.value)
@@ -218,17 +218,10 @@ class TestPyramidPool:
 
 def two_layer_architecture(rng, k_final=16, pyramid=(1,)):
     d1 = random_dictionary(rng, 25, 12)
-    layer1 = LayerConfig(
-        codebook_size=12,
-        sparsity=3,
-        input_patch_size=5,
-        stride=1,
-        coding_unit_size=16,
-        cell_grid=4,
-    )
+    layer1 = LayerConfig(codebook_size=12, sparsity=3, unit_size=16, cell_grid=4)
     d2 = random_dictionary(rng, 2 * 12 * 16, k_final)
     layer2 = LayerConfig(codebook_size=k_final, sparsity=4)
-    return ArchitectureConfig([layer1, layer2], list(pyramid)), [d1, d2]
+    return ArchitectureConfig([layer1, layer2], list(pyramid), patch_size=5, stride=1), [d1, d2]
 
 
 class TestArchitectureConfig:
@@ -246,16 +239,13 @@ class TestArchitectureConfig:
         with pytest.raises(InvalidInputError):
             ArchitectureConfig(layers, [1])
 
-    def test_higher_layers_code_single_features(self):
-        l1 = LayerConfig(codebook_size=4, sparsity=1, input_patch_size=5)
-        l2 = LayerConfig(codebook_size=4, sparsity=1, input_patch_size=3)
-        with pytest.raises(InvalidInputError):
-            ArchitectureConfig([l1, l2], [1])
+    @pytest.mark.parametrize("geometry", [dict(patch_size=0), dict(stride=0)])
+    def test_patch_geometry_must_be_positive(self, geometry):
+        with pytest.raises(InvalidInputError, match="patch_size and stride"):
+            ArchitectureConfig([LayerConfig(codebook_size=4, sparsity=1)], [1], **geometry)
 
     def test_interior_cells_must_divide_unit(self):
-        l1 = LayerConfig(
-            codebook_size=4, sparsity=1, input_patch_size=5, coding_unit_size=10, cell_grid=3
-        )
+        l1 = LayerConfig(codebook_size=4, sparsity=1, unit_size=10, cell_grid=3)
         l2 = LayerConfig(codebook_size=4, sparsity=1)
         with pytest.raises(InvalidInputError):
             ArchitectureConfig([l1, l2], [1])
@@ -325,7 +315,7 @@ class TestEncodeImage:
         rng = np.random.default_rng(24)
         two, codebooks = two_layer_architecture(rng, k_final=4)
         layer1, layer2 = two.layers
-        layer2 = replace(layer2, coding_unit_size=36, cell_grid=2)
+        layer2 = replace(layer2, unit_size=36, cell_grid=2)
         codebooks.append(random_dictionary(rng, 2 * 4 * 4, 4))
         layer3 = LayerConfig(codebook_size=4, sparsity=2)
         arch = ArchitectureConfig([layer1, layer2, layer3], [1])
@@ -338,8 +328,8 @@ class TestEncodeImage:
     def test_single_layer_pipeline(self):
         rng = np.random.default_rng(19)
         d = random_dictionary(rng, 25, 10)
-        layer = LayerConfig(codebook_size=10, sparsity=3, input_patch_size=5, stride=2)
-        arch = ArchitectureConfig([layer], [1, 2])
+        layer = LayerConfig(codebook_size=10, sparsity=3)
+        arch = ArchitectureConfig([layer], [1, 2], patch_size=5, stride=2)
         img = IntensityImage(texture_image(7, side=32))
         desc = encode_image(img, arch, [d], "one-layer")
         assert desc.length == 2 * 10 * 5
@@ -349,16 +339,16 @@ class TestEncodeImage:
 class TestBofBaseline:
     def test_baseline_architecture_is_one_nearest_atom_layer(self):
         arch, _ = two_layer_architecture(np.random.default_rng(22), k_final=7)
-        arch.layers[0] = replace(arch.layers[0], stride=2)
-        [layer] = baseline_architecture(arch).layers
+        baseline = baseline_architecture(replace(arch, stride=2))
+        [layer] = baseline.layers
         assert (layer.codebook_size, layer.sparsity) == (7, 1)
-        assert (layer.input_patch_size, layer.stride) == (5, 2)
+        assert (baseline.patch_size, baseline.stride) == (5, 2)
 
     def test_histogram_length_equals_codebook(self):
         rng = np.random.default_rng(20)
         d = random_dictionary(rng, 25, 16)
         img = IntensityImage(texture_image(8, side=24))
-        arch = ArchitectureConfig([LayerConfig(codebook_size=16, sparsity=1, input_patch_size=5)])
+        arch = ArchitectureConfig([LayerConfig(codebook_size=16, sparsity=1)], patch_size=5)
         desc = encode_image_bof(img, arch, [d], "bof")
         assert desc.length == 16
         npt.assert_allclose(np.linalg.norm(desc.values), 1.0, atol=1e-9)
@@ -367,7 +357,7 @@ class TestBofBaseline:
         rng = np.random.default_rng(21)
         d = random_dictionary(rng, 9, 6)
         img = IntensityImage(texture_image(9, side=8))
-        arch = ArchitectureConfig([LayerConfig(codebook_size=6, sparsity=1, input_patch_size=3)])
+        arch = ArchitectureConfig([LayerConfig(codebook_size=6, sparsity=1)], patch_size=3)
         desc = encode_image_bof(img, arch, [d], "bof")
         grid = extract_patches(img, 3, 1)
         hist = np.zeros(6)
@@ -456,8 +446,7 @@ class TestArchitectureFile:
         )
         arch = load_architecture(cfg)
         assert len(arch.layers) == 2
-        assert arch.layers[0].input_patch_size == 5
-        assert arch.layers[0].stride == 2
+        assert (arch.patch_size, arch.stride) == (5, 2)
         assert arch.layers[1].codebook_size == 32
         assert arch.layers[1].sparsity == 10  # final-layer default
         assert arch.pyramid == [1, 2]
@@ -474,6 +463,12 @@ class TestArchitectureFile:
             ),
             ("[layer1]\ncodebook_size = 8\ndictionary = my.hmpd\n", "[layer1] key 'dictionary'"),
             ("[DEFAULT]\nsparsty = 2\n[layer1]\ncodebook_size = 8\n", "[DEFAULT] key 'sparsty'"),
+            ("[layer1]\ncodebook_size = 8\nunit_size = 8\n", "[layer1] key 'unit_size'"),
+            (
+                "[layer1]\ncodebook_size = 8\nsparsity = 10\nunit_size = 8\ncell_grid = 2\n"
+                "[layer2]\ncodebook_size = 8\ncell_grid = 2\n",
+                "[layer2] key 'cell_grid'",
+            ),
         ],
         ids=[
             "layer-key",
@@ -482,6 +477,8 @@ class TestArchitectureFile:
             "default-key-read-by-a-layer",
             "retired-dictionary-key",
             "default-key-no-section-reads",
+            "final-layer-unit-size",
+            "final-layer-cell-grid",
         ],
     )
     def test_unread_key_or_section_warns(self, tmp_path, caplog, text, warned):
@@ -491,6 +488,16 @@ class TestArchitectureFile:
         assert arch.layers[0].sparsity == 10 and arch.pyramid == [1]
         [warning] = [r.getMessage() for r in caplog.records if r.name == "hmpsearch"]
         assert str(cfg) in warning and warned in warning
+
+    def test_higher_layer_may_repeat_a_patch_geometry_of_1(self, tmp_path, caplog):
+        cfg = tmp_path / "arch.cfg"
+        cfg.write_text(
+            "[layer1]\ncodebook_size = 8\npatch_size = 3\nstride = 2\nunit_size = 8\n"
+            "cell_grid = 2\n[layer2]\ncodebook_size = 8\npatch_size = 1\nstride = 1\n"
+        )
+        arch = load_architecture(cfg)
+        assert (arch.patch_size, arch.stride) == (3, 2)
+        assert caplog.records == []
 
     def test_missing_codebook_size_rejected(self, tmp_path):
         cfg = tmp_path / "arch.cfg"
@@ -505,8 +512,10 @@ class TestArchitectureFile:
             "[layer1]\ncodebook_size = abc\n",
             "[layer1]\ncodebook_size = 8\n[layer2]\ncodebook_size = 8\nstride = 2\n",
             "[layer1]\ncodebook_size = 8\nsparsity = 3%\n",
+            "[layer1]\ncodebook_size = 8\n[layer2]\ncodebook_size = 8\n"
+            "[layer3]\ncodebook_size = 8\npatch_size = 3\n",
         ],
-        ids=["not-a-number", "stride-above-layer-1", "percent"],
+        ids=["not-a-number", "stride-above-layer-1", "percent", "patch-size-above-layer-1"],
     )
     def test_bad_value_names_path(self, tmp_path, text):
         cfg = tmp_path / "arch.cfg"

@@ -148,14 +148,6 @@ class TestEvaluate:
             total += average_precision([image_id for image_id, _ in ranked], gt[qid])
         assert evaluate(idx, docs, gt).mean_ap == total / len(gt)
 
-    def test_self_exclusion_toggle(self):
-        docs, gt = planted_cluster_corpus()
-        idx = build_index(24, docs.values())
-        # with exclusion off the query outranks its group mates but is not
-        # relevant, so precision at the hit ranks drops
-        include_self = evaluate(idx, docs, gt, self_exclude=False)
-        assert include_self.mean_ap < 1.0
-
 
 class TestGroundTruthFile:
     def test_parse(self, tmp_path):

@@ -1,6 +1,7 @@
 """Raster decoding and patch geometry tests."""
 
 import sys
+import types
 
 import numpy as np
 import numpy.testing as npt
@@ -88,6 +89,43 @@ class TestLoadImage:
         monkeypatch.setitem(sys.modules, "PIL.Image", None)
         with pytest.raises(UnsupportedFormatError):
             load_image(path)
+
+    @pytest.mark.parametrize(
+        "mode, samples, maxval",
+        [
+            ("I;16", [0, 3, 200, 255, 0, 17], 65535),
+            ("I", [0, 3, 200, 255, 0, 17], 65535),
+            ("I;16", [0, 40000, 65535, 1, 2, 3], 65535),
+            ("L", [0, 3, 200, 255, 0, 17], 255),
+        ],
+        ids=["dark-16-bit", "dark-32-bit", "bright-16-bit", "8-bit"],
+    )
+    def test_pillow_gray_scales_by_mode_as_netpbm_by_maxval(
+        self, tmp_path, monkeypatch, mode, samples, maxval
+    ):
+        # a stub Pillow that decodes any file to `samples` in `mode`
+        class Decoded:
+            def __init__(self, path):
+                self.mode = mode
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def __array__(self, dtype=None, copy=None):
+                return np.array(samples, dtype=dtype).reshape(2, 3)
+
+        pil = types.ModuleType("PIL")
+        pil.Image = types.SimpleNamespace(open=Decoded)
+        monkeypatch.setitem(sys.modules, "PIL", pil)
+        png = tmp_path / "photo.png"
+        png.write_bytes(b"\x89PNG not decoded by the stub")
+        pgm = tmp_path / "photo.pgm"
+        width = 2 if maxval > 255 else 1
+        write_p5(pgm, 3, 2, b"".join(v.to_bytes(width, "big") for v in samples), maxval)
+        assert load_image(png).pixels.tobytes() == load_image(pgm).pixels.tobytes()
 
     def test_determinism(self, tmp_path):
         path = tmp_path / "img.pgm"

@@ -103,7 +103,7 @@ def test_encode_layer_matches_unit_bucket_loops(seed, cell_grid, cell_width, ext
     layer = LayerConfig(
         codebook_size=k,
         sparsity=int(rng.integers(1, 4)),
-        coding_unit_size=unit,
+        unit_size=unit,
         cell_grid=cell_grid,
     )
     d = random_dictionary(rng, dim, k)
