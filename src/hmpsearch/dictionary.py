@@ -8,9 +8,11 @@ over the worst-reconstructed signal. The rank-1 fit cannot raise the
 objective, and the coding pass keeps a signal's previous code whenever fresh
 greedy coding would make its residual worse, so the reported trace of the
 objective is non-increasing. Each code is s = min(sparsity, D, K) (atom,
-coefficient) slots, so memory follows the nonzeros, not K x N, and each
-residual is summed slot by slot, elementwise, never by a BLAS product, so
-the codebook does not depend on the BLAS thread count.
+coefficient) slots, so memory follows the nonzeros, not K x N, plus one
+D x N residual that both passes keep current. Each residual is summed slot
+by slot, elementwise, never by a BLAS product, so the residuals do not
+depend on the BLAS thread count; the SVD and `atom @ restricted` product of
+an atom update do, at paper scale.
 """
 
 from __future__ import annotations
@@ -116,18 +118,7 @@ def _residual(y, atoms, support, coef) -> np.ndarray:
     return res
 
 
-def _residual_norms(signals, atoms, support, coef) -> np.ndarray:
-    """The residual norm of every signal, CODE_CHUNK columns at a time. A
-    last single column joins the chunk before it: add.reduce sums the rows
-    of a D x n block one by one, but a lone column pairwise."""
-    bounds = [*range(0, max(signals.shape[1] - 1, 1), CODE_CHUNK), signals.shape[1]]
-    return np.concatenate([
-        np.linalg.norm(_residual(signals[:, lo:hi], atoms, support[lo:hi], coef[lo:hi]), axis=0)
-        for lo, hi in zip(bounds, bounds[1:])
-    ])
-
-
-def _code_pass(signals, atoms, support, coef) -> None:
+def _code_pass(signals, atoms, support, coef, residual) -> None:
     """Greedy-code every signal, keeping the old code when it fits better."""
     dictionary = Dictionary(atoms)
     # fixed-size chunks bound the kernel's N x K work arrays; a code row
@@ -141,23 +132,14 @@ def _code_pass(signals, atoms, support, coef) -> None:
         slot = np.arange(rows.size) - np.searchsorted(rows, rows)
         new_support[rows, slot], new_coef[rows, slot] = atom, new[rows, atom]
         del new  # the dense chunk, freed before the residuals and the next chunk
-        old_res = np.linalg.norm(_residual(y, atoms, support[chunk], coef[chunk]), axis=0)
-        new_res = np.linalg.norm(_residual(y, atoms, new_support, new_coef), axis=0)
-        better = lo + np.flatnonzero(new_res <= old_res)
-        support[better], coef[better] = new_support[better - lo], new_coef[better - lo]
+        new_res = _residual(y, atoms, new_support, new_coef)
+        keep = np.linalg.norm(new_res, axis=0) <= np.linalg.norm(residual[:, chunk], axis=0)
+        better = np.flatnonzero(keep)
+        support[lo + better], coef[lo + better] = new_support[better], new_coef[better]
+        residual[:, lo + better] = new_res[:, better]
 
 
-def _worst_signal(signals, atoms, support, coef, skip: set[int]) -> int | None:
-    for idx in np.argsort(-_residual_norms(signals, atoms, support, coef)):
-        i = int(idx)
-        if i in skip:
-            continue
-        if np.linalg.norm(signals[:, i]) > 1e-12:
-            return i
-    return None
-
-
-def _update_pass(signals, atoms, support, coef, rng) -> None:
+def _update_pass(signals, atoms, support, coef, residual, rng) -> None:
     """Sequential atom updates; unused atoms take the worst-coded signal."""
     size = atoms.shape[1]
     # the nonzero slots of each atom's users, in signal order, from one
@@ -169,7 +151,9 @@ def _update_pass(signals, atoms, support, coef, rng) -> None:
     for k in range(size):
         own = slots[bounds[k] : bounds[k + 1]]
         if own.size == 0:
-            pick = _worst_signal(signals, atoms, support, coef, taken)
+            worst = np.argsort(-np.linalg.norm(residual, axis=0)).tolist()
+            pick = next((i for i in worst if i not in taken
+                         and np.linalg.norm(signals[:, i]) > 1e-12), None)
             if pick is None:
                 atoms[:, k] = _random_unit(rng, atoms.shape[0])
             else:
@@ -177,11 +161,13 @@ def _update_pass(signals, atoms, support, coef, rng) -> None:
                 atoms[:, k] = signals[:, pick] / np.linalg.norm(signals[:, pick])
             continue
         users = own // support.shape[1]
-        restricted = _residual(signals[:, users], atoms, support[users], coef[users])
-        restricted += np.outer(atoms[:, k], coef.flat[own])
+        restricted = residual[:, users] + np.outer(atoms[:, k], coef.flat[own])
         atom = np.linalg.svd(restricted, full_matrices=False)[0][:, 0]
         atoms[:, k] = atom
         coef.flat[own] = atom @ restricted
+        # rebuilt slot by slot, not downdated by the rank-1 fit, so that each
+        # kept column has the bits a fresh rebuild would give
+        residual[:, users] = _residual(signals[:, users], atoms, support[users], coef[users])
 
 
 def train(train_set: TrainingSet, cfg: TrainConfig) -> tuple[Dictionary, list[float]]:
@@ -189,12 +175,14 @@ def train(train_set: TrainingSet, cfg: TrainConfig) -> tuple[Dictionary, list[fl
     rng = np.random.default_rng(cfg.seed)
     signals = train_set.signals
     atoms = np.array(init_dictionary(train_set, cfg).atoms)
-    # each signal's code: atoms and coefficients in s slots, zero when unused
+    # each signal's code: atoms and coefficients in s slots, zero when unused,
+    # and its residual, one column of a C-ordered D x N array
     slots = (train_set.count, min(cfg.sparsity, *atoms.shape))
     support, coef = np.zeros(slots, dtype=np.intp), np.zeros(slots)
+    residual = _residual(signals, atoms, support, coef)
     trace: list[float] = []
     for _ in range(cfg.iterations):
-        _code_pass(signals, atoms, support, coef)
-        _update_pass(signals, atoms, support, coef, rng)
-        trace.append(float(np.sum(np.square(_residual_norms(signals, atoms, support, coef)))))
+        _code_pass(signals, atoms, support, coef, residual)
+        _update_pass(signals, atoms, support, coef, residual, rng)
+        trace.append(float(np.sum(np.square(np.linalg.norm(residual, axis=0)))))
     return Dictionary(atoms), trace

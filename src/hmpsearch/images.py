@@ -181,7 +181,7 @@ def extract_patches(img: IntensityImage, patch_size: int, stride: int = 1) -> Fe
     windows = np.lib.stride_tricks.sliding_window_view(img.pixels, (patch_size, patch_size))
     windows = windows[::stride, ::stride]
     rows, cols = windows.shape[:2]
-    flat = windows.reshape(rows * cols, patch_size * patch_size).astype(np.float64)
+    flat = windows.reshape(rows * cols, patch_size * patch_size)
     flat = flat - flat.mean(axis=1, keepdims=True)
     half = (patch_size - 1) / 2.0
     rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")

@@ -1,5 +1,6 @@
-"""Codebook training tests: descent, recovery, housekeeping rules, and the
-sparse-code trainer held to the dense one, `oracles.ksvd_dense`."""
+"""Codebook training tests: descent, recovery, housekeeping rules, the
+sparse-code trainer held to the dense one, `oracles.ksvd_dense`, and its
+kept residual held to a fresh rebuild."""
 
 import tracemalloc
 import warnings
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmpsearch import InvalidInputError, TrainConfig, TrainingSet, init_dictionary, train
-from hmpsearch.dictionary import CODE_CHUNK
+from hmpsearch.dictionary import CODE_CHUNK, _code_pass, _residual, _update_pass
 from conftest import outputs_under_blas_threads, packed_dictionary, planted_signals
 from oracles import ksvd_dense, omp_one
 
@@ -251,3 +252,45 @@ for seed in range(4):
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+
+
+class TestKeptResidual:
+    """`train` keeps R = Y - A X in one array across both passes; after each
+    pass it must equal, bit for bit, the slot-by-slot rebuild from the codes,
+    or the codebook bytes would depend on how it was kept."""
+
+    @pytest.mark.parametrize("sparsity", range(1, 7))
+    @pytest.mark.parametrize("count", [1, 60, CODE_CHUNK + 1])
+    @pytest.mark.parametrize("order", "CF")
+    def test_equals_a_rebuild_after_every_pass(self, sparsity, count, order):
+        # mostly copies of three signals, one of them zero: the initial
+        # codebook repeats atoms, which coding then leaves unused
+        rng = np.random.default_rng(sparsity * 10 + count)
+        pool = rng.standard_normal((12, 3))
+        pool[:, 0] = 0.0
+        copies = pool[:, rng.integers(0, 3, count)]
+        signals = np.where(rng.random(count) < 0.8, copies, rng.standard_normal((12, count)))
+        train_set = TrainingSet(np.asarray(signals, order=order))
+        signals = train_set.signals
+        cfg = TrainConfig(codebook_size=24, sparsity=sparsity, iterations=3, seed=sparsity)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # fewer signals than atoms
+            atoms = np.array(init_dictionary(train_set, cfg).atoms)
+            trained, trace = train(train_set, cfg)
+        slots = (count, min(sparsity, *atoms.shape))
+        support, coef = np.zeros(slots, dtype=np.intp), np.zeros(slots)
+        residual = _residual(signals, atoms, support, coef)
+        update_rng = np.random.default_rng(cfg.seed)
+        fresh_trace, unused = [], 0
+        for _ in range(cfg.iterations):
+            _code_pass(signals, atoms, support, coef, residual)
+            assert residual.tobytes() == _residual(signals, atoms, support, coef).tobytes()
+            unused += cfg.codebook_size - np.unique(support[coef != 0.0]).size
+            _update_pass(signals, atoms, support, coef, residual, update_rng)
+            fresh = _residual(signals, atoms, support, coef)
+            assert residual.flags.c_contiguous
+            assert residual.tobytes() == fresh.tobytes()
+            fresh_trace.append(float(np.sum(np.square(np.linalg.norm(fresh, axis=0)))))
+        assert unused > 0
+        assert trace == fresh_trace
+        assert trained.atoms.tobytes() == atoms.tobytes()
