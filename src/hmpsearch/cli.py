@@ -162,10 +162,7 @@ def _layer_training_signals(cfg, arch, images, codebooks, rng) -> np.ndarray:
     chunks = []
     for _, path in images:
         vectors = layer_inputs(_read_image(cfg, path), arch, codebooks).vectors
-        if vectors.shape[0] > per_image:
-            picks = rng.choice(vectors.shape[0], size=per_image, replace=False)
-            vectors = vectors[np.sort(picks)]
-        chunks.append(vectors.T)
+        chunks.append(_subsample_columns(vectors.T, per_image, rng))
     signals = np.concatenate(chunks, axis=1)
     return _subsample_columns(signals, cfg.sample_cap, rng)
 

@@ -118,11 +118,6 @@ def _dots(u: np.ndarray, i: np.ndarray, v: np.ndarray, j: np.ndarray) -> np.ndar
     return out
 
 
-def _correlations(mat: np.ndarray, atoms: np.ndarray) -> np.ndarray:
-    """N x K `_dots` of the rows of `mat` (N x D) with the columns of `atoms`."""
-    return _dots(mat.T, np.arange(mat.shape[0])[:, None], atoms, np.arange(atoms.shape[1]))
-
-
 def _gram_at(atoms: np.ndarray, gram: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Exact Gram entries gram[p, q]; the NaN ones are computed, each pair once."""
     need = np.zeros(gram.shape, dtype=bool)
@@ -248,7 +243,7 @@ def vq_encode_batch(dictionary: Dictionary, signals: np.ndarray) -> np.ndarray:
     """Index of the nearest atom to each column of `signals` (D x N).
 
     The nearest unit-norm atom is the one of largest correlation with the
-    signal, as `_correlations` accumulates it; ties break toward the lowest
+    signal, as `_dots` accumulates it; ties break toward the lowest
     atom index, so a zero signal takes atom 0. One BLAS product screens the
     atoms and only rows left with more than one candidate run the loop, so
     the result is the loop's argmax bit for bit, whatever the batch or the
@@ -270,9 +265,11 @@ def vq_encode_batch(dictionary: Dictionary, signals: np.ndarray) -> np.ndarray:
         candidates = ~(approx < threshold[:, None])
     nearest = np.argmax(candidates, axis=1)
     ties = np.flatnonzero(np.count_nonzero(candidates, axis=1) > 1)
-    if ties.size:
-        exact = _correlations(y[ties], dictionary.atoms)
-        nearest[ties] = np.argmax(np.where(candidates[ties], exact, -np.inf), axis=1)
+    if ties.size:  # settled by the exact correlations of the candidates only
+        i, k = np.nonzero(candidates[ties])
+        exact = np.full((ties.size, dictionary.size), -np.inf)
+        exact[i, k] = _dots(y.T, ties[i], dictionary.atoms, k)
+        nearest[ties] = np.argmax(exact, axis=1)
     return nearest
 
 

@@ -1,11 +1,11 @@
 """Inverted-file search over sparse descriptors.
 
 The index is an immutable dimensions x documents sparse matrix stored by
-dimension: row r is the posting list of dimension `dims[r]`, the document
-ordinals `docs[indptr[r]:indptr[r + 1]]` (positions in `ids`) and their
-`values`, ordered by image id. Only dimensions with postings have a row, as
-in the index file. A query touches only the rows of its own nonzero
-dimensions; because descriptors are unit vectors, its sums are cosines.
+dimension, documents numbered in ascending id order: row d is the posting
+list `docs[indptr[d]:indptr[d + 1]]` (ascending ordinals, positions in
+`ids`) with its `values`. Memory holds a row for every dimension, the index
+file only the nonempty ones. A query touches only the rows of its own
+nonzero dimensions; as descriptors are unit vectors, its sums are cosines.
 `exhaustive_scan` is the brute-force counterpart that scores every stored
 document; on any corpus where each document shares at least one dimension
 with the query the two return identical rankings. An index file is an
@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 import struct
-from collections import Counter
+from bisect import bisect_left
 
 import numpy as np
 
+from .coding import l2_normalize
 from .encoder import ImageDescriptor
 from .errors import DecodeError, DuplicateIdError, InvalidInputError
 from .files import read_container, write_container
@@ -33,23 +34,23 @@ class InvertedIndex:
     """Posting lists over a fixed descriptor dimension, as arrays."""
 
     def __init__(self, dimension: int, ids: list[str], entry_dims, docs, values, idf=None):
-        """Store postings given as parallel (dimension, doc ordinal, value)
-        arrays in any order; a document may appear once per dimension."""
+        """Store postings given as parallel (dimension, position in `ids`,
+        value) arrays in any order; a document may appear once per dimension."""
         if dimension < 1:
             raise InvalidInputError(f"dimension must be >= 1, got {dimension}")
-        repeated = sorted(image_id for image_id, n in Counter(ids).items() if n > 1)
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        self.dimension, self.ids, self.idf = int(dimension), [ids[n] for n in order], idf
+        repeated = sorted({a for a, b in zip(self.ids, self.ids[1:]) if a == b})
         if repeated:
             raise DuplicateIdError(f"image id(s) {repeated} listed more than once")
-        self.dimension, self.ids, self.idf = int(dimension), ids, idf
-        # position of each document in ascending id order, the tie rule of `query`
-        self.id_rank = np.empty(len(ids), dtype=np.int64)
-        self.id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-        order = np.lexsort((self.id_rank[docs], entry_dims))
+        if np.any((entry_dims < 0) | (entry_dims >= dimension) | (docs < 0) | (docs >= len(ids))):
+            raise InvalidInputError("a posting has a dimension or doc ordinal out of range")
+        docs = np.argsort(order)[docs]  # the given ordinals, renumbered in id order
+        order = np.lexsort((docs, entry_dims))
         entry_dims, self.docs, self.values = entry_dims[order], docs[order], values[order]
         if np.any((np.diff(entry_dims) == 0) & (np.diff(self.docs) == 0)):
             raise InvalidInputError("a posting list names a document twice")
-        self.dims, counts = np.unique(entry_dims, return_counts=True)
-        self.indptr = np.concatenate(([0], np.cumsum(counts)))
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(entry_dims, minlength=dimension))))
 
     @property
     def doc_count(self) -> int:
@@ -100,12 +101,8 @@ def query(
         )
     indices, values = q.indices, q.values
     if idx.idf is not None:  # weight the query as the stored documents were
-        values = values * idx.idf[indices]
-        norm = np.linalg.norm(values)
-        values = values if norm == 0.0 else values / norm
-    # the rows of the query's dimensions in ascending order; no row, no range
-    lo = idx.indptr[np.searchsorted(idx.dims, indices)]
-    hi = idx.indptr[np.searchsorted(idx.dims, indices, side="right")]
+        values = l2_normalize(values * idx.idf[indices])
+    lo, hi = idx.indptr[indices], idx.indptr[indices + 1]
     lengths = hi - lo
     take = np.arange(lengths.sum()) + np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
     docs = idx.docs[take]
@@ -114,11 +111,13 @@ def query(
         docs, weights=idx.values[take] * np.repeat(values, lengths), minlength=idx.doc_count
     )
     candidates = np.flatnonzero(np.bincount(docs, minlength=idx.doc_count))
-    order = candidates[np.lexsort((idx.id_rank[candidates], -scores[candidates]))]
-    exclude = q.image_id if self_exclude else None
-    ranked = [n for n in order.tolist() if idx.ids[n] != exclude]
+    # ordinals ascend in id order, so a stable sort breaks score ties by id
+    ranked = candidates[np.argsort(-scores[candidates], kind="stable")]
+    n = bisect_left(idx.ids, q.image_id)
+    if self_exclude and idx.ids[n : n + 1] == [q.image_id]:
+        ranked = ranked[ranked != n]
     ranked = ranked[: None if top_k is None else max(int(top_k), 0)]
-    return [(idx.ids[n], score) for n, score in zip(ranked, scores[ranked].tolist())]
+    return [(idx.ids[n], score) for n, score in zip(ranked.tolist(), scores[ranked].tolist())]
 
 
 def exhaustive_scan(
@@ -151,10 +150,13 @@ def apply_idf(idx: InvertedIndex) -> InvertedIndex:
     """
     if idx.doc_count < 1:
         raise InvalidInputError("cannot weight an empty index")
+    if idx.idf is not None:
+        raise InvalidInputError("the index is already IDF-weighted")
     df = np.diff(idx.indptr)
+    rows = np.flatnonzero(df)
     weights = np.zeros(idx.dimension)
-    weights[idx.dims] = [math.log(idx.doc_count / count) for count in df.tolist()]
-    entry_dims = np.repeat(idx.dims, df)
+    weights[rows] = [math.log(idx.doc_count / count) for count in df[rows].tolist()]
+    entry_dims = np.repeat(np.arange(idx.dimension), df)
     scaled = idx.values * weights[entry_dims]
     # each document's squared norm, summed in ascending dimension order
     norms = np.sqrt(np.bincount(idx.docs, weights=scaled * scaled, minlength=idx.doc_count))
@@ -166,17 +168,18 @@ def apply_idf(idx: InvertedIndex) -> InvertedIndex:
 
 
 def save_index(idx: InvertedIndex, path) -> None:
-    """Write the index: magic, version, u32 dimension and doc count, an id
-    table, one (dimension, length, entries) block per row, then an optional
-    weight trailer."""
+    """Write the index: magic, version, u32 dimension and doc count, the id
+    table in ascending id order, one (dimension, length, entries) block per
+    nonempty row, then an optional weight trailer."""
     entries = np.rec.fromarrays([idx.docs, idx.values], dtype=_POSTING_DTYPE)
     parts = [struct.pack("<II", idx.dimension, idx.doc_count)]
     for image_id in idx.ids:
         encoded = image_id.encode("utf-8")
         parts += [struct.pack("<I", len(encoded)), encoded]
-    parts.append(struct.pack("<I", idx.dims.size))
-    bounds = idx.indptr.tolist()
-    for dim, lo, hi in zip(idx.dims.tolist(), bounds, bounds[1:]):
+    rows, bounds = np.flatnonzero(np.diff(idx.indptr)).tolist(), idx.indptr.tolist()
+    parts.append(struct.pack("<I", len(rows)))
+    for dim in rows:
+        lo, hi = bounds[dim], bounds[dim + 1]
         parts += [struct.pack("<II", dim, hi - lo), entries[lo:hi].tobytes()]
     parts.append(struct.pack("<B", idx.idf is not None))
     if idx.idf is not None:

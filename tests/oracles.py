@@ -303,14 +303,15 @@ class DictIndex:
 
 
 def postings_of(idx) -> dict[int, list[tuple[str, float]]]:
-    """The rows of an array `InvertedIndex` in the `DictIndex.postings` layout."""
+    """The nonempty rows of an array `InvertedIndex` in the `DictIndex.postings` layout."""
     bounds = idx.indptr.tolist()
     return {
         dim: [
             (idx.ids[doc], value)
             for doc, value in zip(idx.docs[lo:hi].tolist(), idx.values[lo:hi].tolist())
         ]
-        for dim, lo, hi in zip(idx.dims.tolist(), bounds, bounds[1:])
+        for dim, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        if hi > lo
     }
 
 

@@ -490,7 +490,8 @@ def test_exact_correlations_equal_the_ordered_loop(dim, count):
     mat = rng.standard_normal((count, dim)) * 10.0 ** rng.integers(-5, 6, (count, dim))
     mat[0] = -0.0
     want = correlations(mat, d.atoms)
-    assert coding._correlations(mat, d.atoms).tobytes() == want.tobytes()
+    got = coding._dots(mat.T, np.arange(count)[:, None], d.atoms, np.arange(9))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_cli_import_leaves_scipy_out():
@@ -560,14 +561,14 @@ def test_vq_screen_sends_only_near_ties_to_the_loop(monkeypatch):
     atoms = np.array(d.atoms)
     atoms[:, dst] = atoms[:, src]
     copied = Dictionary(atoms)
-    rows = []
-    loop = coding._correlations
+    rows = []  # per call, the distinct signal rows the loop reads
+    loop = coding._dots
 
-    def spy(mat, atoms):
-        rows.append(mat.copy())
-        return loop(mat, atoms)
+    def spy(u, i, v, j):
+        rows.append(u[:, np.unique(i)].T.copy())
+        return loop(u, i, v, j)
 
-    monkeypatch.setattr(coding, "_correlations", spy)
+    monkeypatch.setattr(coding, "_dots", spy)
     vq_encode_batch(d, signals)
     vq_encode_batch(copied, signals)
     assert rows == []

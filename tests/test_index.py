@@ -6,12 +6,15 @@ import struct
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmpsearch import (
     DecodeError,
     DuplicateIdError,
     ImageDescriptor,
     InvalidInputError,
+    InvertedIndex,
     apply_idf,
     build_index,
     exhaustive_scan,
@@ -79,6 +82,36 @@ class TestIndexAdd:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             build_index(4, [sparse_descriptor("a", 5, [(0, 1.0)])])
+
+    @pytest.mark.parametrize(
+        "dim, doc", [(4, 0), (-1, 0), (1, 2), (1, -1)], ids=["dim-4", "dim-neg", "doc-2", "doc-neg"]
+    )
+    def test_constructor_rejects_posting_out_of_range(self, dim, doc):
+        with pytest.raises(InvalidInputError):
+            InvertedIndex(4, ["a", "b"], np.array([dim]), np.array([doc]), np.array([1.0]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    ids=st.lists(st.text("ab-_./", min_size=1, max_size=3), min_size=1, max_size=10, unique=True),
+    data=st.data(),
+)
+def test_index_file_does_not_depend_on_descriptor_order(tmp_path_factory, ids, data):
+    # "a" sorts before "a-b", but "a.hmpv" after "a-b.hmpv"
+    rng = np.random.default_rng(len(ids))
+    docs = [
+        sparse_descriptor(image_id, 6, zip(rng.choice(6, 3, replace=False), rng.uniform(0.1, 1, 3)))
+        for image_id in ids
+    ]
+    path = tmp_path_factory.mktemp("order") / "corpus.hmpi"
+    files = []
+    for order in (docs, data.draw(st.permutations(docs))):
+        idx = build_index(6, order)
+        assert idx.ids == sorted(ids)
+        for weighted in (idx, apply_idf(idx)):
+            save_index(weighted, path)
+            files.append(path.read_bytes())
+    assert files[:2] == files[2:]
 
 
 class TestQuery:
@@ -239,6 +272,11 @@ class TestApplyIdf:
         with pytest.raises(InvalidInputError):
             apply_idf(build_index(4, []))
 
+    def test_second_weighting_rejected(self):
+        # the documents would be weighted twice and queries once
+        with pytest.raises(InvalidInputError):
+            apply_idf(apply_idf(self.three_doc_index()))
+
 
 class TestPersistence:
     def test_round_trip_preserves_query_results_bitwise(self, tmp_path):
@@ -309,6 +347,14 @@ class TestMalformedIndexFile:
         idx = load_index(path)
         assert idx.ids == ["a", "b"]
         assert postings_of(idx) == {1: [("a", 0.6), ("b", 0.8)]}
+
+    def test_file_with_unsorted_id_table_loads_in_id_order(self, tmp_path):
+        # files written before documents were numbered in id order
+        path = tmp_path / "old.hmpi"
+        path.write_bytes(index_bytes(4, ["b", "a"], {1: [(0, 0.6), (1, 0.8)], 3: [(0, 1.0)]}))
+        idx = load_index(path)
+        assert idx.ids == ["a", "b"]
+        assert postings_of(idx) == {1: [("a", 0.8), ("b", 0.6)], 3: [("b", 1.0)]}
 
     @pytest.mark.parametrize(
         "raw",
