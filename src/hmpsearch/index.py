@@ -3,13 +3,15 @@
 The index is an immutable dimensions x documents sparse matrix stored by
 dimension, documents numbered in ascending id order: row d is the posting
 list `docs[indptr[d]:indptr[d + 1]]` (ascending ordinals, positions in
-`ids`) with its `values`. Memory holds a row for every dimension, the index
-file only the nonempty ones. A query touches only the rows of its own
-nonzero dimensions; as descriptors are unit vectors, its sums are cosines.
-`exhaustive_scan` is the brute-force counterpart that scores every stored
-document; on any corpus where each document shares at least one dimension
-with the query the two return identical rankings. An index file is an
-`HMPI` container of `hmpsearch.files`.
+`ids`) with its `values`. Memory holds a row for every dimension up to the
+last nonempty one, so its size follows the postings and not the claimed
+dimension; the index file holds only the nonempty rows. A query touches
+only the rows of its own nonzero dimensions; as descriptors are unit
+vectors, its sums are cosines. `exhaustive_scan` is the brute-force
+counterpart that scores every stored document; on any corpus where each
+document shares at least one dimension with the query the two return
+identical rankings. An index file is an `HMPI` container of
+`hmpsearch.files`.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class InvertedIndex:
         entry_dims, self.docs, self.values = entry_dims[order], docs[order], values[order]
         if np.any((np.diff(entry_dims) == 0) & (np.diff(self.docs) == 0)):
             raise InvalidInputError("a posting list names a document twice")
-        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(entry_dims, minlength=dimension))))
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(entry_dims))))
 
     @property
     def doc_count(self) -> int:
@@ -102,7 +104,8 @@ def query(
     indices, values = q.indices, q.values
     if idx.idf is not None:  # weight the query as the stored documents were
         values = l2_normalize(values * idx.idf[indices])
-    lo, hi = idx.indptr[indices], idx.indptr[indices + 1]
+    last = len(idx.indptr) - 1  # rows past the last nonempty one are empty
+    lo, hi = idx.indptr[np.minimum(indices, last)], idx.indptr[np.minimum(indices + 1, last)]
     lengths = hi - lo
     take = np.arange(lengths.sum()) + np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
     docs = idx.docs[take]
@@ -156,7 +159,7 @@ def apply_idf(idx: InvertedIndex) -> InvertedIndex:
     rows = np.flatnonzero(df)
     weights = np.zeros(idx.dimension)
     weights[rows] = [math.log(idx.doc_count / count) for count in df[rows].tolist()]
-    entry_dims = np.repeat(np.arange(idx.dimension), df)
+    entry_dims = np.repeat(np.arange(len(df)), df)
     scaled = idx.values * weights[entry_dims]
     # each document's squared norm, summed in ascending dimension order
     norms = np.sqrt(np.bincount(idx.docs, weights=scaled * scaled, minlength=idx.doc_count))
@@ -202,14 +205,14 @@ def load_index(path) -> InvertedIndex:
         dims, blocks = [], [np.empty(0, dtype=_POSTING_DTYPE)]
         for _ in range(n_blocks):
             dim, n_entries = struct.unpack_from("<II", body, pos)
-            if dim >= dimension or (dims and dim <= dims[-1]):
-                raise InvalidInputError(f"posting block for dimension {dim} is out of range or order")
+            if dims and dim <= dims[-1]:
+                raise InvalidInputError(f"posting block for dimension {dim} is out of order")
             blocks.append(np.frombuffer(body, dtype=_POSTING_DTYPE, count=n_entries, offset=pos + 8))
             dims.append(dim)
             pos += 8 + 12 * n_entries
         entries = np.concatenate(blocks)
-        if np.any(entries["doc"] >= doc_count) or not np.all(np.isfinite(entries["value"])):
-            raise InvalidInputError("a posting has a doc ordinal out of range or a non-finite value")
+        if not np.all(np.isfinite(entries["value"])):
+            raise InvalidInputError("a posting has a non-finite value")
         (has_idf,) = struct.unpack_from("<B", body, pos)
         pos += 1
         idf = None

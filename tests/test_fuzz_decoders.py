@@ -8,7 +8,7 @@ other exception escaping is a bug.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hmpsearch import (
@@ -81,6 +81,8 @@ def load_or_error(loader, path, raw, error=DecodeError):
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda f: f.__name__)
 @FUZZ
 @given(data=st.binary(max_size=120), magic=st.booleans())
+# a u32 dimension or size of 2^32 - 1 with nothing after it
+@example(data=b"\xff" * 4 + bytes(9), magic=True)
 def test_arbitrary_bytes(tmp_path, loader, data, magic):
     raw = MAGIC[loader] + data if magic else data
     load_or_error(loader, tmp_path / "fuzz.bin", raw)

@@ -142,6 +142,12 @@ class TestQuery:
         with pytest.raises(InvalidInputError):
             query(idx, sparse_descriptor("q", 9, [(0, 1.0)]))
 
+    def test_dimensions_past_the_last_row_match_nothing(self):
+        idx = build_index(8, [sparse_descriptor("a", 8, [(0, 1.0), (2, 1.0)])])
+        assert len(idx.indptr) == 4
+        hits = query(idx, sparse_descriptor("q", 8, [(2, 1.0), (3, 1.0), (7, 1.0)]))
+        assert hits == [("a", pytest.approx(0.5 / math.sqrt(1.5)))]
+
     def test_ties_break_by_ascending_id(self):
         # two identical documents tie exactly
         idx = build_index(4, [
@@ -355,6 +361,20 @@ class TestMalformedIndexFile:
         idx = load_index(path)
         assert idx.ids == ["a", "b"]
         assert postings_of(idx) == {1: [("a", 0.8), ("b", 0.6)], 3: [("b", 1.0)]}
+
+    def test_claimed_dimension_allocates_nothing(self, tmp_path):
+        # 18 bytes claiming 2^32 - 1 dimensions: rows follow the postings
+        path = tmp_path / "wide.hmpi"
+        path.write_bytes(index_bytes(2**32 - 1, [], {}))
+        assert len(path.read_bytes()) == 18
+        idx = load_index(path)
+        assert (idx.dimension, len(idx.indptr)) == (2**32 - 1, 1)
+        assert query(idx, ImageDescriptor("q", 2**32 - 1, np.array([2**32 - 2]), np.ones(1))) == []
+        path.write_bytes(index_bytes(2**32 - 1, ["a"], {3: [(0, 1.0)]}))
+        idx = load_index(path)
+        assert len(idx.indptr) == 5
+        q = ImageDescriptor("q", 2**32 - 1, np.array([3, 2**32 - 2]), np.full(2, math.sqrt(0.5)))
+        assert query(idx, q) == [("a", math.sqrt(0.5))]
 
     @pytest.mark.parametrize(
         "raw",
