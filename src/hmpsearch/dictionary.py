@@ -17,7 +17,7 @@ an atom update do, at paper scale.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +27,8 @@ from .errors import InvalidInputError
 
 # training signals coded per kernel call in a coding pass
 CODE_CHUNK = 1024
+
+log = logging.getLogger("hmpsearch")
 
 
 @dataclass(frozen=True)
@@ -90,8 +92,8 @@ def init_dictionary(train: TrainingSet, cfg: TrainConfig) -> Dictionary:
     rng = np.random.default_rng(cfg.seed)
     k = cfg.codebook_size
     if train.count < k:
-        warnings.warn(
-            f"only {train.count} training signals for {k} atoms; sampling with replacement"
+        log.warning(
+            "only %d training signals for %d atoms; sampling with replacement", train.count, k
         )
         picks = rng.choice(train.count, size=k, replace=True)
         atoms = train.signals[:, picks].copy()

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import logging
 import struct
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .coding import Dictionary, l2_normalize, omp_encode_batch, vq_encode_batch
+from .coding import UNIT_NORM_TOL, Dictionary, l2_normalize, omp_encode_batch, vq_encode_batch
 from .errors import ConfigError, DecodeError, ImageTooSmallError, InvalidInputError
 from .files import read_config, read_container, write_container
 from .images import FeatureGrid, IntensityImage, assign_to_cells, extract_patches
@@ -62,8 +61,8 @@ class LayerConfig:
 
     codebook_size: int
     sparsity: int
-    unit_size: int = 16
-    cell_grid: int = 4
+    unit_size: int = DEFAULT_UNIT_SIZES[0]
+    cell_grid: int = DEFAULT_CELL_GRIDS[0]
 
     def __post_init__(self):
         if self.codebook_size < 2:
@@ -161,8 +160,8 @@ class ImageDescriptor:
                 raise InvalidInputError("descriptor values must be nonzero and finite")
             with np.errstate(over="ignore"):  # an infinite norm fails the unit check
                 norm = float(np.linalg.norm(values))
-            if abs(norm - 1.0) > 1e-9:
-                raise InvalidInputError(f"descriptor norm {norm} is not 1 within 1e-9")
+            if abs(norm - 1.0) > UNIT_NORM_TOL:
+                raise InvalidInputError(f"descriptor norm {norm} is not 1 within {UNIT_NORM_TOL}")
         indices.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "indices", indices)
@@ -260,7 +259,7 @@ def pyramid_pool(codes: FeatureGrid, pyramid, image_id: str = "") -> ImageDescri
     k = codes.vectors.shape[1]
     length = 2 * k * sum(int(g) * int(g) for g in pyramid)
     if codes.count == 0:
-        warnings.warn(f"image {image_id!r}: no codes to pool; descriptor is all zeros")
+        log.warning("image %r: no codes to pool; descriptor is all zeros", image_id)
         return ImageDescriptor(image_id, length, np.empty(0, dtype=np.int64), np.empty(0))
     h, w = codes.extent
     blocks = []

@@ -1,12 +1,12 @@
 """Inverted-file search over sparse descriptors.
 
-The index is an immutable dimensions x documents sparse matrix stored by
-dimension, documents numbered in ascending id order: row d is the posting
-list `docs[indptr[d]:indptr[d + 1]]` (ascending ordinals, positions in
-`ids`) with its `values`. Memory holds a row for every dimension up to the
-last nonempty one, so its size follows the postings and not the claimed
-dimension; the index file holds only the nonempty rows. A query touches
-only the rows of its own nonzero dimensions; as descriptors are unit
+The index is an immutable dimensions x documents sparse matrix held as its
+postings: parallel `dims`, `docs` and `values` arrays, one entry per
+posting, sorted by dimension and then by document. Documents are numbered
+in ascending id order (`docs` are positions in `ids`), so the posting list
+of dimension d is the run of entries where `dims == d`. Memory follows the
+postings, whatever dimension the index claims. A query finds the runs of
+its own nonzero dimensions by binary search; as descriptors are unit
 vectors, its sums are cosines. `exhaustive_scan` is the brute-force
 counterpart that scores every stored document; on any corpus where each
 document shares at least one dimension with the query the two return
@@ -49,10 +49,9 @@ class InvertedIndex:
             raise InvalidInputError("a posting has a dimension or doc ordinal out of range")
         docs = np.argsort(order)[docs]  # the given ordinals, renumbered in id order
         order = np.lexsort((docs, entry_dims))
-        entry_dims, self.docs, self.values = entry_dims[order], docs[order], values[order]
-        if np.any((np.diff(entry_dims) == 0) & (np.diff(self.docs) == 0)):
+        self.dims, self.docs, self.values = entry_dims[order], docs[order], values[order]
+        if np.any((np.diff(self.dims) == 0) & (np.diff(self.docs) == 0)):
             raise InvalidInputError("a posting list names a document twice")
-        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(entry_dims))))
 
     @property
     def doc_count(self) -> int:
@@ -61,7 +60,7 @@ class InvertedIndex:
 
 def build_index(dimension: int, descriptors) -> InvertedIndex:
     """Index descriptors of length `dimension`; every nonzero becomes one
-    posting in its dimension's row."""
+    posting in its dimension's list."""
     descriptors = list(descriptors)
     lengths = {desc.length for desc in descriptors} - {dimension}
     if lengths:
@@ -104,8 +103,7 @@ def query(
     indices, values = q.indices, q.values
     if idx.idf is not None:  # weight the query as the stored documents were
         values = l2_normalize(values * idx.idf[indices])
-    last = len(idx.indptr) - 1  # rows past the last nonempty one are empty
-    lo, hi = idx.indptr[np.minimum(indices, last)], idx.indptr[np.minimum(indices + 1, last)]
+    lo, hi = np.searchsorted(idx.dims, indices), np.searchsorted(idx.dims, indices, side="right")
     lengths = hi - lo
     take = np.arange(lengths.sum()) + np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
     docs = idx.docs[take]
@@ -155,34 +153,32 @@ def apply_idf(idx: InvertedIndex) -> InvertedIndex:
         raise InvalidInputError("cannot weight an empty index")
     if idx.idf is not None:
         raise InvalidInputError("the index is already IDF-weighted")
-    df = np.diff(idx.indptr)
-    rows = np.flatnonzero(df)
+    rows, df = np.unique(idx.dims, return_counts=True)
     weights = np.zeros(idx.dimension)
-    weights[rows] = [math.log(idx.doc_count / count) for count in df[rows].tolist()]
-    entry_dims = np.repeat(np.arange(len(df)), df)
-    scaled = idx.values * weights[entry_dims]
+    weights[rows] = [math.log(idx.doc_count / count) for count in df.tolist()]
+    scaled = idx.values * weights[idx.dims]
     # each document's squared norm, summed in ascending dimension order
     norms = np.sqrt(np.bincount(idx.docs, weights=scaled * scaled, minlength=idx.doc_count))
-    keep = (weights[entry_dims] != 0.0) & (norms[idx.docs] > 0.0)
+    keep = (weights[idx.dims] != 0.0) & (norms[idx.docs] > 0.0)
     docs = idx.docs[keep]
     return InvertedIndex(
-        idx.dimension, idx.ids, entry_dims[keep], docs, scaled[keep] / norms[docs], weights
+        idx.dimension, idx.ids, idx.dims[keep], docs, scaled[keep] / norms[docs], weights
     )
 
 
 def save_index(idx: InvertedIndex, path) -> None:
     """Write the index: magic, version, u32 dimension and doc count, the id
     table in ascending id order, one (dimension, length, entries) block per
-    nonempty row, then an optional weight trailer."""
+    dimension that has postings, then an optional weight trailer."""
     entries = np.rec.fromarrays([idx.docs, idx.values], dtype=_POSTING_DTYPE)
     parts = [struct.pack("<II", idx.dimension, idx.doc_count)]
     for image_id in idx.ids:
         encoded = image_id.encode("utf-8")
         parts += [struct.pack("<I", len(encoded)), encoded]
-    rows, bounds = np.flatnonzero(np.diff(idx.indptr)).tolist(), idx.indptr.tolist()
+    rows, starts = np.unique(idx.dims, return_index=True)
+    bounds = starts.tolist() + [len(idx.dims)]
     parts.append(struct.pack("<I", len(rows)))
-    for dim in rows:
-        lo, hi = bounds[dim], bounds[dim + 1]
+    for dim, lo, hi in zip(rows.tolist(), bounds, bounds[1:]):
         parts += [struct.pack("<II", dim, hi - lo), entries[lo:hi].tobytes()]
     parts.append(struct.pack("<B", idx.idf is not None))
     if idx.idf is not None:

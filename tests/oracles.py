@@ -303,16 +303,11 @@ class DictIndex:
 
 
 def postings_of(idx) -> dict[int, list[tuple[str, float]]]:
-    """The nonempty rows of an array `InvertedIndex` in the `DictIndex.postings` layout."""
-    bounds = idx.indptr.tolist()
-    return {
-        dim: [
-            (idx.ids[doc], value)
-            for doc, value in zip(idx.docs[lo:hi].tolist(), idx.values[lo:hi].tolist())
-        ]
-        for dim, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-        if hi > lo
-    }
+    """The posting lists of an array `InvertedIndex` in the `DictIndex.postings` layout."""
+    postings: dict[int, list[tuple[str, float]]] = {}
+    for dim, doc, value in zip(idx.dims.tolist(), idx.docs.tolist(), idx.values.tolist()):
+        postings.setdefault(dim, []).append((idx.ids[doc], value))
+    return postings
 
 
 def index_add(idx: DictIndex, desc) -> DictIndex:

@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline tests on a small synthetic corpus."""
 
+import struct
 import weakref
 
 import numpy as np
@@ -366,6 +367,16 @@ class TestIndexAndQuery:
         run_cli(cfg, "train-dict")
         assert run_cli(cfg, "query", str(tmp_path / "images" / "g0m0.pgm")) == 2
         assert "build-index" in capsys.readouterr().err
+
+    def test_index_claiming_a_huge_dimension_exits_2(self, tmp_path, capsys):
+        cfg = make_workspace(tmp_path)
+        assert run_cli(cfg, "train-dict") == 0
+        # 43 bytes: dimension 2^32 - 1, id "a" with one posting at 2^32 - 2
+        body = struct.pack("<3I1s4IdB", 2**32 - 1, 1, 1, b"a", 1, 2**32 - 2, 1, 0, 1.0, 0)
+        (tmp_path / "corpus.hmpi").write_bytes(b"HMPI\x01" + body)
+        assert run_cli(cfg, "query", str(tmp_path / "images" / "g0m0.pgm")) == 2
+        err = capsys.readouterr().err
+        assert "does not match index dimension 4294967295" in err and "Traceback" not in err
 
     def test_query_ranks_itself_first_without_exclusion(self, pipeline, capsys):
         cfg, root = pipeline

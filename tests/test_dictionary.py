@@ -2,8 +2,8 @@
 sparse-code trainer held to the dense one, `oracles.ksvd_dense`, and its
 kept residual held to a fresh rebuild."""
 
+import logging
 import tracemalloc
-import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -75,12 +75,12 @@ class TestInitDictionary:
         atoms = init_dictionary(TrainingSet(signals), cfg).atoms
         npt.assert_allclose(np.linalg.norm(atoms, axis=0), 1.0, atol=1e-9)
 
-    def test_small_training_set_warns_and_samples_with_replacement(self):
+    def test_small_training_set_warns_and_samples_with_replacement(self, caplog):
         rng = np.random.default_rng(4)
         signals = rng.standard_normal((5, 3))
         cfg = TrainConfig(codebook_size=6, sparsity=1, iterations=1, seed=5)
-        with pytest.warns(UserWarning):
-            atoms = init_dictionary(TrainingSet(signals), cfg).atoms
+        atoms = init_dictionary(TrainingSet(signals), cfg).atoms
+        assert [r.levelno for r in caplog.records if r.name == "hmpsearch"] == [logging.WARNING]
         assert atoms.shape == (5, 6)
         npt.assert_allclose(np.linalg.norm(atoms, axis=0), 1.0, atol=1e-9)
 
@@ -91,13 +91,11 @@ class TestTrain:
         with pytest.raises(InvalidInputError):
             train(TrainingSet(np.empty((5, 0))), cfg)
 
-    def test_small_training_set_warns_once(self):
+    def test_small_training_set_warns_once(self, caplog):
         signals = np.random.default_rng(4).standard_normal((5, 3))
         cfg = TrainConfig(codebook_size=6, sparsity=1, iterations=1, seed=5)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            train(TrainingSet(signals), cfg)
-        assert [w.category for w in caught] == [UserWarning]
+        train(TrainingSet(signals), cfg)
+        assert [r.levelno for r in caplog.records if r.name == "hmpsearch"] == [logging.WARNING]
 
     def test_training_lowers_error_of_large_codebook(self):
         # K >> D at sparsity 1, where greedy coding is exact: the first coding
@@ -211,10 +209,8 @@ class TestSparseCodes:
         signals = np.where(repeated, copies, rng.standard_normal((dim, count)))
         signals = np.asarray(signals, order=order)
         cfg = TrainConfig(codebook_size=size, sparsity=1, iterations=2, seed=seed % 1000)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # fewer signals than atoms
-            sparse, _ = train(TrainingSet(signals), cfg)
-            dense, _ = ksvd_dense(TrainingSet(signals), cfg)
+        sparse, _ = train(TrainingSet(signals), cfg)
+        dense, _ = ksvd_dense(TrainingSet(signals), cfg)
         assert sparse.atoms.tobytes() == dense.atoms.tobytes()
 
     @pytest.mark.parametrize("sparsity", range(2, 7))
@@ -273,10 +269,8 @@ class TestKeptResidual:
         train_set = TrainingSet(np.asarray(signals, order=order))
         signals = train_set.signals
         cfg = TrainConfig(codebook_size=24, sparsity=sparsity, iterations=3, seed=sparsity)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # fewer signals than atoms
-            atoms = np.array(init_dictionary(train_set, cfg).atoms)
-            trained, trace = train(train_set, cfg)
+        atoms = np.array(init_dictionary(train_set, cfg).atoms)
+        trained, trace = train(train_set, cfg)
         slots = (count, min(sparsity, *atoms.shape))
         support, coef = np.zeros(slots, dtype=np.intp), np.zeros(slots)
         residual = _residual(signals, atoms, support, coef)

@@ -1,5 +1,6 @@
 """Layered encoder tests: pooling rules, geometry, and the length law."""
 
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -208,10 +209,10 @@ class TestPyramidPool:
         npt.assert_allclose(desc, l2_normalize(stacked), atol=1e-12)
         assert np.any(blocks[0] != 0) and np.any(blocks[3] != 0) and np.any(blocks[8] != 0)
 
-    def test_empty_grid_warns_and_zeroes(self):
+    def test_empty_grid_warns_and_zeroes(self, caplog):
         grid = FeatureGrid(np.empty((0, 2)), np.zeros((0, 5)), (8, 8))
-        with pytest.warns(UserWarning):
-            desc = pyramid_pool(grid, [1, 2], "blank")
+        desc = pyramid_pool(grid, [1, 2], "blank")
+        assert [r.levelno for r in caplog.records if r.name == "hmpsearch"] == [logging.WARNING]
         assert desc.length == 2 * 5 * 5
         assert desc.nnz == 0
 

@@ -6,6 +6,8 @@ and a text reader either returns or raises an HmpError naming the file; any
 other exception escaping is a bug.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -83,6 +85,10 @@ def load_or_error(loader, path, raw, error=DecodeError):
 @given(data=st.binary(max_size=120), magic=st.booleans())
 # a u32 dimension or size of 2^32 - 1 with nothing after it
 @example(data=b"\xff" * 4 + bytes(9), magic=True)
+# dimension 2^32 - 1, id "a" with one posting at 2^32 - 2, no weights
+@example(
+    data=struct.pack("<3I1s4IdB", 2**32 - 1, 1, 1, b"a", 1, 2**32 - 2, 1, 0, 1.0, 0), magic=True
+)
 def test_arbitrary_bytes(tmp_path, loader, data, magic):
     raw = MAGIC[loader] + data if magic else data
     load_or_error(loader, tmp_path / "fuzz.bin", raw)

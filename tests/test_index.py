@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -30,6 +31,15 @@ def sparse_descriptor(image_id, length, pairs):
     idx, val = zip(*sorted(pairs))
     values = l2_normalize(np.array(val, dtype=float))
     return ImageDescriptor(image_id, length, np.array(idx), values)
+
+
+def traced_peak(fn, *args):
+    """`fn(*args)` and the peak memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_corpus(rng, count, length=32, nnz=10, prefix="doc"):
@@ -62,7 +72,7 @@ class TestIndexAdd:
         rng = np.random.default_rng(0)
         docs = random_corpus(rng, 100)
         idx = indexed(docs)
-        assert idx.docs.size == idx.indptr[-1] == sum(d.nnz for d in docs)
+        assert idx.docs.size == idx.dims.size == sum(d.nnz for d in docs)
         assert idx.doc_count == 100
 
     def test_posting_lists_sorted_by_id(self):
@@ -89,6 +99,12 @@ class TestIndexAdd:
     def test_constructor_rejects_posting_out_of_range(self, dim, doc):
         with pytest.raises(InvalidInputError):
             InvertedIndex(4, ["a", "b"], np.array([dim]), np.array([doc]), np.array([1.0]))
+
+    def test_descriptor_length_allocates_nothing(self):
+        desc = ImageDescriptor("a", 2**32 - 1, np.array([2**32 - 2]), np.ones(1))
+        idx, peak = traced_peak(build_index, 2**32 - 1, [desc])
+        assert peak < 2**20
+        assert idx.dims.tolist() == [2**32 - 2]
 
 
 @settings(max_examples=50, deadline=None)
@@ -144,7 +160,7 @@ class TestQuery:
 
     def test_dimensions_past_the_last_row_match_nothing(self):
         idx = build_index(8, [sparse_descriptor("a", 8, [(0, 1.0), (2, 1.0)])])
-        assert len(idx.indptr) == 4
+        assert idx.dims.tolist() == [0, 2]
         hits = query(idx, sparse_descriptor("q", 8, [(2, 1.0), (3, 1.0), (7, 1.0)]))
         assert hits == [("a", pytest.approx(0.5 / math.sqrt(1.5)))]
 
@@ -363,16 +379,18 @@ class TestMalformedIndexFile:
         assert postings_of(idx) == {1: [("a", 0.8), ("b", 0.6)], 3: [("b", 1.0)]}
 
     def test_claimed_dimension_allocates_nothing(self, tmp_path):
-        # 18 bytes claiming 2^32 - 1 dimensions: rows follow the postings
+        # 18 bytes claiming 2^32 - 1 dimensions: memory follows the postings
         path = tmp_path / "wide.hmpi"
         path.write_bytes(index_bytes(2**32 - 1, [], {}))
         assert len(path.read_bytes()) == 18
         idx = load_index(path)
-        assert (idx.dimension, len(idx.indptr)) == (2**32 - 1, 1)
+        assert (idx.dimension, idx.dims.size) == (2**32 - 1, 0)
         assert query(idx, ImageDescriptor("q", 2**32 - 1, np.array([2**32 - 2]), np.ones(1))) == []
-        path.write_bytes(index_bytes(2**32 - 1, ["a"], {3: [(0, 1.0)]}))
-        idx = load_index(path)
-        assert len(idx.indptr) == 5
+        path.write_bytes(index_bytes(2**32 - 1, ["a"], {2**32 - 2: [(0, 1.0)]}))
+        assert len(path.read_bytes()) == 43
+        idx, peak = traced_peak(load_index, path)
+        assert peak < 2**20
+        assert idx.dims.tolist() == [2**32 - 2]
         q = ImageDescriptor("q", 2**32 - 1, np.array([3, 2**32 - 2]), np.full(2, math.sqrt(0.5)))
         assert query(idx, q) == [("a", math.sqrt(0.5))]
 
