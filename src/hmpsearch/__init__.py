@@ -13,7 +13,7 @@ from .coding import (
     save_dictionary,
     vq_encode_batch,
 )
-from .dictionary import TrainConfig, TrainingSet, init_dictionary, train
+from .dictionary import init_dictionary, train
 from .encoder import (
     ArchitectureConfig,
     FeatureGrid,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .coding import load_dictionary, save_dictionary
-from .dictionary import TrainConfig, TrainingSet, train
+from .dictionary import train
 from .encoder import (
     ArchitectureConfig,
     baseline_architecture,
@@ -182,13 +182,7 @@ def cmd_train_dict(cfg: RunConfig) -> int:
     codebooks = []  # the layers above code their inputs with these
     for label, _, seed, layer in _codebooks(cfg, arch):
         signals = _layer_training_signals(cfg, arch, images, codebooks, np.random.default_rng(seed))
-        tcfg = TrainConfig(
-            codebook_size=layer.codebook_size,
-            sparsity=layer.sparsity,
-            iterations=cfg.train_iterations,
-            seed=seed,
-        )
-        dictionary, trace = train(TrainingSet(signals), tcfg)
+        dictionary, trace = train(signals, layer, cfg.train_iterations, seed)
         save_dictionary(dictionary, _dict_path(cfg, label))
         lines.extend(f"{label}\t{i}\t{obj:.6f}\n" for i, obj in enumerate(trace))
         print(f"trained {label} codebook: {dictionary.size} atoms from {signals.shape[1]} signals")
@@ -254,6 +248,8 @@ def cmd_build_index(cfg: RunConfig, idf: bool) -> int:
 
 
 def cmd_query(cfg: RunConfig, image_path: str, top_k: int, self_exclude: bool) -> int:
+    if top_k < 1:
+        raise InvalidInputError(f"--top-k must be >= 1, got {top_k}")
     encode = _encoder(cfg, _architecture(cfg))
     if not os.path.exists(cfg.index_path):
         raise ConfigError(f"index {cfg.index_path} not found; run build-index first")

@@ -18,58 +18,17 @@ an atom update do, at paper scale.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from .coding import Dictionary, omp_encode_batch
+from .encoder import LayerConfig
 from .errors import InvalidInputError
 
 # training signals coded per kernel call in a coding pass
 CODE_CHUNK = 1024
 
 log = logging.getLogger("hmpsearch")
-
-
-@dataclass(frozen=True)
-class TrainingSet:
-    """Training signals, one per column (D x N)."""
-
-    signals: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.signals, dtype=np.float64)
-        if mat.ndim != 2:
-            raise InvalidInputError(f"signals must be a 2-D matrix, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise InvalidInputError("training signals contain non-finite values")
-        object.__setattr__(self, "signals", mat)
-
-    @property
-    def count(self) -> int:
-        return self.signals.shape[1]
-
-    @property
-    def signal_dim(self) -> int:
-        return self.signals.shape[0]
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    codebook_size: int
-    sparsity: int
-    iterations: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.codebook_size < 2:
-            raise InvalidInputError(f"codebook_size must be >= 2, got {self.codebook_size}")
-        if self.iterations < 1:
-            raise InvalidInputError(f"iterations must be >= 1, got {self.iterations}")
-        if self.sparsity < 1:
-            raise InvalidInputError(f"sparsity must be >= 1, got {self.sparsity}")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
 
 def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -80,31 +39,36 @@ def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
             return v / norm
 
 
-def init_dictionary(train: TrainingSet, cfg: TrainConfig) -> Dictionary:
-    """Seeded sample of training columns, each normalized.
+def init_dictionary(signals: np.ndarray, size: int, seed: int = 0) -> Dictionary:
+    """Seeded sample of `size` columns of the D x N `signals`, each normalized.
 
     Samples without replacement when there are enough signals; otherwise with
     replacement plus a small seeded perturbation so duplicates separate.
     All-zero candidates become seeded random unit vectors.
     """
-    if train.count == 0:
+    signals = np.asarray(signals, dtype=np.float64)
+    if signals.ndim != 2:
+        raise InvalidInputError(f"signals must be a 2-D matrix, got shape {signals.shape}")
+    if not np.all(np.isfinite(signals)):
+        raise InvalidInputError("training signals contain non-finite values")
+    count = signals.shape[1]
+    if count == 0:
         raise InvalidInputError("training set is empty")
-    rng = np.random.default_rng(cfg.seed)
-    k = cfg.codebook_size
-    if train.count < k:
-        log.warning(
-            "only %d training signals for %d atoms; sampling with replacement", train.count, k
-        )
-        picks = rng.choice(train.count, size=k, replace=True)
-        atoms = train.signals[:, picks].copy()
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
+    if count < size:
+        log.warning("only %d training signals for %d atoms; sampling with replacement", count, size)
+        picks = rng.choice(count, size=size, replace=True)
+        atoms = signals[:, picks].copy()
         atoms += 1e-6 * rng.standard_normal(atoms.shape)
     else:
-        picks = rng.choice(train.count, size=k, replace=False)
-        atoms = train.signals[:, picks].copy()
-    for j in range(k):
+        picks = rng.choice(count, size=size, replace=False)
+        atoms = signals[:, picks].copy()
+    for j in range(size):
         norm = np.linalg.norm(atoms[:, j])
         if norm < 1e-12:
-            atoms[:, j] = _random_unit(rng, train.signal_dim)
+            atoms[:, j] = _random_unit(rng, signals.shape[0])
         else:
             atoms[:, j] /= norm
     return Dictionary(atoms)
@@ -172,18 +136,23 @@ def _update_pass(signals, atoms, support, coef, residual, rng) -> None:
         residual[:, users] = _residual(signals[:, users], atoms, support[users], coef[users])
 
 
-def train(train_set: TrainingSet, cfg: TrainConfig) -> tuple[Dictionary, list[float]]:
-    """Learn a codebook; returns it with the per-iteration objective trace."""
-    rng = np.random.default_rng(cfg.seed)
-    signals = train_set.signals
-    atoms = np.array(init_dictionary(train_set, cfg).atoms)
+def train(
+    signals: np.ndarray, layer: LayerConfig, iterations: int, seed: int = 0
+) -> tuple[Dictionary, list[float]]:
+    """Learn `layer`'s codebook from the D x N `signals` in `iterations`
+    K-SVD iterations; returns it with the per-iteration objective trace."""
+    if iterations < 1:
+        raise InvalidInputError(f"iterations must be >= 1, got {iterations}")
+    signals = np.asarray(signals, dtype=np.float64)
+    atoms = np.array(init_dictionary(signals, layer.codebook_size, seed).atoms)
+    rng = np.random.default_rng(seed)
     # each signal's code: atoms and coefficients in s slots, zero when unused,
     # and its residual, one column of a C-ordered D x N array
-    slots = (train_set.count, min(cfg.sparsity, *atoms.shape))
+    slots = (signals.shape[1], min(layer.sparsity, *atoms.shape))
     support, coef = np.zeros(slots, dtype=np.intp), np.zeros(slots)
     residual = _residual(signals, atoms, support, coef)
     trace: list[float] = []
-    for _ in range(cfg.iterations):
+    for _ in range(iterations):
         _code_pass(signals, atoms, support, coef, residual)
         _update_pass(signals, atoms, support, coef, residual, rng)
         trace.append(float(np.sum(np.square(np.linalg.norm(residual, axis=0)))))

@@ -171,11 +171,6 @@ class ImageDescriptor:
     def nnz(self) -> int:
         return int(self.indices.size)
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.length)
-        out[self.indices] = self.values
-        return out
-
 
 def descriptor_from_dense(image_id: str, dense: np.ndarray) -> ImageDescriptor:
     dense = np.asarray(dense, dtype=np.float64)

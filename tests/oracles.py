@@ -13,7 +13,8 @@ a BLAS product `atoms @ codes`; `dictionary.train` must equal it bit for
 bit at sparsity 1, where each reconstruction has one nonzero term.
 Pooling loops over points, cells and regions, pooling dense code rows one
 at a time. The inverted file is a dict of (id, value) posting lists grown
-one descriptor at a time. Tests hold the array implementations
+one descriptor at a time, and `to_dense` expands a descriptor for dense
+comparisons. Tests hold the array implementations
 in `hmpsearch.coding`, `hmpsearch.dictionary`, `hmpsearch.images`,
 `hmpsearch.encoder` and `hmpsearch.index` to them.
 """
@@ -154,10 +155,10 @@ def omp_exact(dictionary, signals: np.ndarray, sparsity: int) -> np.ndarray:
     return codes
 
 
-def _code_pass(signals, atoms, codes, cfg) -> None:
+def _code_pass(signals, atoms, codes, sparsity: int) -> None:
     """Greedy-code every signal, keeping the old code when it fits better."""
     dictionary = Dictionary(atoms)
-    sparsity = min(cfg.sparsity, dictionary.signal_dim, dictionary.size)
+    sparsity = min(sparsity, dictionary.signal_dim, dictionary.size)
     # fixed-size chunks bound the kernel's N x K work arrays; a code row
     # depends only on its own signal, whatever the chunk holds
     for lo in range(0, signals.shape[1], CODE_CHUNK):
@@ -203,16 +204,16 @@ def _update_pass(signals, atoms, codes, rng) -> None:
         codes[k, users] = atom @ restricted
 
 
-def ksvd_dense(train_set, cfg) -> tuple[Dictionary, list[float]]:
+def ksvd_dense(signals, layer, iterations: int, seed: int = 0) -> tuple[Dictionary, list[float]]:
     """`dictionary.train` with dense K x N codes and BLAS reconstructions
     `atoms @ codes`; returns the codebook and the objective trace."""
-    rng = np.random.default_rng(cfg.seed)
-    signals = train_set.signals
-    atoms = np.array(init_dictionary(train_set, cfg).atoms)
-    codes = np.zeros((cfg.codebook_size, train_set.count))
+    rng = np.random.default_rng(seed)
+    signals = np.asarray(signals, dtype=np.float64)
+    atoms = np.array(init_dictionary(signals, layer.codebook_size, seed).atoms)
+    codes = np.zeros((layer.codebook_size, signals.shape[1]))
     trace: list[float] = []
-    for _ in range(cfg.iterations):
-        _code_pass(signals, atoms, codes, cfg)
+    for _ in range(iterations):
+        _code_pass(signals, atoms, codes, layer.sparsity)
         _update_pass(signals, atoms, codes, rng)
         trace.append(float(np.linalg.norm(signals - atoms @ codes, "fro") ** 2))
     return Dictionary(atoms), trace
@@ -289,6 +290,13 @@ def pyramid_blocks(centers, codes, code_length: int, extent, pyramid) -> np.ndar
             regions[rr * g + cc].append(code)
         blocks.extend(signed_max_pool(region, code_length) for region in regions)
     return np.concatenate(blocks)
+
+
+def to_dense(desc) -> np.ndarray:
+    """The descriptor as a dense vector of its full length."""
+    out = np.zeros(desc.length)
+    out[desc.indices] = desc.values
+    return out
 
 
 class DictIndex:

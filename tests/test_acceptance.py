@@ -14,8 +14,6 @@ from hmpsearch import (
     ArchitectureConfig,
     IntensityImage,
     LayerConfig,
-    TrainConfig,
-    TrainingSet,
     average_precision,
     baseline_architecture,
     build_index,
@@ -111,20 +109,14 @@ def test_criterion_3_trainer_descent_and_recovery():
         size = int(rng.integers(dim, dim + 5))
         count = int(rng.integers(3 * size, 5 * size))
         signals = rng.standard_normal((dim, count))
-        cfg = TrainConfig(
-            codebook_size=size,
-            sparsity=int(rng.integers(1, 4)),
-            iterations=8,
-            seed=problem,
-        )
-        _, trace = train(TrainingSet(signals), cfg)
+        layer = LayerConfig(codebook_size=size, sparsity=int(rng.integers(1, 4)))
+        _, trace = train(signals, layer, 8, seed=problem)
         steps = np.diff(trace)
         assert np.all(steps <= 1e-6), f"problem {problem}: increase {steps.max()}"
 
     atoms = packed_dictionary(seed=0)
     signals = planted_signals(atoms, seed=0, sparsity=2, count=600)
-    cfg = TrainConfig(codebook_size=12, sparsity=2, iterations=30, seed=0)
-    learned, trace = train(TrainingSet(signals), cfg)
+    learned, trace = train(signals, LayerConfig(codebook_size=12, sparsity=2), 30)
     total = 0.0
     for i in range(signals.shape[1]):
         code = omp_one(learned, signals[:, i], 2)
@@ -221,13 +213,7 @@ def _sample_patch_columns(images, patch, stride, cap, rng):
 
 
 def _train_codebook(signals, size, sparsity, seed):
-    cfg = TrainConfig(
-        codebook_size=size,
-        sparsity=sparsity,
-        iterations=5,
-        seed=seed,
-    )
-    return train(TrainingSet(signals), cfg)[0]
+    return train(signals, LayerConfig(codebook_size=size, sparsity=sparsity), 5, seed)[0]
 
 
 def _mean_ap(descriptors, gt):

@@ -398,6 +398,12 @@ class TestIndexAndQuery:
         lines = capsys.readouterr().out.strip().splitlines()
         assert 1 <= len(lines) <= 10
 
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_top_k_below_one_exits_2_before_any_codebook(self, tmp_path, capsys, top_k):
+        cfg = make_workspace(tmp_path)
+        assert run_cli(cfg, "query", str(tmp_path / "images" / "g0m0.pgm"), "--top-k", top_k) == 2
+        assert f"--top-k must be >= 1, got {top_k}" in capsys.readouterr().err
+
     def test_undecodable_query_exits_nonzero(self, pipeline, tmp_path, capsys):
         cfg, root = pipeline
         bad = tmp_path / "broken.pgm"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmpsearch import InvalidInputError, TrainConfig, TrainingSet, init_dictionary, train
+from hmpsearch import InvalidInputError, LayerConfig, init_dictionary, train
 from hmpsearch.dictionary import CODE_CHUNK, _code_pass, _residual, _update_pass
 from conftest import outputs_under_blas_threads, packed_dictionary, planted_signals
 from oracles import ksvd_dense, omp_one
@@ -25,20 +25,35 @@ def reconstruction_error(signals, dictionary, sparsity):
     return total / signals.shape[1]
 
 
-class TestTrainingSetAndConfig:
-    def test_rejects_non_finite_signals(self):
-        with pytest.raises(InvalidInputError):
-            TrainingSet(np.array([[1.0, np.nan]]))
+class TestArgumentChecks:
+    """Each setting is checked once: the layer's by `LayerConfig`, the
+    iteration count by `train`, the signals and seed by `init_dictionary`."""
 
-    def test_rejects_bad_config(self):
-        with pytest.raises(InvalidInputError):
-            TrainConfig(codebook_size=1, sparsity=1, iterations=1)
-        with pytest.raises(InvalidInputError):
-            TrainConfig(codebook_size=4, sparsity=0, iterations=1)
-        with pytest.raises(InvalidInputError):
-            TrainConfig(codebook_size=4, sparsity=1, iterations=0)
-        with pytest.raises(InvalidInputError):
-            TrainConfig(codebook_size=4, sparsity=1, iterations=1, seed=-1)
+    LAYER = LayerConfig(codebook_size=4, sparsity=1)
+
+    def test_train_rejects_non_finite_signals(self):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            train(np.array([[1.0, np.nan]]), self.LAYER, 1)
+
+    def test_train_rejects_one_dimensional_signals(self):
+        with pytest.raises(InvalidInputError, match="2-D matrix, got shape \\(3,\\)"):
+            train(np.ones(3), self.LAYER, 1)
+
+    def test_train_rejects_zero_iterations(self):
+        with pytest.raises(InvalidInputError, match="iterations must be >= 1, got 0"):
+            train(np.eye(4), self.LAYER, 0)
+
+    def test_train_rejects_negative_seed(self):
+        with pytest.raises(InvalidInputError, match="seed must be >= 0, got -1"):
+            train(np.eye(4), self.LAYER, 1, seed=-1)
+
+    def test_layer_rejects_one_atom(self):
+        with pytest.raises(InvalidInputError, match="codebook_size must be >= 2, got 1"):
+            LayerConfig(codebook_size=1, sparsity=1)
+
+    def test_layer_rejects_zero_sparsity(self):
+        with pytest.raises(InvalidInputError, match="sparsity must be >= 1, got 0"):
+            LayerConfig(codebook_size=4, sparsity=0)
 
 
 class TestInitDictionary:
@@ -46,8 +61,7 @@ class TestInitDictionary:
         rng = np.random.default_rng(1)
         signals = rng.standard_normal((6, 8))
         signals /= np.linalg.norm(signals, axis=0)
-        cfg = TrainConfig(codebook_size=8, sparsity=2, iterations=1, seed=42)
-        atoms = init_dictionary(TrainingSet(signals), cfg).atoms
+        atoms = init_dictionary(signals, 8, seed=42).atoms
         # every training column appears exactly once among the atoms
         matched = set()
         for j in range(8):
@@ -63,23 +77,20 @@ class TestInitDictionary:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
         signals = rng.standard_normal((5, 20))
-        cfg = TrainConfig(codebook_size=6, sparsity=2, iterations=1, seed=9)
-        a = init_dictionary(TrainingSet(signals), cfg).atoms
-        b = init_dictionary(TrainingSet(signals), cfg).atoms
+        a = init_dictionary(signals, 6, seed=9).atoms
+        b = init_dictionary(signals, 6, seed=9).atoms
         assert a.tobytes() == b.tobytes()
 
     def test_zero_column_replaced_by_unit_vector(self):
         signals = np.eye(4)
         signals[:, 2] = 0.0
-        cfg = TrainConfig(codebook_size=4, sparsity=1, iterations=1, seed=3)
-        atoms = init_dictionary(TrainingSet(signals), cfg).atoms
+        atoms = init_dictionary(signals, 4, seed=3).atoms
         npt.assert_allclose(np.linalg.norm(atoms, axis=0), 1.0, atol=1e-9)
 
     def test_small_training_set_warns_and_samples_with_replacement(self, caplog):
         rng = np.random.default_rng(4)
         signals = rng.standard_normal((5, 3))
-        cfg = TrainConfig(codebook_size=6, sparsity=1, iterations=1, seed=5)
-        atoms = init_dictionary(TrainingSet(signals), cfg).atoms
+        atoms = init_dictionary(signals, 6, seed=5).atoms
         assert [r.levelno for r in caplog.records if r.name == "hmpsearch"] == [logging.WARNING]
         assert atoms.shape == (5, 6)
         npt.assert_allclose(np.linalg.norm(atoms, axis=0), 1.0, atol=1e-9)
@@ -87,14 +98,12 @@ class TestInitDictionary:
 
 class TestTrain:
     def test_empty_training_set_rejected(self):
-        cfg = TrainConfig(codebook_size=4, sparsity=1, iterations=1)
-        with pytest.raises(InvalidInputError):
-            train(TrainingSet(np.empty((5, 0))), cfg)
+        with pytest.raises(InvalidInputError, match="training set is empty"):
+            train(np.empty((5, 0)), LayerConfig(codebook_size=4, sparsity=1), 1)
 
     def test_small_training_set_warns_once(self, caplog):
         signals = np.random.default_rng(4).standard_normal((5, 3))
-        cfg = TrainConfig(codebook_size=6, sparsity=1, iterations=1, seed=5)
-        train(TrainingSet(signals), cfg)
+        train(signals, LayerConfig(codebook_size=6, sparsity=1), 1, seed=5)
         assert [r.levelno for r in caplog.records if r.name == "hmpsearch"] == [logging.WARNING]
 
     def test_training_lowers_error_of_large_codebook(self):
@@ -102,10 +111,9 @@ class TestTrain:
         # pass scores the initial codebook, and no K-SVD step raises the
         # objective, so the trained codebook codes no worse than the initial one
         signals = np.random.default_rng(13).standard_normal((9, 600))
-        cfg = TrainConfig(codebook_size=64, sparsity=1, iterations=4)
-        trained, trace = train(TrainingSet(signals), cfg)
+        trained, trace = train(signals, LayerConfig(codebook_size=64, sparsity=1), 4)
         assert np.all(np.diff(trace) <= 1e-6)
-        initial = init_dictionary(TrainingSet(signals), cfg)
+        initial = init_dictionary(signals, 64)
         assert reconstruction_error(signals, trained, 1) <= reconstruction_error(
             signals, initial, 1
         )
@@ -115,8 +123,7 @@ class TestTrain:
         # reaches (near) zero error
         rng = np.random.default_rng(8)
         signals = rng.standard_normal((6, 6))
-        cfg = TrainConfig(codebook_size=6, sparsity=1, iterations=1, seed=8)
-        _, trace = train(TrainingSet(signals), cfg)
+        _, trace = train(signals, LayerConfig(codebook_size=6, sparsity=1), 1, seed=8)
         assert len(trace) == 1
         assert trace[0] <= 1e-18
 
@@ -127,13 +134,8 @@ class TestTrain:
             size = int(rng.integers(dim, dim + 6))
             count = int(rng.integers(4 * size, 6 * size))
             signals = rng.standard_normal((dim, count))
-            cfg = TrainConfig(
-                codebook_size=size,
-                sparsity=int(rng.integers(1, 4)),
-                iterations=8,
-                seed=seed,
-            )
-            _, trace = train(TrainingSet(signals), cfg)
+            layer = LayerConfig(codebook_size=size, sparsity=int(rng.integers(1, 4)))
+            _, trace = train(signals, layer, 8, seed=seed)
             assert len(trace) == 8
             diffs = np.diff(trace)
             assert np.all(diffs <= 1e-6), f"seed {seed}: trace increased by {diffs.max()}"
@@ -142,26 +144,23 @@ class TestTrain:
         rng = np.random.default_rng(10)
         signals = rng.standard_normal((6, 60))
         for iterations in (1, 2, 5):
-            cfg = TrainConfig(
-                codebook_size=10, sparsity=2, iterations=iterations, seed=1
-            )
-            dictionary, _ = train(TrainingSet(signals), cfg)
+            layer = LayerConfig(codebook_size=10, sparsity=2)
+            dictionary, _ = train(signals, layer, iterations, seed=1)
             npt.assert_allclose(np.linalg.norm(dictionary.atoms, axis=0), 1.0, atol=1e-9)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(11)
         signals = rng.standard_normal((5, 40))
-        cfg = TrainConfig(codebook_size=8, sparsity=2, iterations=4, seed=77)
-        d1, t1 = train(TrainingSet(signals), cfg)
-        d2, t2 = train(TrainingSet(signals), cfg)
+        layer = LayerConfig(codebook_size=8, sparsity=2)
+        d1, t1 = train(signals, layer, 4, seed=77)
+        d2, t2 = train(signals, layer, 4, seed=77)
         assert d1.atoms.tobytes() == d2.atoms.tobytes()
         assert t1 == t2
 
     def test_planted_dictionary_recovered(self):
         atoms = packed_dictionary(seed=0)
         signals = planted_signals(atoms, seed=0)
-        cfg = TrainConfig(codebook_size=12, sparsity=2, iterations=30, seed=0)
-        dictionary, trace = train(TrainingSet(signals), cfg)
+        dictionary, trace = train(signals, LayerConfig(codebook_size=12, sparsity=2), 30)
         err = reconstruction_error(signals, dictionary, 2)
         assert err < 1e-3
         assert np.all(np.diff(trace) <= 1e-6)
@@ -175,8 +174,7 @@ class TestTrain:
         outlier = np.zeros((6, 1))
         outlier[5] = 4.0
         signals = np.concatenate([base, outlier], axis=1)
-        cfg = TrainConfig(codebook_size=4, sparsity=1, iterations=1, seed=2)
-        dictionary, _ = train(TrainingSet(signals), cfg)
+        dictionary, _ = train(signals, LayerConfig(codebook_size=4, sparsity=1), 1, seed=2)
         err = reconstruction_error(signals, dictionary, 1)
         # the outlier is only reconstructable if some atom was reassigned
         assert err < 0.1
@@ -208,9 +206,9 @@ class TestSparseCodes:
         copies = pool[:, rng.integers(0, distinct, count)]
         signals = np.where(repeated, copies, rng.standard_normal((dim, count)))
         signals = np.asarray(signals, order=order)
-        cfg = TrainConfig(codebook_size=size, sparsity=1, iterations=2, seed=seed % 1000)
-        sparse, _ = train(TrainingSet(signals), cfg)
-        dense, _ = ksvd_dense(TrainingSet(signals), cfg)
+        layer = LayerConfig(codebook_size=size, sparsity=1)
+        sparse, _ = train(signals, layer, 2, seed=seed % 1000)
+        dense, _ = ksvd_dense(signals, layer, 2, seed=seed % 1000)
         assert sparse.atoms.tobytes() == dense.atoms.tobytes()
 
     @pytest.mark.parametrize("sparsity", range(2, 7))
@@ -218,9 +216,9 @@ class TestSparseCodes:
         # only the rounding of each reconstruction differs
         rng = np.random.default_rng(sparsity)
         signals = rng.standard_normal((16, 700))
-        cfg = TrainConfig(codebook_size=24, sparsity=sparsity, iterations=4, seed=sparsity)
-        sparse, trace = train(TrainingSet(signals), cfg)
-        dense, _ = ksvd_dense(TrainingSet(signals), cfg)
+        layer = LayerConfig(codebook_size=24, sparsity=sparsity)
+        sparse, trace = train(signals, layer, 4, seed=sparsity)
+        dense, _ = ksvd_dense(signals, layer, 4, seed=sparsity)
         npt.assert_allclose(sparse.atoms, dense.atoms, rtol=0, atol=1e-10)
         assert np.all(np.diff(trace) <= 1e-6)
 
@@ -228,10 +226,10 @@ class TestSparseCodes:
         code = """
 import hashlib
 import numpy as np
-from hmpsearch import TrainConfig, TrainingSet, train
+from hmpsearch import LayerConfig, train
 for seed in range(4):
     signals = np.random.default_rng(seed).standard_normal((88, 3628))
-    dictionary, _ = train(TrainingSet(signals), TrainConfig(84, 6, 2, 5))
+    dictionary, _ = train(signals, LayerConfig(84, 6), 2, 5)
     print(hashlib.sha256(dictionary.atoms.tobytes()).hexdigest())
 """
         digests = outputs_under_blas_threads(code)
@@ -240,10 +238,10 @@ for seed in range(4):
 
     def test_memory_follows_the_nonzeros(self):
         # dense K x N codes alone would take 256 * 20000 * 8 bytes = 41 MB
-        signals = TrainingSet(np.random.default_rng(0).standard_normal((25, 20000)))
+        signals = np.random.default_rng(0).standard_normal((25, 20000))
         tracemalloc.start()
         try:
-            train(signals, TrainConfig(codebook_size=256, sparsity=1, iterations=1))
+            train(signals, LayerConfig(codebook_size=256, sparsity=1), 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -266,20 +264,19 @@ class TestKeptResidual:
         pool[:, 0] = 0.0
         copies = pool[:, rng.integers(0, 3, count)]
         signals = np.where(rng.random(count) < 0.8, copies, rng.standard_normal((12, count)))
-        train_set = TrainingSet(np.asarray(signals, order=order))
-        signals = train_set.signals
-        cfg = TrainConfig(codebook_size=24, sparsity=sparsity, iterations=3, seed=sparsity)
-        atoms = np.array(init_dictionary(train_set, cfg).atoms)
-        trained, trace = train(train_set, cfg)
+        signals = np.asarray(signals, order=order)
+        layer, iterations, seed = LayerConfig(codebook_size=24, sparsity=sparsity), 3, sparsity
+        atoms = np.array(init_dictionary(signals, layer.codebook_size, seed).atoms)
+        trained, trace = train(signals, layer, iterations, seed)
         slots = (count, min(sparsity, *atoms.shape))
         support, coef = np.zeros(slots, dtype=np.intp), np.zeros(slots)
         residual = _residual(signals, atoms, support, coef)
-        update_rng = np.random.default_rng(cfg.seed)
+        update_rng = np.random.default_rng(seed)
         fresh_trace, unused = [], 0
-        for _ in range(cfg.iterations):
+        for _ in range(iterations):
             _code_pass(signals, atoms, support, coef, residual)
             assert residual.tobytes() == _residual(signals, atoms, support, coef).tobytes()
-            unused += cfg.codebook_size - np.unique(support[coef != 0.0]).size
+            unused += layer.codebook_size - np.unique(support[coef != 0.0]).size
             _update_pass(signals, atoms, support, coef, residual, update_rng)
             fresh = _residual(signals, atoms, support, coef)
             assert residual.flags.c_contiguous

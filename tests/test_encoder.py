@@ -181,7 +181,7 @@ class TestPyramidPool:
         grid = code_grid(rng, 6, [[2.0, 2.0]], (8, 8), density=1.0)
         desc = pyramid_pool(grid, [1], "img")
         expected = l2_normalize(pool_one(grid.vectors))
-        npt.assert_allclose(desc.to_dense(), expected, atol=1e-12)
+        npt.assert_allclose(oracles.to_dense(desc), expected, atol=1e-12)
 
     def test_regions_partition_by_center_with_remainder_to_last(self):
         # extent 10 with g=3 gives region edges at 3 and 6; the last region
@@ -190,7 +190,7 @@ class TestPyramidPool:
         k = 3
         centers = [[0.0, 0.0], [4.0, 1.0], [9.0, 9.0]]
         grid = code_grid(rng, k, centers, (10, 10), density=1.0)
-        desc = pyramid_pool(grid, [3], "img").to_dense()
+        desc = oracles.to_dense(pyramid_pool(grid, [3], "img"))
         blocks = desc.reshape(9, 2 * k)
         raw = [pool_one(c[None, :]) for c in grid.vectors]
         stacked = np.concatenate(
@@ -365,7 +365,7 @@ class TestBofBaseline:
         for i in range(grid.count):
             hist[oracles.vq_one(d, grid.vectors[i])] += 1.0
         hist /= grid.count
-        npt.assert_allclose(desc.to_dense(), l2_normalize(hist), atol=1e-12)
+        npt.assert_allclose(oracles.to_dense(desc), l2_normalize(hist), atol=1e-12)
 
 
 class TestDescriptorFile:
