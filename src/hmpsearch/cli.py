@@ -227,14 +227,21 @@ def cmd_encode(cfg: RunConfig) -> int:
 
 
 def _load_descriptors(cfg: RunConfig):
+    """The descriptor files in name order: one length, one file per image id."""
     if not os.path.isdir(cfg.descriptor_dir):
         raise ConfigError(f"descriptor directory {cfg.descriptor_dir} not found; run encode first")
-    files = sorted(
-        name for name in os.listdir(cfg.descriptor_dir) if name.endswith(".hmpv")
-    )
-    if not files:
+    names = sorted(os.listdir(cfg.descriptor_dir))
+    paths = [os.path.join(cfg.descriptor_dir, name) for name in names if name.endswith(".hmpv")]
+    if not paths:
         raise ConfigError(f"no descriptor files in {cfg.descriptor_dir}; run encode first")
-    return [load_descriptor(os.path.join(cfg.descriptor_dir, name)) for name in files]
+    descriptors = [load_descriptor(path) for path in paths]
+    owners = {}  # image id -> the first file that holds it
+    for path, desc in zip(paths, descriptors):
+        if desc.length != descriptors[0].length:
+            raise InvalidInputError(f"{path} has length {desc.length}, {paths[0]} {descriptors[0].length}")
+        if owners.setdefault(desc.image_id, path) != path:
+            raise InvalidInputError(f"{path} repeats image id {desc.image_id!r} of {owners[desc.image_id]}")
+    return descriptors
 
 
 def cmd_build_index(cfg: RunConfig, idf: bool) -> int:

@@ -3,21 +3,22 @@
 An image is turned into one descriptor by stacking one to three coding
 layers. Layer 1 codes small mean-subtracted patches. Every interior layer
 then tiles the image plane into square coding units and splits each unit
-into a cell grid; every code gets one label naming its unit and cell, and
-one `signed_max_pool` call pools all cells of the image at once. The rows of
-the pooled matrix, read unit by unit, are the cell features concatenated
-row-major; each unit feature is normalized and becomes one signal of the
-next layer. The last layer's codes skip the unit machinery: they are pooled
-over whole-image spatial pyramid regions and the concatenation is
-normalized once, giving a descriptor of length
-2 * K_final * sum(g^2 for g in pyramid).
+into a cell grid; every feature gets one label naming its unit and cell,
+the features of whole units are coded, and one `signed_max_pool` call pools
+all cells of the image at once. The rows of the pooled matrix, read unit by
+unit, are the cell features concatenated row-major; each unit feature is
+normalized and becomes one signal of the next layer. The last layer's
+codes skip the unit machinery: they are pooled over whole-image spatial
+pyramid regions and the concatenation is normalized once, giving a
+descriptor of length 2 * K_final * sum(g^2 for g in pyramid).
 
 Patches, codes and pooled unit features all travel as one form, the
 `FeatureGrid` of `hmpsearch.images`: a matrix with one row per feature, the
 pixel center of each row, and the image extent. All geometry lives in
 original-image pixel coordinates: every feature carries the pixel center of
 the area it summarizes, and units, cells, and pyramid regions claim
-features by center. Units that do not fit whole at the border are dropped.
+features by center. Features of units that do not fit whole at the border
+are dropped before they are coded.
 The architecture is configuration; the codebooks, one per layer in layer
 order, are the trained model and are passed beside it as arguments.
 Descriptor files are `HMPV` containers of `hmpsearch.files`, which also
@@ -35,7 +36,7 @@ import numpy as np
 from .coding import UNIT_NORM_TOL, Dictionary, l2_normalize, omp_encode_batch, vq_encode_batch
 from .errors import ConfigError, DecodeError, ImageTooSmallError, InvalidInputError
 from .files import read_config, read_container, write_container
-from .images import FeatureGrid, IntensityImage, assign_to_cells, extract_patches
+from .images import FeatureGrid, IntensityImage, extract_patches, unit_cells
 
 _DESC_MAGIC = b"HMPV"
 _DESC_VERSION = 1
@@ -204,14 +205,14 @@ def signed_max_pool(codes: np.ndarray, labels: np.ndarray, count: int) -> np.nda
     return out
 
 
-def _code_grid(features: FeatureGrid, layer: LayerConfig, dictionary: Dictionary) -> FeatureGrid:
+def _codes(vectors: np.ndarray, layer: LayerConfig, dictionary: Dictionary) -> np.ndarray:
     sparsity = min(layer.sparsity, dictionary.signal_dim, dictionary.size)
-    codes = omp_encode_batch(dictionary, features.vectors.T, sparsity)
-    return FeatureGrid(features.centers, codes, features.extent)
+    return omp_encode_batch(dictionary, vectors.T, sparsity)
 
 
 def encode_layer(features: FeatureGrid, layer: LayerConfig, dictionary: Dictionary) -> FeatureGrid:
-    """One interior coding layer: code against `dictionary`, pool per cell,
+    """One interior coding layer: label each feature with its unit and cell,
+    code the features of whole units against `dictionary`, pool per cell,
     concatenate, normalize.
 
     Returns one feature per whole coding unit that fits in the extent, in
@@ -219,21 +220,16 @@ def encode_layer(features: FeatureGrid, layer: LayerConfig, dictionary: Dictiona
     sees the coarser grid.
     """
     unit = layer.unit_size
-    grid = _code_grid(features, layer, dictionary)
-    h, w = grid.extent
-    units_r, units_c = h // unit, w // unit
-    unit_rc = grid.centers // unit
-    inside = np.all((unit_rc >= 0) & (unit_rc < (units_r, units_c)), axis=1)
-    unit_rc = unit_rc[inside]
-    cells = assign_to_cells(grid.centers[inside] - unit_rc * unit, unit, layer.cell_grid)
-    units = (unit_rc[:, 0] * units_c + unit_rc[:, 1]).astype(np.int64)
+    inside, labels = unit_cells(features.centers, features.extent, unit, layer.cell_grid)
+    codes = _codes(features.vectors[inside], layer, dictionary)
+    units_r, units_c = features.extent[0] // unit, features.extent[1] // unit
     count = units_r * units_c
-    pooled = signed_max_pool(grid.vectors[inside], units * layer.cells + cells, count * layer.cells)
+    pooled = signed_max_pool(codes, labels, count * layer.cells)
     pooled = pooled.reshape(count, layer.cells * pooled.shape[1])
     vectors = np.array([l2_normalize(row) for row in pooled]).reshape(pooled.shape)
     ur, uc = np.meshgrid(np.arange(units_r), np.arange(units_c), indexing="ij")
     centers = (np.stack([ur.ravel(), uc.ravel()], axis=1) + 0.5) * unit
-    return FeatureGrid(centers, vectors, grid.extent)
+    return FeatureGrid(centers, vectors, features.extent)
 
 
 def _pyramid_bins(coords: np.ndarray, side: int, g: int) -> np.ndarray:
@@ -316,7 +312,8 @@ def encode_image(
     its codebook from `codebooks` (one per layer, in layer order)."""
     _check_inputs(img, arch, codebooks, image_id)
     grid = layer_inputs(img, arch, codebooks[:-1])
-    return pyramid_pool(_code_grid(grid, arch.final_layer, codebooks[-1]), arch.pyramid, image_id)
+    codes = _codes(grid.vectors, arch.final_layer, codebooks[-1])
+    return pyramid_pool(FeatureGrid(grid.centers, codes, grid.extent), arch.pyramid, image_id)
 
 
 def encode_image_bof(

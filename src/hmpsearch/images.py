@@ -5,14 +5,15 @@ formats go through an optional adapter backed by Pillow when it is
 installed. Color inputs become luminance with weights 0.299/0.587/0.114.
 Patches come out as a `FeatureGrid`, one row per patch with its pixel
 center; the encoder carries codes and pooled features in the same form.
-`assign_to_cells` labels points with their row-major cell in a square
-region, all points at once. Image files and the manifest, a file of
+`unit_cells` labels points with the square coding unit and cell they lie
+in, all points at once. Image files and the manifest, a file of
 `hmpsearch.files` tab records, are read through that module.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,10 @@ from .files import read_bytes, tab_records
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 # full scale of each grayscale Pillow mode that is read without conversion
 _GRAY_FULL_SCALE = {"L": 255.0, "I;16": 65535.0, "I": 65535.0}
+# P5 or P6, then width, height and maxval: each 1 to 20 digits after any run
+# of whitespace or `#` comments (a comment runs to the line's end and cannot
+# stop early), each followed by one whitespace byte; the last ends the header
+_NETPBM_HEADER = re.compile(rb"P[56]" + rb"(?:\s|#[^\r\n]*(?![^\r\n]))*(\d{1,20})\s" * 3)
 
 
 @dataclass(frozen=True)
@@ -69,28 +74,14 @@ class FeatureGrid:
 
 
 def _parse_netpbm(raw: bytes, path) -> IntensityImage:
-    magic = raw[:2]
-    pos = 2
-    fields: list[int] = []
-    while len(fields) < 3:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(raw) and raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        token = raw[start:pos]
-        if not token.isdigit():
-            raise DecodeError(f"{path}: malformed netpbm header")
-        fields.append(int(token))
-    pos += 1  # single whitespace byte separates header from samples
-    width, height, maxval = fields
+    header = _NETPBM_HEADER.match(raw)
+    if header is None:
+        raise DecodeError(f"{path}: malformed netpbm header")
+    width, height, maxval = (int(field) for field in header.groups())
+    pos = header.end()
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise DecodeError(f"{path}: invalid netpbm dimensions {width}x{height} maxval {maxval}")
-    channels = 3 if magic == b"P6" else 1
+    channels = 3 if raw[:2] == b"P6" else 1
     wide = maxval > 255
     sample_bytes = 2 if wide else 1
     need = width * height * channels * sample_bytes
@@ -191,24 +182,27 @@ def extract_patches(img: IntensityImage, patch_size: int, stride: int = 1) -> Fe
     return FeatureGrid(centers, flat, (img.height, img.width))
 
 
-def assign_to_cells(centers: np.ndarray, region_size: float, cell_grid: int) -> np.ndarray:
-    """Row-major cell label of each point in a cell_grid x cell_grid split
-    of the square region [0, region_size)^2; every point must fall inside."""
+def unit_cells(centers: np.ndarray, extent, unit_size: int, cell_grid: int):
+    """Label points with their coding unit and cell.
+
+    The extent (height, width) is tiled row-major by square units of side
+    `unit_size`, each split into a cell_grid x cell_grid grid. Returns
+    `inside`, which marks the points whose unit lies whole in the extent,
+    and for those points in order their labels: the unit's row-major index
+    times cell_grid**2 plus the row-major cell within the unit.
+    """
     if cell_grid < 1:
         raise InvalidInputError(f"cell_grid must be >= 1, got {cell_grid}")
-    if region_size <= 0 or region_size % cell_grid != 0:
+    if unit_size < 1 or unit_size % cell_grid != 0:
         raise InvalidInputError(
-            f"region size {region_size} is not divisible into a {cell_grid}x{cell_grid} cell grid"
+            f"region size {unit_size} is not divisible into a {cell_grid}x{cell_grid} cell grid"
         )
-    pts = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
-    outside = np.flatnonzero(~np.all((pts >= 0) & (pts < region_size), axis=1))
-    if outside.size:
-        i = outside[0]
-        raise InvalidInputError(
-            f"point {i} at ({pts[i, 0]}, {pts[i, 1]}) lies outside the region of size {region_size}"
-        )
-    cell = (pts // (region_size / cell_grid)).astype(np.int64)
-    return cell[:, 0] * cell_grid + cell[:, 1]
+    units = np.array(extent) // unit_size
+    with np.errstate(invalid="ignore"):  # a NaN center lies in no unit
+        cell = np.asarray(centers, dtype=np.float64).reshape(-1, 2) // (unit_size // cell_grid)
+        inside = np.all((cell >= 0) & (cell // cell_grid < units), axis=1)
+    unit, within = np.divmod(cell[inside].astype(np.int64), cell_grid)
+    return inside, np.ravel_multi_index((*unit.T, *within.T), (*units, cell_grid, cell_grid))
 
 
 def read_manifest(path) -> list[tuple[str, str]]:

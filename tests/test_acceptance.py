@@ -31,7 +31,7 @@ from hmpsearch import (
     train,
 )
 from hmpsearch.cli import main as cli_main
-from hmpsearch.images import assign_to_cells
+from hmpsearch.images import unit_cells
 from conftest import (
     arrangement_corpus,
     packed_dictionary,
@@ -353,7 +353,8 @@ def test_criterion_8_invariant_suite():
 
     # partition property of the cell split
     grid = extract_patches(IntensityImage(texture_image(12, side=36)), 5, 1)
-    labels = assign_to_cells(grid.centers, 36, 3)
+    inside, labels = unit_cells(grid.centers, (36, 36), 36, 3)
+    assert inside.all()
     cells = [np.flatnonzero(labels == c).tolist() for c in range(9)]
     flattened = sorted(i for cell in cells for i in cell)
     assert flattened == list(range(grid.count))

@@ -6,7 +6,19 @@ import weakref
 import numpy as np
 import pytest
 
-from hmpsearch import cli, load_descriptor, load_dictionary, load_index, save_dictionary
+from hmpsearch import (
+    ImageDescriptor,
+    cli,
+    encode_image,
+    load_architecture,
+    load_descriptor,
+    load_dictionary,
+    load_image,
+    load_index,
+    resize_max_side,
+    save_descriptor,
+    save_dictionary,
+)
 from hmpsearch.cli import load_run_config, main
 from conftest import outputs_under_blas_threads, random_dictionary, texture_image
 
@@ -114,6 +126,13 @@ class TestRunConfig:
         [warning] = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert str(cfg) in warning and repr(key) in warning
 
+    def test_missing_run_section_exits_2_naming_the_file(self, tmp_path, capsys):
+        cfg = make_workspace(tmp_path)
+        cfg.write_text(cfg.read_text().replace("[run]", "[other]"))
+        assert run_cli(cfg, "train-dict") == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: missing [run] section" in err
+
     @pytest.mark.parametrize(
         "key, value, flags",
         [
@@ -199,6 +218,15 @@ class TestTrainDict:
         for name in ("g0m1", "g1m0", "g1m1"):
             (tmp_path / "images" / f"{name}.pgm").write_bytes(b"P5\n4 ")
         assert run_cli(cfg, "train-dict") == 2
+
+
+    def test_header_field_beyond_int_digit_limit_skipped(self, tmp_path, caplog):
+        cfg = make_workspace(tmp_path)
+        bad = tmp_path / "images" / "g0m0.pgm"
+        bad.write_bytes(b"P5 " + b"9" * 5000 + b" 1 255\n\x00")
+        assert run_cli(cfg, "train-dict") == 0
+        [skip] = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert skip.startswith("skipping g0m0:") and str(bad) in skip
 
 
 class TestTooSmallImages:
@@ -291,6 +319,21 @@ class TestEncode:
         run_cli(cfg, "encode")
         assert sample.read_bytes() == first
 
+    def test_resize_shrinks_images_before_coding(self, tmp_path):
+        cfg = make_workspace(tmp_path)
+        set_run_key(cfg, "resize_max_side", "24")
+        assert run_cli(cfg, "train-dict") == 0
+        assert run_cli(cfg, "encode") == 0
+        arch = load_architecture(tmp_path / "arch.cfg")
+        codebook = load_dictionary(tmp_path / "dicts" / "layer1.hmpd")
+        for image_id in ("g0m0", "g3m1"):
+            img = resize_max_side(load_image(tmp_path / "images" / f"{image_id}.pgm"), 24)
+            assert img.height == 24
+            want = encode_image(img, arch, [codebook], image_id)
+            got = load_descriptor(tmp_path / "descriptors" / f"{image_id}.hmpv")
+            assert got.indices.tolist() == want.indices.tolist()
+            assert got.values.tobytes() == want.values.tobytes()
+
     def test_ids_sharing_a_descriptor_file_rejected(self, tmp_path, capsys):
         cfg = make_workspace(tmp_path)
         assert run_cli(cfg, "train-dict") == 0
@@ -361,6 +404,34 @@ class TestIndexAndQuery:
         idx = load_index(root / "corpus.hmpi")
         assert idx.doc_count == 10
         assert idx.dimension == 32
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["missing", "empty"])
+    def test_build_index_without_descriptors_exits_2(self, tmp_path, capsys, empty):
+        cfg = make_workspace(tmp_path)
+        if empty:
+            (tmp_path / "descriptors").mkdir()
+        assert run_cli(cfg, "build-index") == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "descriptors") in err and "run encode first" in err
+        assert not (tmp_path / "corpus.hmpi").exists()
+
+    @pytest.mark.parametrize("stage", ["build-index", "evaluate"])
+    def test_descriptor_of_another_length_exits_2_naming_both_files(self, pipeline, capsys, stage):
+        cfg, root = pipeline
+        stray = root / "descriptors" / "zz.hmpv"
+        save_descriptor(ImageDescriptor("zz", 16, np.array([3]), np.array([1.0])), stray)
+        assert run_cli(cfg, stage) == 2
+        err = capsys.readouterr().err
+        assert f"{stray} has length 16, {root / 'descriptors' / 'g0m0.hmpv'} 32" in err
+
+    @pytest.mark.parametrize("stage", ["build-index", "evaluate"])
+    def test_repeated_image_id_exits_2_naming_both_files(self, pipeline, capsys, stage):
+        cfg, root = pipeline
+        first = root / "descriptors" / "copy.hmpv"
+        first.write_bytes((root / "descriptors" / "g0m0.hmpv").read_bytes())
+        assert run_cli(cfg, stage) == 2
+        err = capsys.readouterr().err
+        assert f"{root / 'descriptors' / 'g0m0.hmpv'} repeats image id 'g0m0' of {first}" in err
 
     def test_query_before_index_fails_fast(self, tmp_path, capsys):
         cfg = make_workspace(tmp_path)
@@ -467,6 +538,26 @@ for path in sorted(written):
         capsys.readouterr()
         assert run_cli(cfg, "evaluate") == 2
         assert "ground truth" in capsys.readouterr().err
+
+    def test_evaluate_needs_ground_truth_and_an_index(self, tmp_path, capsys):
+        cfg = make_workspace(tmp_path)
+        set_run_key(cfg, "ground_truth", "")
+        assert run_cli(cfg, "evaluate") == 2
+        assert "[run] ground_truth is required for evaluate" in capsys.readouterr().err
+        set_run_key(cfg, "ground_truth", "gt.tsv")
+        assert run_cli(cfg, "evaluate") == 2
+        err = capsys.readouterr().err
+        assert f"index {tmp_path / 'corpus.hmpi'} not found" in err and "build-index" in err
+
+    def test_unreadable_architecture_still_gives_a_report(self, tmp_path, capsys):
+        cfg = make_workspace(tmp_path)
+        for stage in ("train-dict", "encode", "build-index"):
+            assert run_cli(cfg, stage) == 0
+        (tmp_path / "arch.cfg").unlink()
+        capsys.readouterr()
+        assert run_cli(cfg, "evaluate") == 0
+        assert capsys.readouterr().out.strip() == "mAP 1.000000"
+        assert len(report_fingerprint(tmp_path)) == 16
 
     @pytest.mark.parametrize("change", ["idf", "codebook", "codebook-missing", "resize"])
     def test_fingerprint_follows_what_was_evaluated(self, tmp_path, capsys, change):

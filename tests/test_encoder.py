@@ -29,6 +29,7 @@ from hmpsearch import (
     save_descriptor,
     signed_max_pool,
 )
+from hmpsearch import encoder
 from hmpsearch.encoder import minimum_image_side
 from hmpsearch.errors import DecodeError
 from conftest import random_dictionary, texture_image
@@ -148,6 +149,24 @@ class TestEncodeLayer:
         out2 = encode_layer(FeatureGrid(grid.centers, swapped, grid.extent), layer, d)
         npt.assert_allclose(out2.vectors[0], out.vectors[0], atol=1e-12)
 
+    def test_codes_only_the_features_of_whole_units(self, monkeypatch):
+        # a 60 px image has 56 x 56 patch centers; the 46 x 46 of them below
+        # 48 px lie in the 2 x 2 whole units of 24 px
+        rng = np.random.default_rng(9)
+        d = random_dictionary(rng, 25, 8)
+        grid = extract_patches(IntensityImage(texture_image(9, side=60)), 5, 1)
+        coded = []
+
+        def spy(dictionary, signals, sparsity):
+            coded.append(signals.shape[1])
+            return omp_encode_batch(dictionary, signals, sparsity)
+
+        monkeypatch.setattr(encoder, "omp_encode_batch", spy)
+        layer = LayerConfig(codebook_size=8, sparsity=2, unit_size=24, cell_grid=2)
+        out = encode_layer(grid, layer, d)
+        assert grid.count == 3136 and out.count == 4
+        assert coded == [2116]
+
     def test_dimension_mismatch_reports_shapes(self):
         rng = np.random.default_rng(8)
         d = random_dictionary(rng, 5, 6)
@@ -244,6 +263,10 @@ class TestArchitectureConfig:
     def test_patch_geometry_must_be_positive(self, geometry):
         with pytest.raises(InvalidInputError, match="patch_size and stride"):
             ArchitectureConfig([LayerConfig(codebook_size=4, sparsity=1)], [1], **geometry)
+
+    def test_unit_size_must_be_positive(self):
+        with pytest.raises(InvalidInputError, match="unit_size and cell_grid must be >= 1"):
+            LayerConfig(codebook_size=4, sparsity=1, unit_size=0)
 
     def test_interior_cells_must_divide_unit(self):
         l1 = LayerConfig(codebook_size=4, sparsity=1, unit_size=10, cell_grid=3)
@@ -366,6 +389,16 @@ class TestBofBaseline:
             hist[oracles.vq_one(d, grid.vectors[i])] += 1.0
         hist /= grid.count
         npt.assert_allclose(oracles.to_dense(desc), l2_normalize(hist), atol=1e-12)
+
+
+class TestImageDescriptor:
+    def test_two_dimensional_indices_rejected(self):
+        with pytest.raises(InvalidInputError, match="1-D and parallel"):
+            ImageDescriptor("x", 8, np.array([[1], [2]]), np.array([[0.6], [0.8]]))
+
+    def test_nan_value_rejected(self):
+        with pytest.raises(InvalidInputError, match="nonzero and finite"):
+            ImageDescriptor("x", 8, np.array([1, 2]), np.array([1.0, np.nan]))
 
 
 class TestDescriptorFile:

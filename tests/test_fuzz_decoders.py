@@ -111,6 +111,8 @@ def test_truncated_or_flipped_valid_file(tmp_path, valid_files, loader, cut, fli
 
 @FUZZ
 @given(magic=st.sampled_from([b"P5", b"P6"]), data=st.binary(max_size=120))
+# a width past the 4300 digits that int() converts
+@example(magic=b"P5", data=b" " + b"9" * 5000 + b" 1 255\n\x00")
 def test_netpbm_arbitrary_bytes(tmp_path, magic, data):
     load_or_error(load_image, tmp_path / "fuzz.pgm", magic + data)
 

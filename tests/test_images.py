@@ -17,7 +17,7 @@ from hmpsearch import (
     read_manifest,
     resize_max_side,
 )
-from hmpsearch.images import assign_to_cells
+from hmpsearch.images import unit_cells
 
 
 def write_p5(path, width, height, samples, maxval=255):
@@ -189,6 +189,11 @@ class TestExtractPatches:
         npt.assert_allclose(grid.centers[0], [2.0, 2.0])
         npt.assert_allclose(grid.centers[-1], [3.0, 3.0])
 
+    def test_patch_size_below_one_rejected(self):
+        img = IntensityImage(np.full((4, 4), 0.5))
+        with pytest.raises(InvalidInputError, match="patch_size and stride must be >= 1"):
+            extract_patches(img, 0)
+
     def test_oversized_patch_rejected(self):
         img = IntensityImage(np.full((4, 4), 0.5))
         with pytest.raises(InvalidInputError):
@@ -196,13 +201,14 @@ class TestExtractPatches:
 
 
 class TestGroupIntoCells:
-    """`assign_to_cells` labels each patch center with its row-major cell."""
+    """`unit_cells` labels each patch center with its unit and row-major cell."""
 
     def test_two_by_two_split_of_sixteen(self):
         rng = np.random.default_rng(4)
         img = IntensityImage(rng.uniform(size=(16, 16)))
         grid = extract_patches(img, 1, 1)
-        labels = assign_to_cells(grid.centers, 16, 2)
+        inside, labels = unit_cells(grid.centers, (16, 16), 16, 2)
+        assert inside.all()
         assert labels.shape == (grid.count,)
         assert set(labels.tolist()) == {0, 1, 2, 3}
         # the patch centered at (3, 3) is index 3*16+3 and lands in cell 0
@@ -214,13 +220,16 @@ class TestGroupIntoCells:
         rng = np.random.default_rng(5)
         img = IntensityImage(rng.uniform(size=(10, 10)))
         grid = extract_patches(img, 3, 1)
-        npt.assert_array_equal(assign_to_cells(grid.centers, 10, 1), np.zeros(grid.count))
+        inside, labels = unit_cells(grid.centers, (10, 10), 10, 1)
+        assert inside.all()
+        npt.assert_array_equal(labels, np.zeros(grid.count))
 
     def test_three_by_three_partition_is_complete(self):
         rng = np.random.default_rng(6)
         img = IntensityImage(rng.uniform(size=(36, 36)))
         grid = extract_patches(img, 5, 1)
-        labels = assign_to_cells(grid.centers, 36, 3)
+        inside, labels = unit_cells(grid.centers, (36, 36), 36, 3)
+        assert inside.all()
         cells = [np.flatnonzero(labels == c).tolist() for c in range(9)]
         assert all(cells)
         assert sorted(idx for cell in cells for idx in cell) == list(range(grid.count))
@@ -230,13 +239,31 @@ class TestGroupIntoCells:
         img = IntensityImage(rng.uniform(size=(10, 10)))
         grid = extract_patches(img, 3, 1)
         with pytest.raises(InvalidInputError) as err:
-            assign_to_cells(grid.centers, 10, 3)
+            unit_cells(grid.centers, (10, 10), 10, 3)
         assert "10" in str(err.value) and "3" in str(err.value)
 
-    def test_point_outside_region_rejected(self):
+    @pytest.mark.parametrize(
+        "unit_size, cell_grid, message",
+        [(0, 1, "region size 0 is not divisible"), (4, 0, "cell_grid must be >= 1, got 0")],
+    )
+    def test_size_or_grid_below_one_rejected(self, unit_size, cell_grid, message):
+        with pytest.raises(InvalidInputError, match=message):
+            unit_cells(np.zeros((1, 2)), (8, 8), unit_size, cell_grid)
+
+    def test_point_outside_region_is_not_inside(self):
         for point in ([9.0, 1.0], [1.0, 8.0], [-0.5, 1.0], [np.nan, 1.0]):
-            with pytest.raises(InvalidInputError):
-                assign_to_cells(np.array([[1.0, 1.0], point]), 8, 2)
+            inside, labels = unit_cells(np.array([[1.0, 1.0], point]), (8, 8), 8, 2)
+            assert inside.tolist() == [True, False]
+            assert labels.tolist() == [0]
+
+    def test_labels_name_the_unit_then_the_cell(self):
+        # 20 x 30 holds 2 x 3 whole units of 8 px; rows 16-19 and columns
+        # 24-29 lie in no whole unit
+        centers = np.array([[1.0, 1.0], [5.0, 9.0], [12.0, 20.0], [17.0, 1.0], [1.0, 25.0]])
+        inside, labels = unit_cells(centers, (20, 30), 8, 2)
+        assert inside.tolist() == [True, True, True, False, False]
+        # unit 0 cell 0; unit 1 cell 2; unit 5 cell 3
+        assert labels.tolist() == [0, 1 * 4 + 2, 5 * 4 + 3]
 
 
 class TestManifest:
@@ -272,6 +299,10 @@ class TestResize:
         out = resize_max_side(img, 10)
         assert max(out.height, out.width) == 10
         assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+
+    def test_max_side_below_one_rejected(self):
+        with pytest.raises(InvalidInputError, match="max_side must be >= 1, got 0"):
+            resize_max_side(IntensityImage(np.full((4, 4), 0.5)), 0)
 
     def test_constant_image_stays_constant(self):
         img = IntensityImage(np.full((30, 30), 0.6))

@@ -215,6 +215,17 @@ class TestExhaustiveScan:
         assert [s for _, s in hits] == [0.0, 0.0]
         assert [doc_id for doc_id, _ in hits] == ["a", "b"]
 
+    def test_top_k_keeps_the_best(self):
+        docs = [sparse_descriptor(f"d{n}", 8, [(n, 1.0), (7, 1.0 + n)]) for n in range(4)]
+        q = sparse_descriptor("q", 8, [(7, 1.0)])
+        assert exhaustive_scan(docs, q, top_k=2) == exhaustive_scan(docs, q)[:2]
+        assert [doc_id for doc_id, _ in exhaustive_scan(docs, q, top_k=2)] == ["d3", "d2"]
+
+    def test_descriptor_of_another_length_rejected(self):
+        docs = [sparse_descriptor("a", 8, [(1, 1.0)]), sparse_descriptor("b", 16, [(1, 1.0)])]
+        with pytest.raises(InvalidInputError, match="'b' has length 16, query has 8"):
+            exhaustive_scan(docs, sparse_descriptor("q", 8, [(1, 1.0)]))
+
     def test_matches_query_on_random_corpora(self):
         rng = np.random.default_rng(7)
         docs = random_corpus(rng, 200)

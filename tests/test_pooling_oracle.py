@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hmpsearch import FeatureGrid, LayerConfig, encode_layer, l2_normalize, pyramid_pool
 from hmpsearch.encoder import signed_max_pool
-from hmpsearch.images import assign_to_cells
+from hmpsearch.images import unit_cells
 from conftest import random_dictionary
 import oracles
 
@@ -78,8 +78,9 @@ def test_assign_to_cells_matches_index_lists(seed, cell_grid, width, n):
     rng = np.random.default_rng(seed)
     size = cell_grid * width
     points = lattice_points(rng, n, size, size)
-    labels = assign_to_cells(points, size, cell_grid)
+    inside, labels = unit_cells(points, (size, size), size, cell_grid)
     cells = oracles.assign_to_cells(points, size, cell_grid)
+    assert inside.all()
     assert [np.flatnonzero(labels == c).tolist() for c in range(cell_grid**2)] == cells
 
 
