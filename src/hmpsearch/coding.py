@@ -18,9 +18,12 @@ over D in order: VQ a row's correlations where more than one atom is left,
 OMP alpha and the Gram entries on the support, and a row's candidates where
 more than one is left. So for both, row i of a batch is bitwise the batch
 of one of column i: one signal `y` is coded as
-`omp_encode_batch(d, y[:, None], s)[0]`. Both are pure functions; a
-`Dictionary` is immutable, thread-safe and computes its screening Gram
-matrix on first OMP use. A codebook file is an `HMPD` container of
+`omp_encode_batch(d, y[:, None], s)[0]`, and OMP codes each distinct
+signal of a batch once, matched by its bytes, and copies its code to every
+column that repeats it. Both are pure functions. A `Dictionary` has
+immutable atoms and is thread-safe; it computes its screening Gram matrix
+on first OMP use and keeps its exact Gram entries as they are summed, each
+the same whichever call sums it. A codebook file is an `HMPD` container of
 `hmpsearch.files`.
 """
 
@@ -51,7 +54,8 @@ _DICT_VERSION = 1
 @dataclass(frozen=True)
 class Dictionary:
     """Codebook of unit-norm atoms, one per column of `atoms` (D x K). The
-    screen that OMP reads is computed on first use and cached."""
+    screen that OMP reads is computed on first use and cached, and the
+    exact Gram entries are kept as OMP first sums them."""
 
     atoms: np.ndarray
 
@@ -78,6 +82,12 @@ class Dictionary:
     def _screen(self) -> tuple[np.ndarray, np.ndarray]:
         """The Gram matrix, by einsum like OMP's screen, and the ell1 norms."""
         return np.einsum("dk,dj->kj", self.atoms, self.atoms), np.sum(np.abs(self.atoms), axis=0)
+
+    @functools.cached_property
+    def _gram(self) -> np.ndarray:
+        """The exact Gram entries, NaN until `_gram_at` first sums them. An
+        entry only ever changes from NaN to the one value it can hold."""
+        return np.full((self.size,) * 2, np.nan)
 
     @property
     def signal_dim(self) -> int:
@@ -153,6 +163,8 @@ def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int)
     falls under RESIDUAL_STOP, once the residual is orthogonal to every
     remaining atom, or once the next atom's Cholesky pivot is at most
     PIVOT_STOP. A column whose squared norm overflows raises InvalidInputError.
+    Columns equal byte for byte are coded once, and the exact Gram entries
+    summed are kept on `dictionary` for later calls.
     """
     y = _check_signals(dictionary, signals)
     n, dim = y.shape
@@ -165,9 +177,14 @@ def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int)
         overflow = [int(i) for i in np.flatnonzero(y_l1 >= 1e154) if np.isinf(np.sum(y[i] * y[i]))]
     if overflow:
         raise InvalidInputError(f"squared norm of signal column(s) {overflow} overflows")
+    # each distinct row is coded once; matching bytes keeps -0.0 apart from 0.0
+    _, first, inverse = np.unique(
+        y.view(np.dtype((np.void, 8 * dim))).ravel(), return_index=True, return_inverse=True
+    )
+    y, y_l1, n = y[first], y_l1[first], first.size
     atoms, (screen, l1), yt = dictionary.atoms, dictionary._screen, np.ascontiguousarray(y.T)
     support, coef = np.zeros((n, sparsity), dtype=np.intp), np.zeros((n, sparsity))
-    gram = np.full((dictionary.size,) * 2, np.nan)  # exact entries, as they are needed
+    gram = dictionary._gram
     # per row still coding: screened alpha, |y|_1, atoms in pick order and
     # their coefficients, the Cholesky factor L of the support's Gram matrix
     # and L^-1 alpha_S; a row that stops leaves its atoms and coefficients
@@ -236,7 +253,7 @@ def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int)
     codes = np.zeros((n, dictionary.size))
     nz = coef != 0.0  # as if added onto zero: unused slots and zeros leave 0.0
     codes[np.nonzero(nz)[0], support[nz]] = coef[nz]
-    return codes
+    return codes[inverse]
 
 
 def vq_encode_batch(dictionary: Dictionary, signals: np.ndarray) -> np.ndarray:

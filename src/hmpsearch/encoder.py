@@ -150,6 +150,8 @@ class ImageDescriptor:
     def __post_init__(self):
         indices = np.asarray(self.indices, dtype=np.int64)
         values = np.asarray(self.values, dtype=np.float64)
+        if self.length < 1:
+            raise InvalidInputError(f"descriptor length must be >= 1, got {self.length}")
         if indices.shape != values.shape or indices.ndim != 1:
             raise InvalidInputError("indices and values must be 1-D and parallel")
         if indices.size:

@@ -114,8 +114,6 @@ def _pillow_decode(path) -> IntensityImage:
                 rgb = np.asarray(img.convert("RGB"), dtype=np.float64) / 255.0
                 r, g, b = LUMA_WEIGHTS
                 gray = r * rgb[:, :, 0] + g * rgb[:, :, 1] + b * rgb[:, :, 2]
-    except UnsupportedFormatError:
-        raise
     except Exception as exc:
         raise DecodeError(f"{path}: cannot decode image: {exc}") from exc
     return IntensityImage(np.clip(gray, 0.0, 1.0))

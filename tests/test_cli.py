@@ -424,6 +424,19 @@ class TestIndexAndQuery:
         err = capsys.readouterr().err
         assert f"{stray} has length 16, {root / 'descriptors' / 'g0m0.hmpv'} 32" in err
 
+    def test_zero_length_descriptor_exits_2_naming_the_file(self, tmp_path, capsys):
+        # HMPV version 1, id "a" or "b", then length 0 and no entries
+        cfg = make_workspace(tmp_path)
+        (tmp_path / "descriptors").mkdir()
+        for name in "ab":
+            header = b"HMPV\x01" + struct.pack("<I", 1) + name.encode()
+            (tmp_path / "descriptors" / f"{name}.hmpv").write_bytes(header + struct.pack("<II", 0, 0))
+        assert run_cli(cfg, "build-index") == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'descriptors' / 'a.hmpv'}: truncated or corrupt descriptor" in err
+        assert "length must be >= 1, got 0" in err
+        assert not (tmp_path / "corpus.hmpi").exists()
+
     @pytest.mark.parametrize("stage", ["build-index", "evaluate"])
     def test_repeated_image_id_exits_2_naming_both_files(self, pipeline, capsys, stage):
         cfg, root = pipeline

@@ -22,6 +22,7 @@ import hmpsearch
 from hmpsearch import (
     Dictionary,
     InvalidInputError,
+    extract_patches,
     l2_normalize,
     load_dictionary,
     omp_encode_batch,
@@ -30,7 +31,7 @@ from hmpsearch import (
 )
 from hmpsearch import coding
 from hmpsearch.errors import DecodeError
-from conftest import outputs_under_blas_threads, random_dictionary
+from conftest import arrangement_corpus, outputs_under_blas_threads, random_dictionary
 from oracles import correlations, omp_exact, omp_one, omp_pursuit, vq_exact, vq_one
 
 
@@ -101,20 +102,22 @@ class TestDictionary:
         vq_encode_batch(d, signals)
         assert calls == [] and "_screen" not in d.__dict__
         first = omp_encode_batch(d, signals, 3)
-        screen = d._screen
+        screen, first_calls = d._screen, calls.copy()
         second = omp_encode_batch(d, signals, 3)
+        second_calls = calls[len(first_calls) :]
         assert d._screen is screen
         assert first.tobytes() == second.tobytes() == omp_exact(d, signals, 3).tobytes()
         # per call, one correlation per row and step (from the signal table,
-        # of 40 columns) and the Gram entries of support pairs, each at most
-        # once per orientation (from the atoms, 24 columns): never all 40 x 24
-        # correlations or the 24 x 24 Gram matrix
+        # of 40 columns); the first call sums the Gram entries of support
+        # pairs, each at most once per orientation (from the atoms, 24
+        # columns), and the codebook keeps them, so the second sums none:
+        # never all 40 x 24 correlations or the 24 x 24 Gram matrix
         assert np.count_nonzero(first) == 40 * 3
         pairs = support_pairs(first)
-        per_call = len(calls) // 2
-        for batch in (calls[:per_call], calls[per_call:]):
+        for batch in (first_calls, second_calls):
             assert sum(size for cols, size in batch if cols == 40) == 40 * 3
-            assert pairs <= sum(size for cols, size in batch if cols == 24) <= 2 * pairs < 24 * 24
+        assert pairs <= sum(size for cols, size in first_calls if cols == 24) <= 2 * pairs < 24 * 24
+        assert sum(size for cols, size in second_calls if cols == 24) == 0
 
 
 class TestOmpEncode:
@@ -446,6 +449,38 @@ def test_omp_equals_exact_kernel_on_near_ties(seed):
     for sparsity in range(1, min(dim, size) + 1):
         got = omp_encode_batch(d, signals, sparsity)
         assert got.tobytes() == omp_exact(d, signals, sparsity).tobytes()
+
+
+def test_omp_codes_each_distinct_signal_once(monkeypatch):
+    # 40 columns that hold 9 distinct signals; signal 1 is signal 0 but for
+    # a -0.0 entry, so its bytes differ and it is coded on its own
+    rng = np.random.default_rng(8)
+    d = random_dictionary(rng, 16, 24)
+    distinct = rng.standard_normal((16, 9))
+    distinct[3, 0] = 0.0
+    distinct[:, 1] = distinct[:, 0]
+    distinct[3, 1] = -0.0
+    signals = distinct[:, rng.permutation(np.arange(40) % 9)]
+    want = omp_exact(d, signals, 3)
+    calls = spy_on_dots(monkeypatch)
+    codes = omp_encode_batch(d, signals, 3)
+    assert codes.tobytes() == want.tobytes()
+    assert np.count_nonzero(codes) == 40 * 3
+    # alpha is summed once per distinct signal and step, from a table of 9
+    assert sum(size for cols, size in calls if cols == 9) == 9 * 3
+    assert all(cols in (9, 24) for cols, _ in calls)
+
+
+def test_omp_codes_repeated_patches_as_the_exact_kernel():
+    # block-arrangement images repeat many of their layer-1 patches; one
+    # codebook codes every image, as `encode` does
+    images, _ = arrangement_corpus(0, side=48, groups=2)
+    d = random_dictionary(np.random.default_rng(4), 25, 32)
+    for img in images.values():
+        patches = extract_patches(img, 5, 1).vectors.T
+        assert np.unique(patches, axis=1).shape[1] < patches.shape[1]
+        got = omp_encode_batch(d, patches, 4)
+        assert got.tobytes() == omp_exact(d, patches, 4).tobytes()
 
 
 def test_omp_rejects_a_signal_whose_squared_norm_overflows():

@@ -443,6 +443,7 @@ class TestDescriptorFile:
             lambda raw: raw[:-8] + np.array([2.0]).tobytes(),
             lambda raw: raw[:-12] + (9).to_bytes(4, "little") + raw[-8:],
             lambda raw: raw[:-8] + np.array([1e300]).tobytes(),
+            lambda raw: raw[:11] + (0).to_bytes(4, "little") + (0).to_bytes(4, "little"),
         ],
         ids=[
             "header-cut",
@@ -451,6 +452,7 @@ class TestDescriptorFile:
             "not-unit-norm",
             "index-out-of-range",
             "norm-overflows",
+            "length-0",
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")

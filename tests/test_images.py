@@ -30,6 +30,34 @@ def write_p6(path, width, height, samples, maxval=255):
     path.write_bytes(header + bytes(samples))
 
 
+class StubImage:
+    """What a stub Pillow's `Image.open` returns: `samples` in `mode`, shaped
+    as (height, width) or (height, width, 3); `convert("RGB")` keeps them."""
+
+    def __init__(self, mode, samples, shape):
+        self.mode, self.samples, self.shape = mode, samples, shape
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def convert(self, mode):
+        assert mode == "RGB"
+        return self
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.samples, dtype=dtype).reshape(self.shape)
+
+
+def stub_pillow(monkeypatch, open_image):
+    """Install a stub Pillow whose `Image.open` is `open_image`."""
+    pil = types.ModuleType("PIL")
+    pil.Image = types.SimpleNamespace(open=open_image)
+    monkeypatch.setitem(sys.modules, "PIL", pil)
+
+
 class TestLoadImage:
     def test_p5_scales_to_unit_range(self, tmp_path):
         path = tmp_path / "gray.pgm"
@@ -104,28 +132,32 @@ class TestLoadImage:
         self, tmp_path, monkeypatch, mode, samples, maxval
     ):
         # a stub Pillow that decodes any file to `samples` in `mode`
-        class Decoded:
-            def __init__(self, path):
-                self.mode = mode
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def __array__(self, dtype=None, copy=None):
-                return np.array(samples, dtype=dtype).reshape(2, 3)
-
-        pil = types.ModuleType("PIL")
-        pil.Image = types.SimpleNamespace(open=Decoded)
-        monkeypatch.setitem(sys.modules, "PIL", pil)
+        stub_pillow(monkeypatch, lambda path: StubImage(mode, samples, (2, 3)))
         png = tmp_path / "photo.png"
         png.write_bytes(b"\x89PNG not decoded by the stub")
         pgm = tmp_path / "photo.pgm"
         width = 2 if maxval > 255 else 1
         write_p5(pgm, 3, 2, b"".join(v.to_bytes(width, "big") for v in samples), maxval)
         assert load_image(png).pixels.tobytes() == load_image(pgm).pixels.tobytes()
+
+    def test_pillow_rgb_weighs_channels_as_p6(self, tmp_path, monkeypatch):
+        samples = [0, 10, 255, 200, 3, 17, 90, 90, 90, 255, 0, 128, 7, 250, 64, 1, 2, 3]
+        stub_pillow(monkeypatch, lambda path: StubImage("RGB", samples, (2, 3, 3)))
+        png = tmp_path / "photo.png"
+        png.write_bytes(b"\x89PNG not decoded by the stub")
+        ppm = tmp_path / "photo.ppm"
+        write_p6(ppm, 3, 2, samples)
+        assert load_image(png).pixels.tobytes() == load_image(ppm).pixels.tobytes()
+
+    def test_pillow_error_names_path(self, tmp_path, monkeypatch):
+        def refuse(path):
+            raise OSError("cannot identify image file")
+
+        stub_pillow(monkeypatch, refuse)
+        png = tmp_path / "photo.png"
+        png.write_bytes(b"\x89PNG not decoded by the stub")
+        with pytest.raises(DecodeError, match=r"photo\.png: cannot decode image: cannot identify"):
+            load_image(png)
 
     def test_determinism(self, tmp_path):
         path = tmp_path / "img.pgm"
