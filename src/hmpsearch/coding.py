@@ -11,20 +11,20 @@ atoms or once the residual is negligible, and returns an N x K code matrix.
 `vq_encode_batch` is the bag-of-features rule, hard assignment to the
 nearest atom: for unit-norm atoms |a - y|^2 = 1 + |y|^2 - 2 a^T y, so it
 returns per signal the index of the largest entry of the same `D^T y`,
-ties toward the lowest. Both screen with fast products (BLAS for VQ, einsum
-for OMP), whose rows may depend on the batch, under a rounding-error bound,
-and take each value that reaches their output from `_dots`, which sums
-over D in order: VQ a row's correlations where more than one atom is left,
-OMP alpha and the Gram entries on the support, and a row's candidates where
-more than one is left. So for both, row i of a batch is bitwise the batch
-of one of column i: one signal `y` is coded as
-`omp_encode_batch(d, y[:, None], s)[0]`, and OMP codes each distinct
-signal of a batch once, matched by its bytes, and copies its code to every
-column that repeats it. Both are pure functions. A `Dictionary` has
-immutable atoms and is thread-safe; it computes its screening Gram matrix
-on first OMP use and keeps its exact Gram entries as they are summed, each
-the same whichever call sums it. A codebook file is an `HMPD` container of
-`hmpsearch.files`.
+ties toward the lowest. Every value that reaches either output is summed
+over D in order. OMP computes `D^T y` and the Gram matrix by einsum, which
+on C-ordered inputs is that ordered sum; the codes rely on this order,
+which numpy does not document (numpy 2.4.6 was checked, and the tier-1
+test `test_einsum_products_are_the_ordered_sums` fails on a numpy that
+sums in another order). VQ screens with one BLAS product, whose rows may
+depend on the batch, under a rounding-error bound, and sums a row's
+correlations by `_dots` where more than one atom is left. So for both, row
+i of a batch is bitwise the batch of one of column i: one signal `y` is
+coded as `omp_encode_batch(d, y[:, None], s)[0]`, and OMP codes each
+distinct signal of a batch once, matched by its bytes, and copies its code
+to every column that repeats it. Both are pure functions. A `Dictionary`
+has immutable atoms and is thread-safe; it computes its Gram matrix on
+first OMP use. A codebook file is an `HMPD` container of `hmpsearch.files`.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ _DICT_VERSION = 1
 @dataclass(frozen=True)
 class Dictionary:
     """Codebook of unit-norm atoms, one per column of `atoms` (D x K). The
-    screen that OMP reads is computed on first use and cached, and the
-    exact Gram entries are kept as OMP first sums them."""
+    Gram matrix that OMP reads is computed on first use and cached."""
 
     atoms: np.ndarray
 
@@ -79,15 +78,11 @@ class Dictionary:
         object.__setattr__(self, "atoms", atoms)
 
     @functools.cached_property
-    def _screen(self) -> tuple[np.ndarray, np.ndarray]:
-        """The Gram matrix, by einsum like OMP's screen, and the ell1 norms."""
-        return np.einsum("dk,dj->kj", self.atoms, self.atoms), np.sum(np.abs(self.atoms), axis=0)
-
-    @functools.cached_property
-    def _gram(self) -> np.ndarray:
-        """The exact Gram entries, NaN until `_gram_at` first sums them. An
-        entry only ever changes from NaN to the one value it can hold."""
-        return np.full((self.size,) * 2, np.nan)
+    def _screen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The atoms, padded with a zero column when K = 1 so that no einsum
+        over them has a one-element output, their Gram matrix and ell1 norms."""
+        atoms = np.pad(self.atoms, ((0, 0), (0, 1))) if self.size == 1 else self.atoms
+        return atoms, np.einsum("dk,dj->kj", atoms, atoms), np.sum(np.abs(atoms), axis=0)
 
     @property
     def signal_dim(self) -> int:
@@ -128,15 +123,6 @@ def _dots(u: np.ndarray, i: np.ndarray, v: np.ndarray, j: np.ndarray) -> np.ndar
     return out
 
 
-def _gram_at(atoms: np.ndarray, gram: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Exact Gram entries gram[p, q]; the NaN ones are computed, each pair once."""
-    need = np.zeros(gram.shape, dtype=bool)
-    need[p, q] = True
-    pm, qm = np.nonzero(need & np.isnan(gram))
-    gram[pm, qm] = gram[qm, pm] = _dots(atoms, pm, atoms, qm)
-    return gram[p, q]
-
-
 def _corrected(alpha: np.ndarray, coef: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """alpha - sum_j coef[:, j] * gram[:, j], subtracted in support order."""
     for j in range(coef.shape[1]):
@@ -156,15 +142,14 @@ def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int)
     """Greedy sparse approximation of each column of `signals` (D x N).
 
     Returns the N x K code matrix; a row depends only on its own signal, not
-    on the batch, its memory layout or the BLAS thread count. Selection ties
-    between correlations equal in floating point break toward the lowest
-    index; correlations equal only in exact arithmetic are ordered by their
-    rounding. Coding stops early once the residual norm
+    on the batch, its memory layout or the BLAS thread count. alpha and the
+    support's Gram entries are read from the einsum products `D^T y` and
+    `D^T D`, each summed over D in order. Selection ties break toward the
+    lowest index. Coding stops early once the residual norm
     falls under RESIDUAL_STOP, once the residual is orthogonal to every
     remaining atom, or once the next atom's Cholesky pivot is at most
     PIVOT_STOP. A column whose squared norm overflows raises InvalidInputError.
-    Columns equal byte for byte are coded once, and the exact Gram entries
-    summed are kept on `dictionary` for later calls.
+    Columns equal byte for byte are coded once.
     """
     y = _check_signals(dictionary, signals)
     n, dim = y.shape
@@ -182,13 +167,13 @@ def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int)
         y.view(np.dtype((np.void, 8 * dim))).ravel(), return_index=True, return_inverse=True
     )
     y, y_l1, n = y[first], y_l1[first], first.size
-    atoms, (screen, l1), yt = dictionary.atoms, dictionary._screen, np.ascontiguousarray(y.T)
+    atoms, screen, l1 = dictionary._screen
     support, coef = np.zeros((n, sparsity), dtype=np.intp), np.zeros((n, sparsity))
-    gram = dictionary._gram
-    # per row still coding: screened alpha, |y|_1, atoms in pick order and
-    # their coefficients, the Cholesky factor L of the support's Gram matrix
-    # and L^-1 alpha_S; a row that stops leaves its atoms and coefficients
-    approx = np.einsum("dn,dk->nk", yt, atoms)  # not BLAS, whose threads stall on a busy host
+    # per row still coding: alpha, |y|_1, atoms in pick order and their
+    # coefficients, the Cholesky factor L of the support's Gram matrix and
+    # L^-1 alpha_S; a row that stops leaves its atoms and coefficients
+    # not BLAS, whose threads stall on a busy host; C-ordered, so summed over D in order
+    approx = np.einsum("dn,dk->nk", np.ascontiguousarray(y.T), atoms)
     rows, sup, c = np.arange(n), support.copy(), coef.copy()
     chol, fwd = np.zeros((n, sparsity, sparsity)), np.zeros((n, sparsity))
     for t in range(sparsity):
@@ -202,16 +187,13 @@ def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int)
         mag[at[:, None], sup[:, :t]] = -np.inf
         best = np.argmax(mag, axis=1)
         top = mag[at, best]
-        # Screened and exact corrected correlations and the residual norm lie
-        # within tol of their exact values: alpha and G in any summation
-        # order within D eps/2 of sum_d |y_d a_dk| and |c_j| sum_d |a_dj a_dk|
-        # (Higham 3.1; |a_dk| <= 1 + 1e-9), 2t updates within eps/2 of bound.
+        # The corrected correlations and the residual norm lie within tol of
+        # their exact values: alpha and G within D eps/2 of sum_d |y_d a_dk|
+        # and |c_j| sum_d |a_dj a_dk| (Higham 3.1; |a_dk| <= 1 + 1e-9), 2t
+        # updates within eps/2 of bound. By max|corr_k| <= |r| <= bound both
+        # stop tests pass; other rows take |r|.
         bound = y_l1 + np.sum(np.abs(c[:, :t]) * l1[sup[:, :t]], axis=1)
         tol = 4 * (dim + t + 2) * np.finfo(np.float64).eps * bound + 1e-300
-        floor = top - 2 * tol  # an atom above it may hold the exact maximum
-        mag[at, best] = -np.inf
-        tied = ~(mag[at, np.argmax(mag, axis=1)] < floor)
-        # by max|corr_k| <= |r| <= bound both stop tests pass; other rows take |r|
         lo, hi = top - tol, bound * (1 + 1e-8) + tol
         go = (lo * (1 - 1e-8) - tol >= RESIDUAL_STOP) & (lo > 1e-12 * hi) & (hi < 1e154)
         unsure = np.flatnonzero(~go)
@@ -219,23 +201,10 @@ def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int)
             residual = _corrected(y[rows[unsure]], c[unsure, :t, None], atoms.T[sup[unsure, :t]])
             with np.errstate(over="ignore"):
                 res_norm = np.sqrt(np.sum(residual * residual, axis=1))
-            go[unsure] = res_norm >= RESIDUAL_STOP
-        tied = np.flatnonzero(tied & go)
-        if tied.size:  # settled by the exact corrected correlations
-            cand = ~(mag[tied] < floor[tied, None])
-            cand[np.arange(tied.size), best[tied]] = True
-            cand[np.arange(tied.size)[:, None], sup[tied, :t]] = False
-            i, k = np.nonzero(cand)
-            g = _gram_at(atoms, gram, sup[tied[i], :t], k[:, None])
-            scores = np.full(cand.shape, -np.inf)
-            scores[i, k] = np.abs(_corrected(_dots(yt, rows[tied[i]], atoms, k), c[tied[i], :t], g))
-            best[tied] = np.argmax(scores, axis=1)
+            go[unsure] = (res_norm >= RESIDUAL_STOP) & (top[unsure] > 1e-12 * res_norm)
         sup[:, t] = best  # slot t takes a coefficient only if the row goes on
-        alpha = _dots(yt, rows, atoms, best)
-        g = _gram_at(atoms, gram, sup[:, : t + 1], best[:, None])  # G[S, best], G[best, best]
-        if unsure.size:
-            exact = _corrected(alpha[unsure], c[unsure, :t], g[unsure, :t])
-            go[unsure] &= np.abs(exact) > 1e-12 * res_norm
+        alpha = approx[at, best]
+        g = screen[sup[:, : t + 1], best[:, None]]  # G[S, best], G[best, best]
         w = np.empty((rows.size, t))  # the new row of L: L w = G[S, best]
         for i in range(t):
             w[:, i] = (g[:, i] - np.sum(chol[:, i, :i] * w[:, :i], axis=1)) / chol[:, i, i]

@@ -215,8 +215,9 @@ def load_index(path) -> InvertedIndex:
         if has_idf:
             idf = np.frombuffer(body, dtype="<f8", count=dimension, offset=pos).copy()
             pos += 8 * dimension
-            if not np.all(np.isfinite(idf)):
-                raise InvalidInputError("non-finite weights")
+            # apply_idf writes ln(doc_count / df) with 1 <= df <= doc_count
+            if not (doc_count and np.all((idf >= 0.0) & (idf <= math.log(doc_count)))):
+                raise InvalidInputError(f"weights outside [0, ln {doc_count}], the range IDF weighting writes")
         if pos != len(body):
             raise InvalidInputError(f"{len(body) - pos} trailing bytes after the weight flag or weights")
         entry_dims = np.repeat(np.array(dims, dtype=np.int64), [len(b) for b in blocks[1:]])

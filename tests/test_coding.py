@@ -7,6 +7,7 @@ pursuit `oracles.omp_pursuit`, and nearest-atom coding to the unscreened
 correlation loop `oracles.vq_exact`.
 """
 
+import math
 import os
 import struct
 import subprocess
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hmpsearch
@@ -44,16 +45,6 @@ def best_single_atom(atoms: np.ndarray, y: np.ndarray):
         if err < best_err - 1e-15:
             best_err, best_k, best_coef = err, k, coef
     return best_k, best_coef
-
-
-def support_pairs(codes: np.ndarray) -> int:
-    """The number of unordered pairs of atoms, an atom with itself included,
-    that share the support of some row of `codes`."""
-    pairs = set()
-    for row in codes:
-        s = np.flatnonzero(row)
-        pairs.update(zip(np.minimum.outer(s, s).ravel().tolist(), np.maximum.outer(s, s).ravel().tolist()))
-    return len(pairs)
 
 
 def spy_on_dots(monkeypatch) -> list:
@@ -102,22 +93,14 @@ class TestDictionary:
         vq_encode_batch(d, signals)
         assert calls == [] and "_screen" not in d.__dict__
         first = omp_encode_batch(d, signals, 3)
-        screen, first_calls = d._screen, calls.copy()
+        screen = d._screen
         second = omp_encode_batch(d, signals, 3)
-        second_calls = calls[len(first_calls) :]
         assert d._screen is screen
         assert first.tobytes() == second.tobytes() == omp_exact(d, signals, 3).tobytes()
-        # per call, one correlation per row and step (from the signal table,
-        # of 40 columns); the first call sums the Gram entries of support
-        # pairs, each at most once per orientation (from the atoms, 24
-        # columns), and the codebook keeps them, so the second sums none:
-        # never all 40 x 24 correlations or the 24 x 24 Gram matrix
+        # OMP reads alpha and its Gram entries from the screen's products:
+        # it sums no value a second time
         assert np.count_nonzero(first) == 40 * 3
-        pairs = support_pairs(first)
-        for batch in (first_calls, second_calls):
-            assert sum(size for cols, size in batch if cols == 40) == 40 * 3
-        assert pairs <= sum(size for cols, size in first_calls if cols == 24) <= 2 * pairs < 24 * 24
-        assert sum(size for cols, size in second_calls if cols == 24) == 0
+        assert calls == []
 
 
 class TestOmpEncode:
@@ -462,13 +445,18 @@ def test_omp_codes_each_distinct_signal_once(monkeypatch):
     distinct[3, 1] = -0.0
     signals = distinct[:, rng.permutation(np.arange(40) % 9)]
     want = omp_exact(d, signals, 3)
-    calls = spy_on_dots(monkeypatch)
+    rows, solve = [], coding._solve_upper
+
+    def spy(chol, rhs):
+        rows.append(rhs.shape[0])
+        return solve(chol, rhs)
+
+    monkeypatch.setattr(coding, "_solve_upper", spy)
     codes = omp_encode_batch(d, signals, 3)
     assert codes.tobytes() == want.tobytes()
     assert np.count_nonzero(codes) == 40 * 3
-    # alpha is summed once per distinct signal and step, from a table of 9
-    assert sum(size for cols, size in calls if cols == 9) == 9 * 3
-    assert all(cols in (9, 24) for cols, _ in calls)
+    # the first step solves for one row per distinct signal
+    assert rows[0] == 9
 
 
 def test_omp_codes_repeated_patches_as_the_exact_kernel():
@@ -501,19 +489,64 @@ def test_omp_rejects_a_signal_whose_squared_norm_overflows():
 
 def test_omp_exact_values_are_support_entries_only(monkeypatch):
     # 1000 atoms of dimension 1024, 450 signals, 10 atoms each: every row
-    # runs all 10 steps, each taking one correlation, and the Gram entries
-    # are those of support pairs: never the 450 x 1000 correlations or the
-    # 1000 x 1000 Gram matrix
+    # runs all 10 steps, and alpha and the Gram entries of the support are
+    # read from the screen's products, never summed again
     rng = np.random.default_rng(11)
     d = random_dictionary(rng, 1024, 1000)
     signals = rng.standard_normal((1024, 450))
     calls = spy_on_dots(monkeypatch)
     codes = omp_encode_batch(d, signals, 10)
     assert np.count_nonzero(codes) == 450 * 10
-    assert sum(size for cols, size in calls if cols == 450) == 450 * 10
-    pairs = support_pairs(codes)
-    assert pairs <= sum(size for cols, size in calls if cols == 1000) <= 2 * pairs
-    assert max(size for _, size in calls) < 450 * 1000 // 10
+    assert calls == []
+
+
+def test_omp_single_atom_codebook_equals_exact_kernel():
+    # einsum sums a one-element output in another order than over D in
+    # turn; the zero column `Dictionary._screen` pads a K = 1 codebook with
+    # keeps every product off that shape
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        d, y = random_dictionary(rng, 5, 1), rng.standard_normal((5, 1))
+        assert omp_encode_batch(d, y, 1).tobytes() == omp_exact(d, y, 1).tobytes()
+
+
+@st.composite
+def product_shapes(draw, budget=2 * 10**7):
+    """(D, K, N) with D in [1, 4096], K in [2, 1000] and N in [1, 500], at
+    most `budget` products D K (K + N) between the two einsums."""
+    dim = draw(st.integers(1, 4096))
+    size = draw(st.integers(2, max(2, min(1000, math.isqrt(budget // dim)))))
+    count = draw(st.integers(1, max(1, min(500, budget // (dim * size) - size))))
+    return dim, size, count
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=product_shapes(), seed=st.integers(0, 2**32 - 1))
+@example(shape=(1, 2, 1), seed=0)
+@example(shape=(1, 2, 500), seed=1)
+@example(shape=(1, 1000, 1), seed=2)
+@example(shape=(1, 1000, 500), seed=3)
+@example(shape=(4096, 2, 1), seed=4)
+@example(shape=(4096, 2, 500), seed=5)
+@example(shape=(4096, 1000, 1), seed=6)
+@example(shape=(4096, 1000, 500), seed=7)
+def test_einsum_products_are_the_ordered_sums(shape, seed):
+    # OMP takes alpha and the Gram entries of its support from these two
+    # products, so its codes rely on numpy summing each over D in order, as
+    # `correlations` does, on C-ordered inputs; numpy does not document it
+    dim, size, count = shape
+    rng = np.random.default_rng(seed)
+    atoms = rng.standard_normal((dim, size)) * 10.0 ** rng.integers(-3, 4, (dim, 1))
+    d = Dictionary(atoms / np.linalg.norm(atoms, axis=0))
+    yt = rng.standard_normal((dim, count)) * 10.0 ** rng.integers(-5, 6, (dim, count))
+    # the oracle checks the first, the last and six drawn rows of each
+    # product, which bounds its loop at the largest shapes
+    i = np.unique(np.r_[0, count - 1, rng.integers(0, count, 6)])
+    k = np.unique(np.r_[0, size - 1, rng.integers(0, size, 6)])
+    want = correlations(np.ascontiguousarray(yt.T[i]), d.atoms)
+    assert np.einsum("dn,dk->nk", yt, d.atoms)[i].tobytes() == want.tobytes()
+    gram = d._screen[1]
+    assert gram[k].tobytes() == correlations(np.ascontiguousarray(d.atoms.T[k]), d.atoms).tobytes()
 
 
 @pytest.mark.parametrize("dim, count", [(1, 1), (1, 5), (2, 1), (25, 3000), (300, 7), (5000, 40)])

@@ -376,7 +376,7 @@ def index_bytes(dimension, ids, blocks, idf=None):
 class TestMalformedIndexFile:
     def test_hand_built_file_loads(self, tmp_path):
         path = tmp_path / "ok.hmpi"
-        path.write_bytes(index_bytes(4, ["a", "b"], {1: [(0, 0.6), (1, 0.8)]}, idf=[0.0, 1.0, 0, 0]))
+        path.write_bytes(index_bytes(4, ["a", "b"], {1: [(0, 0.6), (1, 0.8)]}, idf=[0.0, math.log(2.0), 0, 0]))
         idx = load_index(path)
         assert idx.ids == ["a", "b"]
         assert postings_of(idx) == {1: [("a", 0.6), ("b", 0.8)]}
@@ -417,6 +417,9 @@ class TestMalformedIndexFile:
             index_bytes(4, ["a"], {1: [(1, 1.0)]}),
             index_bytes(4, ["a", "a"], {}),
             index_bytes(4, ["a"], {}, idf=[1.0, float("inf"), 1.0, 1.0]),
+            index_bytes(4, ["a", "b"], {1: [(0, 1.0)]}, idf=[0.0, 1e200, 0.0, 0.0]),
+            index_bytes(4, ["a", "b"], {1: [(0, 1.0)]}, idf=[0.0, -3.0, 0.0, 0.0]),
+            index_bytes(4, [], {}, idf=[0.0, 0.0, 0.0, 0.0]),
             index_bytes(4, [b"\xff"], {}),
             index_bytes(4, ["a", "b"], {1: [(0, 0.6), (0, 0.8)]}),
             index_bytes(4, ["a"], [(2, [(0, 0.6)]), (1, [(0, 0.8)])]),
@@ -432,6 +435,9 @@ class TestMalformedIndexFile:
             "ordinal-out-of-range",
             "duplicate-id",
             "infinite-weight",
+            "huge-weight",
+            "negative-weight",
+            "weights-without-documents",
             "id-not-utf8",
             "ordinal-repeated-in-block",
             "dimensions-descending",
