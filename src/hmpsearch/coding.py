@@ -12,13 +12,15 @@ atoms or once the residual is negligible, and returns an N x K code matrix.
 nearest atom: for unit-norm atoms |a - y|^2 = 1 + |y|^2 - 2 a^T y, so it
 returns per signal the index of the largest entry of the same `D^T y`,
 ties toward the lowest. Every value that reaches either output is summed
-over D in order. OMP computes `D^T y` and the Gram matrix by einsum, which
-on C-ordered inputs is that ordered sum; the codes rely on this order,
-which numpy does not document (numpy 2.4.6 was checked, and the tier-1
-test `test_einsum_products_are_the_ordered_sums` fails on a numpy that
-sums in another order). VQ screens with one BLAS product, whose rows may
-depend on the batch, under a rounding-error bound, and sums a row's
-correlations by `_dots` where more than one atom is left. So for both, row
+over D in order by `_products`, the one einsum, which on C-ordered inputs
+is that ordered sum; the codes rely on this order, which numpy does not
+document (numpy 2.4.6 was checked, and the tier-1 test
+`test_einsum_products_are_the_ordered_sums` fails on a numpy that sums in
+another order). It pads a K = 1 codebook with a zero column, as einsum
+sums an output of one element in another order. OMP reads `D^T y` and the
+Gram matrix from it. VQ screens with one BLAS product, whose rows may
+depend on the batch, under a rounding-error bound, and reads from
+`_products` the rows left with more than one candidate. So for both, row
 i of a batch is bitwise the batch of one of column i: one signal `y` is
 coded as `omp_encode_batch(d, y[:, None], s)[0]`, and OMP codes each
 distinct signal of a batch once, matched by its bytes, and copies its code
@@ -54,7 +56,8 @@ _DICT_VERSION = 1
 @dataclass(frozen=True)
 class Dictionary:
     """Codebook of unit-norm atoms, one per column of `atoms` (D x K). The
-    Gram matrix that OMP reads is computed on first use and cached."""
+    Gram matrix that OMP reads is computed on first OMP use, by the
+    `_products` that OMP's alpha and VQ's ties read, and cached."""
 
     atoms: np.ndarray
 
@@ -78,11 +81,9 @@ class Dictionary:
         object.__setattr__(self, "atoms", atoms)
 
     @functools.cached_property
-    def _screen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The atoms, padded with a zero column when K = 1 so that no einsum
-        over them has a one-element output, their Gram matrix and ell1 norms."""
-        atoms = np.pad(self.atoms, ((0, 0), (0, 1))) if self.size == 1 else self.atoms
-        return atoms, np.einsum("dk,dj->kj", atoms, atoms), np.sum(np.abs(atoms), axis=0)
+    def _screen(self) -> tuple[np.ndarray, np.ndarray]:
+        """The atoms' Gram matrix, by `_products`, and their ell1 norms."""
+        return _products(self.atoms.T, self.atoms), np.sum(np.abs(self.atoms), axis=0)
 
     @property
     def signal_dim(self) -> int:
@@ -106,28 +107,28 @@ def _check_signals(dictionary: Dictionary, signals: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(mat.T)
 
 
-def _dots(u: np.ndarray, i: np.ndarray, v: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Inner products of columns u[:, i] and v[:, j] (u, v: D x n) for index
-    arrays broadcast together, each summed from zero over D in order, so
-    that it never depends on what else is computed with it."""
-    i, j = np.broadcast_arrays(i, j)
-    out = np.zeros(i.shape)
-    flat, i, j = out.reshape(-1), i.ravel(), j.ravel()
-    step = max(1, 2**16 // u.shape[0])  # blocks of 2^16 products bound the work arrays
-    for lo in range(0, i.size, step):
-        # add.reduce adds the rows of a D x P block one by one, as np.sum
-        # documents for a slow axis; a spare column keeps P >= 2
-        prod = np.take(u, np.append(i[lo : lo + step], 0), axis=1)
-        prod *= np.take(v, np.append(j[lo : lo + step], 0), axis=1)
-        flat[lo : lo + step] = np.add.reduce(prod, axis=0, initial=0.0)[:-1]
-    return out
+def _products(y: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """N x K inner products of the rows of `y` (N x D) with the columns of
+    `atoms` (D x K), each summed from zero over D in order, so that an entry
+    never depends on what else is computed with it. A K = 1 codebook takes
+    a zero column, sliced off again. Not BLAS, whose sums depend on the
+    batch and whose threads stall on a busy host."""
+    size = atoms.shape[1]
+    atoms = np.pad(atoms, ((0, 0), (0, 1))) if size == 1 else atoms
+    return np.einsum("dn,dk->nk", np.ascontiguousarray(y.T), atoms)[:, :size]
 
 
-def _corrected(alpha: np.ndarray, coef: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """alpha - sum_j coef[:, j] * gram[:, j], subtracted in support order."""
-    for j in range(coef.shape[1]):
-        alpha = alpha - coef[:, j] * gram[:, j]
-    return alpha
+def _residual(y, atoms, support, coef) -> np.ndarray:
+    """y - sum_j coef[:, j] * atoms[:, support[:, j]] for the D x n signals
+    `y` and their n x s codes, subtracted slot by slot, elementwise, into a
+    C-ordered array, whose norms add.reduce sums row by row; `y` itself
+    when s = 0."""
+    if support.shape[1] == 0:
+        return y
+    res = y - np.take(atoms, support[:, 0], axis=1) * coef[:, 0]
+    for j in range(1, support.shape[1]):
+        res -= np.take(atoms, support[:, j], axis=1) * coef[:, j]
+    return res
 
 
 def _solve_upper(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -143,9 +144,9 @@ def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int)
 
     Returns the N x K code matrix; a row depends only on its own signal, not
     on the batch, its memory layout or the BLAS thread count. alpha and the
-    support's Gram entries are read from the einsum products `D^T y` and
-    `D^T D`, each summed over D in order. Selection ties break toward the
-    lowest index. Coding stops early once the residual norm
+    support's Gram entries are read from the products `D^T y` and `D^T D`
+    of `_products`, each summed over D in order. Selection ties break
+    toward the lowest index. Coding stops early once the residual norm
     falls under RESIDUAL_STOP, once the residual is orthogonal to every
     remaining atom, or once the next atom's Cholesky pivot is at most
     PIVOT_STOP. A column whose squared norm overflows raises InvalidInputError.
@@ -167,13 +168,12 @@ def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int)
         y.view(np.dtype((np.void, 8 * dim))).ravel(), return_index=True, return_inverse=True
     )
     y, y_l1, n = y[first], y_l1[first], first.size
-    atoms, screen, l1 = dictionary._screen
+    screen, l1 = dictionary._screen
     support, coef = np.zeros((n, sparsity), dtype=np.intp), np.zeros((n, sparsity))
     # per row still coding: alpha, |y|_1, atoms in pick order and their
     # coefficients, the Cholesky factor L of the support's Gram matrix and
     # L^-1 alpha_S; a row that stops leaves its atoms and coefficients
-    # not BLAS, whose threads stall on a busy host; C-ordered, so summed over D in order
-    approx = np.einsum("dn,dk->nk", np.ascontiguousarray(y.T), atoms)
+    approx = _products(y, dictionary.atoms)
     rows, sup, c = np.arange(n), support.copy(), coef.copy()
     chol, fwd = np.zeros((n, sparsity, sparsity)), np.zeros((n, sparsity))
     for t in range(sparsity):
@@ -198,7 +198,8 @@ def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int)
         go = (lo * (1 - 1e-8) - tol >= RESIDUAL_STOP) & (lo > 1e-12 * hi) & (hi < 1e154)
         unsure = np.flatnonzero(~go)
         if unsure.size:
-            residual = _corrected(y[rows[unsure]], c[unsure, :t, None], atoms.T[sup[unsure, :t]])
+            residual = _residual(y[rows[unsure]].T, dictionary.atoms, sup[unsure, :t], c[unsure, :t])
+            residual = np.ascontiguousarray(residual.T)  # np.sum's order follows the layout
             with np.errstate(over="ignore"):
                 res_norm = np.sqrt(np.sum(residual * residual, axis=1))
             go[unsure] = (res_norm >= RESIDUAL_STOP) & (top[unsure] > 1e-12 * res_norm)
@@ -229,17 +230,17 @@ def vq_encode_batch(dictionary: Dictionary, signals: np.ndarray) -> np.ndarray:
     """Index of the nearest atom to each column of `signals` (D x N).
 
     The nearest unit-norm atom is the one of largest correlation with the
-    signal, as `_dots` accumulates it; ties break toward the lowest
-    atom index, so a zero signal takes atom 0. One BLAS product screens the
-    atoms and only rows left with more than one candidate run the loop, so
-    the result is the loop's argmax bit for bit, whatever the batch or the
-    number of BLAS threads.
+    signal, as `_products`, the ordered sum OMP reads, computes it; ties
+    break toward the lowest atom index, so a zero signal takes atom 0. One
+    BLAS product screens the atoms and only rows left with more than one
+    candidate are read from `_products`, so the result is its argmax bit
+    for bit, whatever the batch or the number of BLAS threads.
     """
     y = _check_signals(dictionary, signals)
-    # The product and the loop both lie within D eps/2 sum_d |y_d a_dk| of
-    # the exact sum, in any order of summation, with or without FMA
+    # The BLAS and ordered products both lie within D eps/2 sum_d |y_d a_dk|
+    # of the exact sum, in any order of summation, with or without FMA
     # (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), and
-    # unit atoms have |a_dk| <= 1 + 1e-9, so the loop's winner scores
+    # unit atoms have |a_dk| <= 1 + 1e-9, so the ordered winner scores
     # within tol of the product's row maximum. 1e-300 covers underflow; the
     # ell1 norm does not underflow where the squared ell2 norm would. A row
     # that could overflow gets a NaN threshold: every atom is a candidate.
@@ -249,13 +250,10 @@ def vq_encode_batch(dictionary: Dictionary, signals: np.ndarray) -> np.ndarray:
         tol = 4 * y.shape[1] * np.finfo(np.float64).eps * l1 + 1e-300
         threshold = np.where(l1 < 1e307, np.max(approx, axis=1) - tol, np.nan)
         candidates = ~(approx < threshold[:, None])
-    nearest = np.argmax(candidates, axis=1)
-    ties = np.flatnonzero(np.count_nonzero(candidates, axis=1) > 1)
-    if ties.size:  # settled by the exact correlations of the candidates only
-        i, k = np.nonzero(candidates[ties])
-        exact = np.full((ties.size, dictionary.size), -np.inf)
-        exact[i, k] = _dots(y.T, ties[i], dictionary.atoms, k)
-        nearest[ties] = np.argmax(exact, axis=1)
+        nearest = np.argmax(candidates, axis=1)
+        ties = np.flatnonzero(np.count_nonzero(candidates, axis=1) > 1)
+        if ties.size:  # the exact maximum and every atom tied with it are candidates
+            nearest[ties] = np.argmax(_products(y[ties], dictionary.atoms), axis=1)
     return nearest
 
 

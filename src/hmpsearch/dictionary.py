@@ -21,7 +21,7 @@ import logging
 
 import numpy as np
 
-from .coding import Dictionary, omp_encode_batch
+from .coding import Dictionary, _residual, omp_encode_batch
 from .encoder import LayerConfig
 from .errors import InvalidInputError
 
@@ -72,16 +72,6 @@ def init_dictionary(signals: np.ndarray, size: int, seed: int = 0) -> Dictionary
         else:
             atoms[:, j] /= norm
     return Dictionary(atoms)
-
-
-def _residual(y, atoms, support, coef) -> np.ndarray:
-    """y - sum_j coef[:, j] * atoms[:, support[:, j]] for the D x n signals
-    `y` and their n x s codes, subtracted slot by slot, elementwise, into a
-    C-ordered array, whose norms add.reduce sums row by row."""
-    res = y - np.take(atoms, support[:, 0], axis=1) * coef[:, 0]
-    for j in range(1, support.shape[1]):
-        res -= np.take(atoms, support[:, j], axis=1) * coef[:, j]
-    return res
 
 
 def _code_pass(signals, atoms, support, coef, residual) -> None:

@@ -7,11 +7,14 @@ pursuit `oracles.omp_pursuit`, and nearest-atom coding to the unscreened
 correlation loop `oracles.vq_exact`.
 """
 
+import ast
 import math
 import os
+import pathlib
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -47,16 +50,15 @@ def best_single_atom(atoms: np.ndarray, y: np.ndarray):
     return best_k, best_coef
 
 
-def spy_on_dots(monkeypatch) -> list:
-    """Record (columns of the left table, number of products) for every
-    `coding._dots` call."""
-    calls, dots = [], coding._dots
+def spy_on_products(monkeypatch) -> list:
+    """Record (rows, K) for every `coding._products` call."""
+    calls, products = [], coding._products
 
-    def spy(u, i, v, j):
-        calls.append((u.shape[1], np.broadcast(i, j).size))
-        return dots(u, i, v, j)
+    def spy(y, atoms):
+        calls.append((y.shape[0], atoms.shape[1]))
+        return products(y, atoms)
 
-    monkeypatch.setattr(coding, "_dots", spy)
+    monkeypatch.setattr(coding, "_products", spy)
     return calls
 
 
@@ -86,7 +88,7 @@ class TestDictionary:
         rng = np.random.default_rng(3)
         atoms = random_dictionary(rng, 16, 24).atoms
         save_dictionary(Dictionary(atoms), tmp_path / "d.hmpd")
-        calls = spy_on_dots(monkeypatch)
+        calls = spy_on_products(monkeypatch)
         d = Dictionary(atoms)
         load_dictionary(tmp_path / "d.hmpd")
         signals = rng.standard_normal((16, 40))
@@ -94,13 +96,15 @@ class TestDictionary:
         assert calls == [] and "_screen" not in d.__dict__
         first = omp_encode_batch(d, signals, 3)
         screen = d._screen
+        # the Gram matrix, then alpha
+        assert calls == [(24, 24), (40, 24)]
         second = omp_encode_batch(d, signals, 3)
         assert d._screen is screen
         assert first.tobytes() == second.tobytes() == omp_exact(d, signals, 3).tobytes()
-        # OMP reads alpha and its Gram entries from the screen's products:
-        # it sums no value a second time
+        # OMP reads alpha and its Gram entries from these products: it sums
+        # no value a second time
         assert np.count_nonzero(first) == 40 * 3
-        assert calls == []
+        assert calls == [(24, 24), (40, 24), (40, 24)]
 
 
 class TestOmpEncode:
@@ -489,21 +493,22 @@ def test_omp_rejects_a_signal_whose_squared_norm_overflows():
 
 def test_omp_exact_values_are_support_entries_only(monkeypatch):
     # 1000 atoms of dimension 1024, 450 signals, 10 atoms each: every row
-    # runs all 10 steps, and alpha and the Gram entries of the support are
-    # read from the screen's products, never summed again
+    # runs all 10 steps; alpha comes from one `_products` call and the Gram
+    # entries of the support from the screen, none summed again
     rng = np.random.default_rng(11)
     d = random_dictionary(rng, 1024, 1000)
     signals = rng.standard_normal((1024, 450))
-    calls = spy_on_dots(monkeypatch)
+    d._screen  # the Gram matrix, built before the spy
+    calls = spy_on_products(monkeypatch)
     codes = omp_encode_batch(d, signals, 10)
     assert np.count_nonzero(codes) == 450 * 10
-    assert calls == []
+    assert calls == [(450, 1000)]
 
 
 def test_omp_single_atom_codebook_equals_exact_kernel():
     # einsum sums a one-element output in another order than over D in
-    # turn; the zero column `Dictionary._screen` pads a K = 1 codebook with
-    # keeps every product off that shape
+    # turn; the zero column `_products` pads a K = 1 codebook with keeps
+    # every product off that shape
     rng = np.random.default_rng(13)
     for _ in range(200):
         d, y = random_dictionary(rng, 5, 1), rng.standard_normal((5, 1))
@@ -531,9 +536,10 @@ def product_shapes(draw, budget=2 * 10**7):
 @example(shape=(4096, 1000, 1), seed=6)
 @example(shape=(4096, 1000, 500), seed=7)
 def test_einsum_products_are_the_ordered_sums(shape, seed):
-    # OMP takes alpha and the Gram entries of its support from these two
-    # products, so its codes rely on numpy summing each over D in order, as
-    # `correlations` does, on C-ordered inputs; numpy does not document it
+    # OMP takes alpha and the Gram entries of its support, and VQ its tie
+    # rows, from `_products`, so their codes rely on numpy's einsum summing
+    # over D in order, as `correlations` does, on C-ordered inputs; numpy
+    # does not document it
     dim, size, count = shape
     rng = np.random.default_rng(seed)
     atoms = rng.standard_normal((dim, size)) * 10.0 ** rng.integers(-3, 4, (dim, 1))
@@ -544,22 +550,52 @@ def test_einsum_products_are_the_ordered_sums(shape, seed):
     i = np.unique(np.r_[0, count - 1, rng.integers(0, count, 6)])
     k = np.unique(np.r_[0, size - 1, rng.integers(0, size, 6)])
     want = correlations(np.ascontiguousarray(yt.T[i]), d.atoms)
-    assert np.einsum("dn,dk->nk", yt, d.atoms)[i].tobytes() == want.tobytes()
-    gram = d._screen[1]
+    assert coding._products(yt.T, d.atoms)[i].tobytes() == want.tobytes()
+    gram = d._screen[0]
     assert gram[k].tobytes() == correlations(np.ascontiguousarray(d.atoms.T[k]), d.atoms).tobytes()
 
 
 @pytest.mark.parametrize("dim, count", [(1, 1), (1, 5), (2, 1), (25, 3000), (300, 7), (5000, 40)])
 def test_exact_correlations_equal_the_ordered_loop(dim, count):
-    # one row of -0.0, whose sum from zero is +0.0; batches that span
-    # several of the helper's blocks and dimensions far beyond the screen's
+    # one row of -0.0, whose sum from zero is +0.0; long batches and
+    # dimensions beyond the pin's 4096
     rng = np.random.default_rng(dim * count)
     d = random_dictionary(rng, dim, 9)
     mat = rng.standard_normal((count, dim)) * 10.0 ** rng.integers(-5, 6, (count, dim))
     mat[0] = -0.0
-    want = correlations(mat, d.atoms)
-    got = coding._dots(mat.T, np.arange(count)[:, None], d.atoms, np.arange(9))
-    assert got.tobytes() == want.tobytes()
+    assert coding._products(mat, d.atoms).tobytes() == correlations(mat, d.atoms).tobytes()
+
+
+def test_single_atom_products_equal_the_ordered_loop():
+    # K = 1, the one-element output `_products` pads away from
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        d, mat = random_dictionary(rng, 5, 1), rng.standard_normal((1, 5))
+        assert coding._products(mat, d.atoms).tobytes() == correlations(mat, d.atoms).tobytes()
+
+
+def einsum_lines(node: ast.AST) -> set[int]:
+    """Lines of the `einsum(...)` and `np.einsum(...)` calls under `node`."""
+    return {
+        call.lineno
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and (getattr(call.func, "id", None) or getattr(call.func, "attr", None)) == "einsum"
+    }
+
+
+def test_only_products_calls_einsum():
+    # the codes rely on the order of one einsum, which the pin above checks
+    found = []
+    for path in sorted(pathlib.Path(hmpsearch.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = einsum_lines(tree)
+        if path.name == "coding.py":
+            (products,) = (f for f in tree.body if getattr(f, "name", None) == "_products")
+            assert len(einsum_lines(products)) == 1
+            lines -= einsum_lines(products)
+        found += [f"{path.name}:{line}" for line in sorted(lines)]
+    assert not found, f"take ordered products from coding._products, not einsum: {found}"
 
 
 def test_cli_import_leaves_scipy_out():
@@ -629,14 +665,14 @@ def test_vq_screen_sends_only_near_ties_to_the_loop(monkeypatch):
     atoms = np.array(d.atoms)
     atoms[:, dst] = atoms[:, src]
     copied = Dictionary(atoms)
-    rows = []  # per call, the distinct signal rows the loop reads
-    loop = coding._dots
+    rows = []  # per call, the signal rows the exact products read
+    products = coding._products
 
-    def spy(u, i, v, j):
-        rows.append(u[:, np.unique(i)].T.copy())
-        return loop(u, i, v, j)
+    def spy(y, atoms):
+        rows.append(y.copy())
+        return products(y, atoms)
 
-    monkeypatch.setattr(coding, "_dots", spy)
+    monkeypatch.setattr(coding, "_products", spy)
     vq_encode_batch(d, signals)
     vq_encode_batch(copied, signals)
     assert rows == []
@@ -646,7 +682,22 @@ def test_vq_screen_sends_only_near_ties_to_the_loop(monkeypatch):
     # a sum |y_d| above 1e307 could overflow a correlation: no screening
     huge = signals[:, :3] * 1e306
     assert vq_encode_batch(d, huge).tobytes() == vq_exact(d, huge).tobytes()
-    assert len(rows) == 2 and rows[1].shape == (3, 25)
+    assert len(rows) == 2 and rows[1].tobytes() == np.ascontiguousarray(huge.T).tobytes()
+
+
+def test_vq_overflowing_ties_raise_no_warning():
+    # finite columns whose correlations overflow: every atom stays a
+    # candidate, and the exact products run under the screen's errstate
+    atoms = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]]).T
+    d = Dictionary(atoms / np.linalg.norm(atoms, axis=0))
+    signals = np.full((3, 4), 1.5e308)
+    signals[2, 1], signals[:, 2], signals[0, 3] = -1.5e308, -1.5e308, 1e300
+    with np.errstate(all="ignore"):
+        want = vq_exact(d, signals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert vq_encode_batch(d, signals).tobytes() == want.tobytes()
+        assert vq_encode_batch(d, np.full((3, 1), 1.5e308))[0] == want[0]
 
 
 def test_vq_does_not_depend_on_blas_threads():
