@@ -338,19 +338,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = replace(load_run_config(args.config), baseline=args.baseline)
-        if args.command == "train-dict":
-            return cmd_train_dict(cfg)
-        if args.command == "encode":
-            return cmd_encode(cfg)
-        if args.command == "build-index":
-            return cmd_build_index(cfg, args.idf)
-        if args.command == "query":
-            return cmd_query(cfg, args.image, args.top_k, not args.no_self_exclude)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return {
+            "train-dict": lambda: cmd_train_dict(cfg),
+            "encode": lambda: cmd_encode(cfg),
+            "build-index": lambda: cmd_build_index(cfg, args.idf),
+            "query": lambda: cmd_query(cfg, args.image, args.top_k, not args.no_self_exclude),
+            "evaluate": lambda: cmd_evaluate(cfg),
+        }[args.command]()
     except HmpError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        print(f"error: {args.command} ran out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -7,7 +7,8 @@ pursuit codes all N signals at once, selecting per signal the atom most
 correlated with its residual, taking the correlations from `D^T y` and the
 codebook's Gram matrix, and re-solving least squares on the support through
 a Cholesky factor grown by one row per step. It stops after `sparsity`
-atoms or once the residual is negligible, and returns an N x K code matrix.
+atoms or once the residual is negligible, and returns each code as its
+`sparsity` slots of atom and coefficient, not as a row of length K.
 `vq_encode_batch` is the bag-of-features rule, hard assignment to the
 nearest atom: for unit-norm atoms |a - y|^2 = 1 + |y|^2 - 2 a^T y, so it
 returns per signal the index of the largest entry of the same `D^T y`,
@@ -22,7 +23,7 @@ Gram matrix from it. VQ screens with one BLAS product, whose rows may
 depend on the batch, under a rounding-error bound, and reads from
 `_products` the rows left with more than one candidate. So for both, row
 i of a batch is bitwise the batch of one of column i: one signal `y` is
-coded as `omp_encode_batch(d, y[:, None], s)[0]`, and OMP codes each
+coded as row 0 of `omp_encode_batch(d, y[:, None], s)`, and OMP codes each
 distinct signal of a batch once, matched by its bytes, and copies its code
 to every column that repeats it. Both are pure functions. A `Dictionary`
 has immutable atoms and is thread-safe; it computes its Gram matrix on
@@ -139,18 +140,19 @@ def _solve_upper(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int) -> np.ndarray:
+def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int) -> tuple:
     """Greedy sparse approximation of each column of `signals` (D x N).
 
-    Returns the N x K code matrix; a row depends only on its own signal, not
-    on the batch, its memory layout or the BLAS thread count. alpha and the
-    support's Gram entries are read from the products `D^T y` and `D^T D`
-    of `_products`, each summed over D in order. Selection ties break
-    toward the lowest index. Coding stops early once the residual norm
-    falls under RESIDUAL_STOP, once the residual is orthogonal to every
-    remaining atom, or once the next atom's Cholesky pivot is at most
-    PIVOT_STOP. A column whose squared norm overflows raises InvalidInputError.
-    Columns equal byte for byte are coded once.
+    Returns N x `sparsity` arrays `(support, coef)`: row i holds its nonzero
+    coefficients by ascending atom, then slots (0, +0.0). A row depends only
+    on its own signal, not on the batch, its memory layout or the BLAS
+    thread count. alpha and the support's Gram entries are read from the
+    products `D^T y` and `D^T D` of `_products`, each summed over D in
+    order. Selection ties break toward the lowest index. Coding stops early
+    once the residual norm falls under RESIDUAL_STOP, once the residual is
+    orthogonal to every remaining atom, or once the next atom's Cholesky
+    pivot is at most PIVOT_STOP. A column whose squared norm overflows
+    raises InvalidInputError. Columns equal byte for byte are coded once.
     """
     y = _check_signals(dictionary, signals)
     n, dim = y.shape
@@ -220,10 +222,11 @@ def omp_encode_batch(dictionary: Dictionary, signals: np.ndarray, sparsity: int)
         fwd[:, t] = (alpha - np.sum(w * fwd[:, :t], axis=1)) / chol[:, t, t]
         c[:, : t + 1] = _solve_upper(chol[:, : t + 1, : t + 1], fwd[:, : t + 1])
     support[rows], coef[rows] = sup, c
-    codes = np.zeros((n, dictionary.size))
-    nz = coef != 0.0  # as if added onto zero: unused slots and zeros leave 0.0
-    codes[np.nonzero(nz)[0], support[nz]] = coef[nz]
-    return codes[inverse]
+    # canonical slots: the nonzero coefficients by ascending atom, then (0, 0.0)
+    nz = coef != 0.0
+    order = np.argsort(np.where(nz, support, dictionary.size), axis=1)
+    support, coef = (np.take_along_axis(np.where(nz, x, 0), order, axis=1) for x in (support, coef))
+    return support[inverse], coef[inverse]
 
 
 def vq_encode_batch(dictionary: Dictionary, signals: np.ndarray) -> np.ndarray:

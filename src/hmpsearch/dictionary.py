@@ -82,12 +82,7 @@ def _code_pass(signals, atoms, support, coef, residual) -> None:
     for lo in range(0, signals.shape[1], CODE_CHUNK):
         chunk = slice(lo, lo + CODE_CHUNK)
         y = signals[:, chunk]
-        new = omp_encode_batch(dictionary, y, support.shape[1])
-        rows, atom = np.nonzero(new)
-        new_support, new_coef = np.zeros_like(support[chunk]), np.zeros_like(coef[chunk])
-        slot = np.arange(rows.size) - np.searchsorted(rows, rows)
-        new_support[rows, slot], new_coef[rows, slot] = atom, new[rows, atom]
-        del new  # the dense chunk, freed before the residuals and the next chunk
+        new_support, new_coef = omp_encode_batch(dictionary, y, support.shape[1])
         new_res = _residual(y, atoms, new_support, new_coef)
         keep = np.linalg.norm(new_res, axis=0) <= np.linalg.norm(residual[:, chunk], axis=0)
         better = np.flatnonzero(keep)

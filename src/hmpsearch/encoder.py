@@ -12,9 +12,11 @@ codes skip the unit machinery: they are pooled over whole-image spatial
 pyramid regions and the concatenation is normalized once, giving a
 descriptor of length 2 * K_final * sum(g^2 for g in pyramid).
 
-Patches, codes and pooled unit features all travel as one form, the
-`FeatureGrid` of `hmpsearch.images`: a matrix with one row per feature, the
-pixel center of each row, and the image extent. All geometry lives in
+Patches and pooled unit features travel as one form, the `FeatureGrid` of
+`hmpsearch.images`: a matrix with one row per feature, the pixel center of
+each row, and the image extent. Codes travel beside the grid they code as
+the `(support, coef)` slots of `omp_encode_batch`, and pooling reads the
+slots, so no N x K code matrix is built. All geometry lives in
 original-image pixel coordinates: every feature carries the pixel center of
 the area it summarizes, and units, cells, and pyramid regions claim
 features by center. Features of units that do not fit whole at the border
@@ -28,6 +30,7 @@ reads the architecture file.
 from __future__ import annotations
 
 import logging
+import re
 import struct
 from dataclasses import dataclass, field, fields
 
@@ -181,33 +184,32 @@ def descriptor_from_dense(image_id: str, dense: np.ndarray) -> ImageDescriptor:
     return ImageDescriptor(image_id, int(dense.size), nz, dense[nz])
 
 
-def signed_max_pool(codes: np.ndarray, labels: np.ndarray, count: int) -> np.ndarray:
+def signed_max_pool(support, coef, labels, count: int, size: int) -> np.ndarray:
     """Per-group maxima of the positive and negative code parts.
 
-    Row i of `codes` (N x K) belongs to group `labels[i]` in [0, count).
-    Row g of the count x 2K result holds at slot m the largest positive
-    coefficient at dimension m among the group's codes, and at slot K + m
-    the largest magnitude among negative ones; a group without codes pools
-    to the zero vector.
+    Code i, atoms `support[i]` with coefficients `coef[i]` (N x s slots over
+    `size` atoms), belongs to group `labels[i]` in [0, count). Row g of the
+    count x 2 `size` result holds at slot m the largest positive coefficient
+    of atom m among the group's codes, and at slot `size` + m the largest
+    magnitude among negative ones; a group without codes pools to zero.
     """
-    codes = np.asarray(codes, dtype=np.float64)
-    labels = np.asarray(labels)
-    if codes.ndim != 2 or labels.shape != codes.shape[:1]:
+    support, coef, labels = np.asarray(support), np.asarray(coef, dtype=np.float64), np.asarray(labels)
+    if coef.ndim != 2 or support.shape != coef.shape or labels.shape != coef.shape[:1]:
         raise InvalidInputError(
-            f"need one label per code row, got codes {codes.shape} and labels {labels.shape}"
+            f"need N x s support and coef and N labels, got {support.shape}, {coef.shape} and {labels.shape}"
         )
     if labels.size and (labels.min() < 0 or labels.max() >= count):
         raise InvalidInputError(f"labels must lie in [0, {count})")
-    rows, dims = np.nonzero(codes)
-    values = codes[rows, dims]
-    keep = (values > 0.0) | (values < 0.0)  # a NaN pools to nothing
-    slots = np.where(values > 0.0, dims, dims + codes.shape[1])[keep]
-    out = np.zeros((count, 2 * codes.shape[1]))
-    np.maximum.at(out, (labels[rows[keep]], slots), np.abs(values[keep]))
+    if support.size and (support.min() < 0 or support.max() >= size):
+        raise InvalidInputError(f"atoms must lie in [0, {size})")
+    keep = (coef > 0.0) | (coef < 0.0)  # a NaN pools to nothing
+    slots = np.where(coef > 0.0, support, support + size)[keep]
+    out = np.zeros((count, 2 * size))
+    np.maximum.at(out, (np.broadcast_to(labels[:, None], coef.shape)[keep], slots), np.abs(coef[keep]))
     return out
 
 
-def _codes(vectors: np.ndarray, layer: LayerConfig, dictionary: Dictionary) -> np.ndarray:
+def _codes(vectors: np.ndarray, layer: LayerConfig, dictionary: Dictionary) -> tuple:
     sparsity = min(layer.sparsity, dictionary.signal_dim, dictionary.size)
     return omp_encode_batch(dictionary, vectors.T, sparsity)
 
@@ -223,10 +225,10 @@ def encode_layer(features: FeatureGrid, layer: LayerConfig, dictionary: Dictiona
     """
     unit = layer.unit_size
     inside, labels = unit_cells(features.centers, features.extent, unit, layer.cell_grid)
-    codes = _codes(features.vectors[inside], layer, dictionary)
+    support, coef = _codes(features.vectors[inside], layer, dictionary)
     units_r, units_c = features.extent[0] // unit, features.extent[1] // unit
     count = units_r * units_c
-    pooled = signed_max_pool(codes, labels, count * layer.cells)
+    pooled = signed_max_pool(support, coef, labels, count * layer.cells, dictionary.size)
     pooled = pooled.reshape(count, layer.cells * pooled.shape[1])
     vectors = np.array([l2_normalize(row) for row in pooled]).reshape(pooled.shape)
     ur, uc = np.meshgrid(np.arange(units_r), np.arange(units_c), indexing="ij")
@@ -242,25 +244,25 @@ def _pyramid_bins(coords: np.ndarray, side: int, g: int) -> np.ndarray:
     return np.minimum(coords // (side // g), g - 1).astype(np.int64)
 
 
-def pyramid_pool(codes: FeatureGrid, pyramid, image_id: str = "") -> ImageDescriptor:
-    """Pool final-layer codes over whole-image pyramid grids.
+def pyramid_pool(grid, support, coef, size: int, pyramid, image_id: str = "") -> ImageDescriptor:
+    """Pool the final-layer codes of `grid`'s features, slots `(support,
+    coef)` over `size` atoms, over whole-image pyramid grids.
 
     Each grid size g splits the extent into g x g regions (remainder pixels
     go to the last row and column); regions pool independently, blocks
     concatenate grid by grid row-major, and the result is normalized once.
     """
-    k = codes.vectors.shape[1]
-    length = 2 * k * sum(int(g) * int(g) for g in pyramid)
-    if codes.count == 0:
+    length = 2 * size * sum(int(g) * int(g) for g in pyramid)
+    if grid.count == 0:
         log.warning("image %r: no codes to pool; descriptor is all zeros", image_id)
         return ImageDescriptor(image_id, length, np.empty(0, dtype=np.int64), np.empty(0))
-    h, w = codes.extent
+    h, w = grid.extent
     blocks = []
     for g in pyramid:
         g = int(g)
-        rows = _pyramid_bins(codes.centers[:, 0], h, g)
-        cols = _pyramid_bins(codes.centers[:, 1], w, g)
-        blocks.append(signed_max_pool(codes.vectors, rows * g + cols, g * g).ravel())
+        rows = _pyramid_bins(grid.centers[:, 0], h, g)
+        cols = _pyramid_bins(grid.centers[:, 1], w, g)
+        blocks.append(signed_max_pool(support, coef, rows * g + cols, g * g, size).ravel())
     dense = l2_normalize(np.concatenate(blocks))
     return descriptor_from_dense(image_id, dense)
 
@@ -314,8 +316,8 @@ def encode_image(
     its codebook from `codebooks` (one per layer, in layer order)."""
     _check_inputs(img, arch, codebooks, image_id)
     grid = layer_inputs(img, arch, codebooks[:-1])
-    codes = _codes(grid.vectors, arch.final_layer, codebooks[-1])
-    return pyramid_pool(FeatureGrid(grid.centers, codes, grid.extent), arch.pyramid, image_id)
+    support, coef = _codes(grid.vectors, arch.final_layer, codebooks[-1])
+    return pyramid_pool(grid, support, coef, codebooks[-1].size, arch.pyramid, image_id)
 
 
 def encode_image_bof(
@@ -368,10 +370,12 @@ def load_descriptor(path) -> ImageDescriptor:
 # the [layer1] keys that set the architecture's patch geometry; above
 # layer 1 they may only repeat the value 1
 _PATCH_KEYS = ("patch_size", "stride")
+# every numbered layer section is read, so one beyond MAX_LAYERS is an error
+_LAYER_SECTION = "layer[0-9]+"
 _ARCH_READERS = {
-    f"layer{d}": {f.name for f in fields(LayerConfig)} | set(_PATCH_KEYS)
-    for d in range(1, MAX_LAYERS + 1)
-} | {"pyramid": {"grids"}}
+    _LAYER_SECTION: {f.name for f in fields(LayerConfig)} | set(_PATCH_KEYS),
+    "pyramid": {"grids"},
+}
 
 
 def _layer_from_section(section, depth: int, total: int) -> LayerConfig:
@@ -391,18 +395,13 @@ def load_architecture(path) -> ArchitectureConfig:
     [layerN] section per layer and an optional [pyramid] section; any bad
     value, a non-number included, is a ConfigError naming the file."""
     parser = read_config(path, "architecture config", _ARCH_READERS)
-    layer_names = sorted(
-        (name for name in parser.sections() if name.startswith("layer")),
-        key=lambda name: name[5:],
-    )
+    found = [name for name in parser.sections() if re.fullmatch(_LAYER_SECTION, name)]
+    layer_names = [f"layer{i}" for i in range(1, len(found) + 1)]
     try:
-        if not layer_names:
+        if not found:
             raise ConfigError("no [layerN] sections found")
-        expected = [f"layer{i}" for i in range(1, len(layer_names) + 1)]
-        if layer_names != expected:
-            raise ConfigError(
-                f"layer sections must be consecutive starting at [layer1], got {layer_names}"
-            )
+        if set(found) != set(layer_names):
+            raise ConfigError(f"layer sections must be consecutive starting at [layer1], got {found}")
         text = parser.get("pyramid", "grids", fallback="1")
         pyramid = [int(tok) for tok in text.replace(",", " ").split()]
         layers = [

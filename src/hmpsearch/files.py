@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import logging
 import os
+import re
 
 from .errors import ConfigError, DecodeError, HmpError, InvalidInputError
 
@@ -90,9 +91,10 @@ def tab_records(path, what: str) -> list[tuple[str, str, str]]:
 def read_config(path, what: str, readers: dict[str, set[str]]) -> configparser.ConfigParser:
     """Parse an INI file, taking `%` in values literally.
 
-    `readers` maps each section that some setting reads to the keys read
-    in it. Every other section and key, and a [DEFAULT] key that no section
-    reads, is ignored with one warning naming it and the file.
+    `readers` maps a pattern, matched whole, of the names of the sections
+    that some setting reads to the keys read in them. Every other section
+    and key, and a [DEFAULT] key that no section reads, is ignored with one
+    warning naming it and the file.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -104,10 +106,11 @@ def read_config(path, what: str, readers: dict[str, set[str]]) -> configparser.C
         if not any(key in keys for keys in readers.values()):
             log.warning("%s: ignoring [DEFAULT] key %r, which no setting reads", path, key)
     for name in parser.sections():
-        if name not in readers:
+        keys = next((keys for pattern, keys in readers.items() if re.fullmatch(pattern, name)), None)
+        if keys is None:
             log.warning("%s: ignoring section [%s], which no setting reads", path, name)
             continue
         for key in parser[name]:
-            if key not in readers[name] and key not in defaults:
+            if key not in keys and key not in defaults:
                 log.warning("%s: ignoring [%s] key %r, which no setting reads", path, name, key)
     return parser

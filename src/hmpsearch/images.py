@@ -4,7 +4,7 @@ Native support covers binary netpbm files (P5 graymaps, P6 pixmaps). Other
 formats go through an optional adapter backed by Pillow when it is
 installed. Color inputs become luminance with weights 0.299/0.587/0.114.
 Patches come out as a `FeatureGrid`, one row per patch with its pixel
-center; the encoder carries codes and pooled features in the same form.
+center; the encoder carries pooled features in the same form.
 `unit_cells` labels points with the square coding unit and cell they lie
 in, all points at once. Image files and the manifest, a file of
 `hmpsearch.files` tab records, are read through that module.
@@ -61,7 +61,7 @@ class FeatureGrid:
     each in `centers` ((row, col) per row).
 
     `extent` is the (height, width) of the image plane the centers live in.
-    The same form carries patches, codes and pooled features.
+    The same form carries patches and pooled features.
     """
 
     centers: np.ndarray

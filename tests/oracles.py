@@ -1,13 +1,16 @@
 """Loop-based reference implementations of the array coding, pooling and
 index code.
 
+`omp_encode_batch` returns each code as its slots, `(support, coef)`;
+`dense` expands them into the N x K code matrix that the loops here read,
+and `slots` takes dense code rows back to the canonical slots.
 Coding runs one signal at a time, as a batch of one column; `omp_pursuit`
 is the per-signal greedy pursuit that re-solves the support by a fresh
 Cholesky factorization at every step, the reference for the Batch-OMP
 kernel. `omp_exact` is that kernel without its screen: every correlation
-and Gram entry comes from the elementwise `correlations` loop, and
-`omp_encode_batch` must equal it bit for bit. `vq_exact` is nearest-atom
-coding without the screen.
+and Gram entry comes from the elementwise `correlations` loop, and the
+`dense` codes of `omp_encode_batch` must equal it bit for bit. `vq_exact`
+is nearest-atom coding without the screen.
 `ksvd_dense` is K-SVD training with dense K x N codes, each reconstruction
 a BLAS product `atoms @ codes`; `dictionary.train` must equal it bit for
 bit at sparsity 1, where each reconstruction has one nonzero term.
@@ -63,9 +66,36 @@ def omp_pursuit(atoms: np.ndarray, y: np.ndarray, sparsity: int):
     return support, coef
 
 
+def dense(slots, size: int) -> np.ndarray:
+    """The N x `size` code matrix of the `(support, coef)` slots: each
+    coefficient added onto zero at its atom, so a (0, 0.0) slot adds
+    nothing, as `omp_exact` builds its codes."""
+    support, coef = slots
+    out = np.zeros((coef.shape[0], size))
+    np.add.at(out, (np.arange(coef.shape[0])[:, None], support), coef)
+    return out
+
+
+def slots(codes, sparsity: int | None = None):
+    """The canonical `(support, coef)` of dense code rows: each row's
+    nonzeros by ascending atom, then (0, 0.0) slots, `sparsity` slots a row
+    (by default as many as the fullest row needs). A -0.0 entry is no
+    nonzero; a NaN is one."""
+    codes = np.asarray(codes, dtype=np.float64)
+    rows, atoms = np.nonzero(codes)
+    width = int(np.bincount(rows, minlength=1).max()) if sparsity is None else sparsity
+    support = np.zeros((codes.shape[0], width), dtype=np.intp)
+    coef = np.zeros((codes.shape[0], width))
+    slot = np.arange(rows.size) - np.searchsorted(rows, rows)
+    support[rows, slot], coef[rows, slot] = atoms, codes[rows, atoms]
+    return support, coef
+
+
 def omp_one(dictionary, signal, sparsity: int) -> np.ndarray:
-    """Dense code of one signal: `omp_encode_batch` on a batch of one column."""
-    return omp_encode_batch(dictionary, np.asarray(signal, dtype=float)[:, None], sparsity)[0]
+    """Dense code of one signal: `omp_encode_batch` on a batch of one
+    column, through `dense`."""
+    batch = omp_encode_batch(dictionary, np.asarray(signal, dtype=float)[:, None], sparsity)
+    return dense(batch, dictionary.size)[0]
 
 
 def vq_one(dictionary, signal) -> int:
@@ -163,7 +193,7 @@ def _code_pass(signals, atoms, codes, sparsity: int) -> None:
     # depends only on its own signal, whatever the chunk holds
     for lo in range(0, signals.shape[1], CODE_CHUNK):
         chunk = slice(lo, lo + CODE_CHUNK)
-        new = omp_encode_batch(dictionary, signals[:, chunk], sparsity).T
+        new = dense(omp_encode_batch(dictionary, signals[:, chunk], sparsity), dictionary.size).T
         old_res = np.linalg.norm(signals[:, chunk] - atoms @ codes[:, chunk], axis=0)
         new_res = np.linalg.norm(signals[:, chunk] - atoms @ new, axis=0)
         better = new_res <= old_res

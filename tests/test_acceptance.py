@@ -39,7 +39,7 @@ from conftest import (
     random_dictionary,
     texture_image,
 )
-from oracles import omp_one
+from oracles import omp_one, slots
 
 
 def report(number, name, detail=""):
@@ -329,7 +329,8 @@ def test_criterion_8_invariant_suite():
         return rng.standard_normal((n, k)) * (rng.uniform(size=(n, k)) < 0.5)
 
     def pool(codes):
-        return signed_max_pool(codes, np.zeros(codes.shape[0], dtype=np.int64), 1)
+        labels = np.zeros(codes.shape[0], dtype=np.int64)
+        return signed_max_pool(*slots(codes), labels, 1, codes.shape[1])
 
     for _ in range(20):
         codes = rand_codes(5, 6)

@@ -1,11 +1,16 @@
 """End-to-end command-line pipeline tests on a small synthetic corpus."""
 
+import os
+import resource
 import struct
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
+import hmpsearch
 from hmpsearch import (
     ImageDescriptor,
     cli,
@@ -210,6 +215,29 @@ class TestTrainDict:
         (tmp_path / "manifest.tsv").write_text("\n")
         assert run_cli(cfg, "train-dict") == 2
         assert not (tmp_path / "dicts").exists()
+
+    def test_codebook_too_large_for_memory_exits_2_naming_the_stage(self, tmp_path):
+        # 2^40 atoms: sampling the initial codebook asks numpy for 8 TiB.
+        # The stage runs in a process whose address space is capped at 2 GB
+        # (or the lower limit already set), so the request fails at once
+        arch = ARCH_ONE_LAYER.replace("codebook_size = 16", "codebook_size = 1099511627776")
+        cfg = make_workspace(tmp_path, groups=2, arch=arch)
+
+        def cap_address_space():
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            cap = 2 * 1024**3 if hard == resource.RLIM_INFINITY else min(2 * 1024**3, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+        src = os.path.dirname(os.path.dirname(hmpsearch.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "hmpsearch.cli", "--config", str(cfg), "train-dict"],
+            capture_output=True, text=True, timeout=300, preexec_fn=cap_address_space,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        [error] = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
+        assert "train-dict" in error and "memory" in error
 
     def test_unreadable_minority_skipped_majority_aborts(self, tmp_path):
         cfg = make_workspace(tmp_path, groups=2, members=2)

@@ -36,7 +36,7 @@ from hmpsearch import (
 from hmpsearch import coding
 from hmpsearch.errors import DecodeError
 from conftest import arrangement_corpus, outputs_under_blas_threads, random_dictionary
-from oracles import correlations, omp_exact, omp_one, omp_pursuit, vq_exact, vq_one
+from oracles import correlations, dense, omp_exact, omp_one, omp_pursuit, slots, vq_exact, vq_one
 
 
 def best_single_atom(atoms: np.ndarray, y: np.ndarray):
@@ -94,11 +94,11 @@ class TestDictionary:
         signals = rng.standard_normal((16, 40))
         vq_encode_batch(d, signals)
         assert calls == [] and "_screen" not in d.__dict__
-        first = omp_encode_batch(d, signals, 3)
+        first = dense(omp_encode_batch(d, signals, 3), 24)
         screen = d._screen
         # the Gram matrix, then alpha
         assert calls == [(24, 24), (40, 24)]
-        second = omp_encode_batch(d, signals, 3)
+        second = dense(omp_encode_batch(d, signals, 3), 24)
         assert d._screen is screen
         assert first.tobytes() == second.tobytes() == omp_exact(d, signals, 3).tobytes()
         # OMP reads alpha and its Gram entries from these products: it sums
@@ -201,7 +201,7 @@ class TestOmpEncode:
             twin = atoms[:, src] + 1e-11 * rng.standard_normal(dim)
             atoms[:, dst] = twin / np.linalg.norm(twin)
             signals = rng.standard_normal((dim, 12))
-            codes = omp_encode_batch(Dictionary(atoms), signals, min(dim, size))
+            codes = dense(omp_encode_batch(Dictionary(atoms), signals, min(dim, size)), size)
             assert not np.any((codes[:, src] != 0) & (codes[:, dst] != 0))
 
     def test_sparsity_out_of_range_rejected(self):
@@ -215,15 +215,18 @@ class TestOmpEncode:
         rng = np.random.default_rng(13)
         d = random_dictionary(rng, 9, 14)
         signals = rng.standard_normal((9, 25))
-        batch = omp_encode_batch(d, signals, 4)
-        assert batch.shape == (25, 14)
-        for i, row in enumerate(batch):
+        support, coef = omp_encode_batch(d, signals, 4)
+        assert support.shape == coef.shape == (25, 4)
+        for i in range(25):
             # a row depends only on its own signal, never on the batch size
-            assert omp_encode_batch(d, signals[:, i : i + 1], 4)[0].tobytes() == row.tobytes()
+            one_support, one_coef = omp_encode_batch(d, signals[:, i : i + 1], 4)
+            assert one_support[0].tobytes() == support[i].tobytes()
+            assert one_coef[0].tobytes() == coef[i].tobytes()
 
     def test_empty_batch_gives_empty_matrix(self):
         d = Dictionary(np.eye(4))
-        assert omp_encode_batch(d, np.zeros((4, 0)), 2).shape == (0, 4)
+        support, coef = omp_encode_batch(d, np.zeros((4, 0)), 2)
+        assert support.shape == coef.shape == (0, 2)
         assert vq_encode_batch(d, np.zeros((4, 0))).shape == (0,)
 
     def test_batch_rejects_non_finite_signals(self):
@@ -332,11 +335,12 @@ def test_omp_rows_equal_batches_of_one(count, layout, seed):
     d = random_dictionary(rng, dim, size)
     sparsity = int(rng.integers(1, min(dim, size) + 1))
     signals = laid_out(rng, dim, count, layout)
-    batch = omp_encode_batch(d, signals, sparsity)
-    assert batch.shape == (count, size)
+    support, coef = omp_encode_batch(d, signals, sparsity)
+    assert support.shape == coef.shape == (count, sparsity)
     for i in range(count):
-        single = omp_encode_batch(d, signals[:, i : i + 1], sparsity)[0]
-        assert single.tobytes() == batch[i].tobytes()
+        one_support, one_coef = omp_encode_batch(d, signals[:, i : i + 1], sparsity)
+        assert one_support[0].tobytes() == support[i].tobytes()
+        assert one_coef[0].tobytes() == coef[i].tobytes()
 
 
 @settings(max_examples=50, deadline=None)
@@ -350,9 +354,9 @@ def test_omp_codes_do_not_depend_on_memory_layout(seed):
     wide = np.zeros((dim, 2 * count))
     wide[:, ::2] = signals
     reversed_rows = np.ascontiguousarray(signals[::-1])[::-1]
-    want = omp_encode_batch(d, signals, sparsity).tobytes()
+    want = [x.tobytes() for x in omp_encode_batch(d, signals, sparsity)]
     for view in (np.asfortranarray(signals), wide[:, ::2], reversed_rows):
-        assert omp_encode_batch(d, view, sparsity).tobytes() == want
+        assert [x.tobytes() for x in omp_encode_batch(d, view, sparsity)] == want
 
 
 def agreement_tolerance(atoms, support, y) -> float:
@@ -387,7 +391,7 @@ def test_omp_matches_per_signal_pursuit(case, seed):
         picks = rng.integers(0, size, 4)
         signals[:, :4] = d.atoms[:, picks] * rng.standard_normal(4)
     sparsity = int(rng.integers(1, min(dim, size) + 1))
-    codes = omp_encode_batch(d, signals, sparsity)
+    codes = dense(omp_encode_batch(d, signals, sparsity), size)
     # atoms grouped into classes of |g_ij| > 1 - 1e-9, named by the lowest index
     same = np.abs(d.atoms.T @ d.atoms) > 1.0 - 1e-9
     cls = np.argmax(same, axis=1)
@@ -434,8 +438,41 @@ def test_omp_equals_exact_kernel_on_near_ties(seed):
     dim, size = int(rng.integers(1, 26)), int(rng.integers(2, 41))
     d, signals = near_tie_batch(rng, dim, size, 40)
     for sparsity in range(1, min(dim, size) + 1):
-        got = omp_encode_batch(d, signals, sparsity)
+        got = dense(omp_encode_batch(d, signals, sparsity), size)
         assert got.tobytes() == omp_exact(d, signals, sparsity).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 12),
+    size=st.integers(1, 20),
+    zeros=st.integers(0, 4),
+    repeats=st.integers(0, 4),
+)
+@example(seed=0, dim=5, size=1, zeros=1, repeats=1)
+@example(seed=1, dim=12, size=20, zeros=2, repeats=4)
+def test_omp_slots_are_canonical(seed, dim, size, zeros, repeats):
+    # zero columns stop at once; columns on one atom or the sum of two, and
+    # codebooks with equal, negated and near copies of atoms, stop before
+    # the budget; repeated columns take the slots of their first copy
+    rng = np.random.default_rng(seed)
+    d, signals = near_tie_batch(rng, dim, size, 12)
+    again = signals[:, rng.integers(0, 12, repeats)]
+    signals = np.concatenate([signals, np.zeros((dim, zeros)), again], axis=1)
+    sparsity = int(rng.integers(1, min(dim, size) + 1))
+    support, coef = omp_encode_batch(d, signals, sparsity)
+    assert support.shape == coef.shape == (signals.shape[1], sparsity)
+    for atoms, values in zip(support, coef):
+        used = np.count_nonzero(values)
+        # the nonzero coefficients first, by strictly ascending atom, then
+        # exact (0, +0.0) slots
+        assert np.all(values[:used] != 0.0) and np.all(np.diff(atoms[:used]) > 0)
+        assert not atoms[used:].any() and values[used:].tobytes() == bytes(8 * (sparsity - used))
+    want = omp_exact(d, signals, sparsity)
+    assert dense((support, coef), size).tobytes() == want.tobytes()
+    want_support, want_coef = slots(want, sparsity)
+    assert support.tobytes() == want_support.tobytes() and coef.tobytes() == want_coef.tobytes()
 
 
 def test_omp_codes_each_distinct_signal_once(monkeypatch):
@@ -456,7 +493,7 @@ def test_omp_codes_each_distinct_signal_once(monkeypatch):
         return solve(chol, rhs)
 
     monkeypatch.setattr(coding, "_solve_upper", spy)
-    codes = omp_encode_batch(d, signals, 3)
+    codes = dense(omp_encode_batch(d, signals, 3), 24)
     assert codes.tobytes() == want.tobytes()
     assert np.count_nonzero(codes) == 40 * 3
     # the first step solves for one row per distinct signal
@@ -471,7 +508,7 @@ def test_omp_codes_repeated_patches_as_the_exact_kernel():
     for img in images.values():
         patches = extract_patches(img, 5, 1).vectors.T
         assert np.unique(patches, axis=1).shape[1] < patches.shape[1]
-        got = omp_encode_batch(d, patches, 4)
+        got = dense(omp_encode_batch(d, patches, 4), 32)
         assert got.tobytes() == omp_exact(d, patches, 4).tobytes()
 
 
@@ -488,7 +525,7 @@ def test_omp_rejects_a_signal_whose_squared_norm_overflows():
     large = signals * 1e150
     want = omp_exact(d, large, 4)
     assert np.count_nonzero(want) == 6 * 4
-    assert omp_encode_batch(d, large, 4).tobytes() == want.tobytes()
+    assert dense(omp_encode_batch(d, large, 4), 32).tobytes() == want.tobytes()
 
 
 def test_omp_exact_values_are_support_entries_only(monkeypatch):
@@ -500,8 +537,8 @@ def test_omp_exact_values_are_support_entries_only(monkeypatch):
     signals = rng.standard_normal((1024, 450))
     d._screen  # the Gram matrix, built before the spy
     calls = spy_on_products(monkeypatch)
-    codes = omp_encode_batch(d, signals, 10)
-    assert np.count_nonzero(codes) == 450 * 10
+    _, coef = omp_encode_batch(d, signals, 10)
+    assert np.count_nonzero(coef) == 450 * 10
     assert calls == [(450, 1000)]
 
 
@@ -512,7 +549,7 @@ def test_omp_single_atom_codebook_equals_exact_kernel():
     rng = np.random.default_rng(13)
     for _ in range(200):
         d, y = random_dictionary(rng, 5, 1), rng.standard_normal((5, 1))
-        assert omp_encode_batch(d, y, 1).tobytes() == omp_exact(d, y, 1).tobytes()
+        assert dense(omp_encode_batch(d, y, 1), 1).tobytes() == omp_exact(d, y, 1).tobytes()
 
 
 @st.composite
@@ -732,7 +769,8 @@ from hmpsearch import omp_encode_batch
 from test_coding import near_tie_batch
 rng = np.random.default_rng(5)
 d, signals = near_tie_batch(rng, 25, 64, 4000)
-print(hashlib.sha256(omp_encode_batch(d, signals, 6).tobytes()).hexdigest())
+support, coef = omp_encode_batch(d, signals, 6)
+print(hashlib.sha256(support.tobytes() + coef.tobytes()).hexdigest())
 """
     digests = outputs_under_blas_threads(code)
     assert digests[0] and digests[0] == digests[1]

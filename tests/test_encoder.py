@@ -36,10 +36,22 @@ from conftest import random_dictionary, texture_image
 import oracles
 
 
+def pool_dense(codes, labels, count: int) -> np.ndarray:
+    """`signed_max_pool` of dense code rows, through their slots."""
+    codes = np.asarray(codes, dtype=float)
+    return signed_max_pool(*oracles.slots(codes), np.asarray(labels), count, codes.shape[1])
+
+
 def pool_one(codes) -> np.ndarray:
     """Pool every row of `codes` into one group."""
     codes = np.asarray(codes, dtype=float)
-    return signed_max_pool(codes, np.zeros(codes.shape[0], dtype=np.int64), 1)[0]
+    return pool_dense(codes, np.zeros(codes.shape[0], dtype=np.int64), 1)[0]
+
+
+def pyramid_of(grid: FeatureGrid, pyramid, image_id: str = "img"):
+    """`pyramid_pool` of a grid whose rows are dense codes, through their slots."""
+    codes = grid.vectors
+    return pyramid_pool(grid, *oracles.slots(codes), codes.shape[1], pyramid, image_id)
 
 
 class TestSignedMaxPool:
@@ -55,27 +67,40 @@ class TestSignedMaxPool:
     def test_empty_list_pools_to_zero(self):
         npt.assert_array_equal(pool_one(np.zeros((0, 4))), np.zeros(8))
         # groups without codes pool to zero too
-        pooled = signed_max_pool(np.array([[1.0, -1.0]]), np.array([2]), 3)
+        pooled = pool_dense([[1.0, -1.0]], [2], 3)
         npt.assert_array_equal(pooled, [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]])
 
     def test_mismatched_labels_rejected(self):
-        codes = np.ones((2, 3))
+        support, coef = oracles.slots(np.ones((2, 3)))
         for labels, count in (([0], 1), ([0, 1, 0], 2), ([0, 2], 2), ([-1, 0], 2)):
             with pytest.raises(InvalidInputError):
-                signed_max_pool(codes, np.array(labels), count)
+                signed_max_pool(support, coef, np.array(labels), count, 3)
+        # the atoms and the coefficients of the slots must pair up, and
+        # every atom must lie in the codebook: atom 3 of 2 would otherwise
+        # pool into the negative half of atom 1
+        with pytest.raises(InvalidInputError):
+            signed_max_pool(support[:, :2], coef, np.array([0, 0]), 1, 3)
+        for atom in (-1, 2, 3):
+            with pytest.raises(InvalidInputError, match="atoms must lie in"):
+                signed_max_pool(np.array([[atom]]), np.array([[1.0]]), np.array([0]), 1, 2)
 
     def test_no_negative_zero_in_output(self):
         pooled = pool_one([[0.0, -0.0, 2.0], [-0.0, 0.0, -1.0]])
         assert not np.any(np.signbit(pooled))
+        # slots that hold -0.0 or +0.0 pool to nothing
+        support = np.array([[0, 1, 2], [2, 0, 1]])
+        coef = np.array([[0.0, -0.0, 2.0], [-0.0, 0.0, -1.0]])
+        pooled = signed_max_pool(support, coef, np.zeros(2, dtype=np.int64), 1, 3)[0]
+        assert pooled.tobytes() == np.array([0.0, 0.0, 2.0, 0.0, 1.0, 0.0]).tobytes()
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             codes = rng.standard_normal((6, 5)) * (rng.uniform(size=(6, 5)) > 0.4)
             labels = rng.integers(0, 3, size=6)
-            base = signed_max_pool(codes, labels, 3)
+            base = pool_dense(codes, labels, 3)
             perm = rng.permutation(6)
-            npt.assert_array_equal(signed_max_pool(codes[perm], labels[perm], 3), base)
+            npt.assert_array_equal(pool_dense(codes[perm], labels[perm], 3), base)
 
     def test_adding_a_code_never_decreases_coordinates(self):
         rng = np.random.default_rng(1)
@@ -102,9 +127,9 @@ class TestEncodeLayer:
         codes = [oracles.omp_one(d, grid.vectors[i], 3) for i in range(grid.count)]
         expected = l2_normalize(oracles.signed_max_pool(codes, 12))
         npt.assert_array_equal(out.vectors[0], expected)
-        npt.assert_array_equal(
-            out.vectors[0], l2_normalize(pool_one(omp_encode_batch(d, grid.vectors.T, 3)))
-        )
+        support, coef = omp_encode_batch(d, grid.vectors.T, 3)
+        pooled = signed_max_pool(support, coef, np.zeros(grid.count, dtype=np.int64), 1, 12)[0]
+        npt.assert_array_equal(out.vectors[0], l2_normalize(pooled))
 
     def test_zero_inputs_give_zero_outputs(self):
         rng = np.random.default_rng(4)
@@ -186,19 +211,19 @@ class TestPyramidPool:
     def test_single_grid_length_is_twice_codebook(self):
         rng = np.random.default_rng(9)
         grid = code_grid(rng, 1000, [[4.0, 4.0], [10.0, 3.0]], (16, 16))
-        desc = pyramid_pool(grid, [1], "img")
+        desc = pyramid_of(grid, [1])
         assert desc.length == 2000
 
     def test_combined_pyramid_length(self):
         rng = np.random.default_rng(10)
         grid = code_grid(rng, 1000, [[4.0, 4.0]], (16, 16))
-        desc = pyramid_pool(grid, [1, 2, 3], "img")
+        desc = pyramid_of(grid, [1, 2, 3])
         assert desc.length == 2 * 1000 * (1 + 4 + 9)
 
     def test_single_code_single_grid(self):
         rng = np.random.default_rng(11)
         grid = code_grid(rng, 6, [[2.0, 2.0]], (8, 8), density=1.0)
-        desc = pyramid_pool(grid, [1], "img")
+        desc = pyramid_of(grid, [1])
         expected = l2_normalize(pool_one(grid.vectors))
         npt.assert_allclose(oracles.to_dense(desc), expected, atol=1e-12)
 
@@ -209,7 +234,7 @@ class TestPyramidPool:
         k = 3
         centers = [[0.0, 0.0], [4.0, 1.0], [9.0, 9.0]]
         grid = code_grid(rng, k, centers, (10, 10), density=1.0)
-        desc = oracles.to_dense(pyramid_pool(grid, [3], "img"))
+        desc = oracles.to_dense(pyramid_of(grid, [3]))
         blocks = desc.reshape(9, 2 * k)
         raw = [pool_one(c[None, :]) for c in grid.vectors]
         stacked = np.concatenate(
@@ -230,7 +255,7 @@ class TestPyramidPool:
 
     def test_empty_grid_warns_and_zeroes(self, caplog):
         grid = FeatureGrid(np.empty((0, 2)), np.zeros((0, 5)), (8, 8))
-        desc = pyramid_pool(grid, [1, 2], "blank")
+        desc = pyramid_of(grid, [1, 2], "blank")
         assert [r.levelno for r in caplog.records if r.name == "hmpsearch"] == [logging.WARNING]
         assert desc.length == 2 * 5 * 5
         assert desc.nnz == 0
@@ -493,6 +518,7 @@ class TestArchitectureFile:
             ("[layer1]\ncodebook_size = 8\nsparsty = 2\n", "[layer1] key 'sparsty'"),
             ("[layer1]\ncodebook_size = 8\n[pyramid]\ngrid = 2\n", "[pyramid] key 'grid'"),
             ("[layer1]\ncodebook_size = 8\n[pyrmid]\ngrids = 2\n", "section [pyrmid]"),
+            ("[layer1]\ncodebook_size = 8\n[layers]\ncount = 2\n", "section [layers]"),
             (
                 "[DEFAULT]\nsparsity = 10\n[layer1]\ncodebook_size = 8\nsparsty = 2\n[pyramid]\n",
                 "[layer1] key 'sparsty'",
@@ -510,6 +536,7 @@ class TestArchitectureFile:
             "layer-key",
             "pyramid-key",
             "section",
+            "section-named-like-a-layer",
             "default-key-read-by-a-layer",
             "retired-dictionary-key",
             "default-key-no-section-reads",
@@ -559,6 +586,14 @@ class TestArchitectureFile:
         with pytest.raises(ConfigError) as err:
             load_architecture(cfg)
         assert str(cfg) in str(err.value)
+
+    def test_layer_beyond_the_last_is_an_error_not_ignored(self, tmp_path, caplog):
+        cfg = tmp_path / "arch.cfg"
+        cfg.write_text("".join(f"[layer{d}]\ncodebook_size = 8\n" for d in range(1, 5)))
+        with pytest.raises(ConfigError, match="expected 1 to 3 layers, got 4") as err:
+            load_architecture(cfg)
+        assert str(cfg) in str(err.value)
+        assert [r.getMessage() for r in caplog.records if "ignoring" in r.getMessage()] == []
 
     def test_non_consecutive_layers_rejected(self, tmp_path):
         cfg = tmp_path / "arch.cfg"

@@ -40,7 +40,7 @@ def test_signed_max_pool_matches_per_group_lists(seed, n, k, count):
     rng = np.random.default_rng(seed)
     codes = sparse_codes(rng, n, k)
     labels = rng.integers(0, count, size=n)
-    pooled = signed_max_pool(codes, labels, count)
+    pooled = signed_max_pool(*oracles.slots(codes), labels, count, k)
     assert pooled.shape == (count, 2 * k)
     for g in range(count):
         members = [codes[i] for i in np.flatnonzero(labels == g)]
@@ -56,12 +56,14 @@ def test_signed_max_pool_matches_per_group_lists(seed, n, k, count):
 )
 def test_signed_max_pool_matches_lists_on_signed_zeros_and_repeated_maxima(seed, n, k, count):
     # codes from a few magnitudes, so that maxima repeat within a group and
-    # across signs, with some entries -0.0; labels skip some groups, which
-    # must pool to +0.0 throughout
+    # across signs, with some slots -0.0 or +0.0 between the others, in no
+    # atom order; labels skip some groups, which must pool to +0.0 throughout
     rng = np.random.default_rng(seed)
-    codes = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=(n, k))
+    support = np.argsort(rng.uniform(size=(n, k)), axis=1)[:, : int(rng.integers(1, k + 1))]
+    coef = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=support.shape)
+    codes = oracles.dense((support, coef), k)
     labels = rng.choice(rng.integers(0, count, size=max(1, count // 2)), size=n)
-    pooled = signed_max_pool(codes, labels, count)
+    pooled = signed_max_pool(support, coef, labels, count, k)
     for g in range(count):
         members = [codes[i] for i in np.flatnonzero(labels == g)]
         assert pooled[g].tobytes() == oracles.signed_max_pool(members, k).tobytes()
@@ -127,6 +129,7 @@ def test_pyramid_pool_matches_region_lists(seed, extent, pyramid, n, k):
     rng = np.random.default_rng(seed)
     centers = lattice_points(rng, n, *extent)
     codes = sparse_codes(rng, n, k)
-    desc = pyramid_pool(FeatureGrid(centers, codes, extent), pyramid, "img")
+    grid = FeatureGrid(centers, codes, extent)
+    desc = pyramid_pool(grid, *oracles.slots(codes), k, pyramid, "img")
     want = l2_normalize(oracles.pyramid_blocks(centers, codes, k, extent, pyramid))
     assert oracles.to_dense(desc).tobytes() == want.tobytes()
