@@ -13,7 +13,8 @@ decoding any image or the index, so a stale one ends the stage naming its
 file. The run file is the one source of every run setting, the seed included.
 `--baseline`, given to every stage, codes with the one-layer
 `encoder.baseline_architecture`; `build-index --idf` weights the index.
-Set HMPSEARCH_LOG=debug|info|warning to control verbosity.
+HMPSEARCH_LOG sets the root logger's level (default warning); every record
+hmpsearch logs is a warning, so `error` hides them all.
 """
 
 from __future__ import annotations
@@ -79,28 +80,25 @@ def load_run_config(path) -> RunConfig:
     """Read the [run] section; `%` in a value is literal, and a number below
     its minimum is a ConfigError naming the file."""
     keys = {field.name for field in fields(RunConfig)} - {"baseline"}
-    parser = read_config(path, "run config", {"run": keys})
-    if not parser.has_section("run"):
-        raise ConfigError(f"{path}: missing [run] section")
-    section = parser["run"]
-    try:
+    with read_config(path, "run config", {"run": keys}) as parser:
+        if not parser.has_section("run"):
+            raise ConfigError("missing [run] section")
+        section = parser["run"]
         cfg = RunConfig(**{
             key: section.getint(key) if key in _RUN_MINIMUMS else section[key]
             for key in keys if key in section
         })
-    except ValueError as exc:
-        raise ConfigError(f"{path}: bad value in [run]: {exc}") from exc
-    base = os.path.dirname(os.path.abspath(path))
-    paths = {key: getattr(cfg, key) for key in keys - _RUN_MINIMUMS.keys()}
-    cfg = replace(cfg, **{key: os.path.join(base, value) for key, value in paths.items() if value})
-    if not cfg.manifest:
-        raise ConfigError(f"{path}: [run] manifest is required")
-    if not cfg.architecture:
-        raise ConfigError(f"{path}: [run] architecture is required")
-    for key, low in _RUN_MINIMUMS.items():
-        value = getattr(cfg, key)
-        if value < low:
-            raise ConfigError(f"{path}: {key} must be >= {low}, got {value}")
+        base = os.path.dirname(os.path.abspath(path))
+        paths = {key: getattr(cfg, key) for key in keys - _RUN_MINIMUMS.keys()}
+        cfg = replace(cfg, **{key: os.path.join(base, value) for key, value in paths.items() if value})
+        if not cfg.manifest:
+            raise ConfigError("[run] manifest is required")
+        if not cfg.architecture:
+            raise ConfigError("[run] architecture is required")
+        for key, low in _RUN_MINIMUMS.items():
+            value = getattr(cfg, key)
+            if value < low:
+                raise ConfigError(f"{key} must be >= {low}, got {value}")
     return cfg
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecodeError, InvalidInputError
+from .errors import InvalidInputError
 from .files import read_container, write_container
 
 UNIT_NORM_TOL = 1e-9
@@ -280,13 +280,8 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
 
 
 def load_dictionary(path) -> Dictionary:
-    body = read_container(path, _DICT_MAGIC, _DICT_VERSION, 8, "codebook file")
-    d, k = struct.unpack_from("<II", body)
-    expected = 8 + 8 * d * k
-    if len(body) != expected:
-        raise DecodeError(f"{path}: truncated codebook ({len(body)} body bytes, expected {expected})")
-    atoms = np.frombuffer(body, dtype="<f8", offset=8).reshape((d, k), order="F")
-    try:
-        return Dictionary(atoms)
-    except InvalidInputError as exc:
-        raise DecodeError(f"{path}: invalid codebook: {exc}") from exc
+    with read_container(path, "codebook file", _DICT_MAGIC, _DICT_VERSION) as body:
+        d, k = struct.unpack_from("<II", body)
+        if len(body) != 8 + 8 * d * k:
+            raise InvalidInputError(f"body of {len(body)} bytes, the header declares {8 + 8 * d * k}")
+        return Dictionary(np.frombuffer(body, dtype="<f8", offset=8).reshape((d, k), order="F"))

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .coding import UNIT_NORM_TOL, Dictionary, l2_normalize, omp_encode_batch, vq_encode_batch
-from .errors import ConfigError, DecodeError, ImageTooSmallError, InvalidInputError
+from .errors import ConfigError, ImageTooSmallError, InvalidInputError
 from .files import read_config, read_container, write_container
 from .images import FeatureGrid, IntensityImage, extract_patches, unit_cells
 
@@ -352,19 +352,15 @@ def save_descriptor(desc: ImageDescriptor, path) -> None:
 
 
 def load_descriptor(path) -> ImageDescriptor:
-    body = read_container(path, _DESC_MAGIC, _DESC_VERSION, 4, "descriptor file")
-    (id_len,) = struct.unpack_from("<I", body)
-    pos = 4 + id_len
-    try:
+    with read_container(path, "descriptor file", _DESC_MAGIC, _DESC_VERSION) as body:
+        (id_len,) = struct.unpack_from("<I", body)
+        pos = 4 + id_len
         length, nnz = struct.unpack_from("<II", body, pos)
         if len(body) != pos + 8 + 12 * nnz:
             raise InvalidInputError(f"body of {len(body)} bytes, the header declares {pos + 8 + 12 * nnz}")
         entries = np.frombuffer(body, dtype=_ENTRY_DTYPE, count=nnz, offset=pos + 8)
         index, value = entries["index"].astype(np.int64), entries["value"].astype(np.float64)
         return ImageDescriptor(body[4:pos].decode("utf-8"), int(length), index, value)
-    except (struct.error, ValueError) as exc:
-        # ValueError covers bad UTF-8 and InvalidInputError
-        raise DecodeError(f"{path}: truncated or corrupt descriptor: {exc}") from exc
 
 
 # the [layer1] keys that set the architecture's patch geometry; above
@@ -394,10 +390,9 @@ def load_architecture(path) -> ArchitectureConfig:
     """Read a layered architecture from a key/value config file with one
     [layerN] section per layer and an optional [pyramid] section; any bad
     value, a non-number included, is a ConfigError naming the file."""
-    parser = read_config(path, "architecture config", _ARCH_READERS)
-    found = [name for name in parser.sections() if re.fullmatch(_LAYER_SECTION, name)]
-    layer_names = [f"layer{i}" for i in range(1, len(found) + 1)]
-    try:
+    with read_config(path, "architecture config", _ARCH_READERS) as parser:
+        found = [name for name in parser.sections() if re.fullmatch(_LAYER_SECTION, name)]
+        layer_names = [f"layer{i}" for i in range(1, len(found) + 1)]
         if not found:
             raise ConfigError("no [layerN] sections found")
         if set(found) != set(layer_names):
@@ -416,8 +411,6 @@ def load_architecture(path) -> ArchitectureConfig:
         arch = ArchitectureConfig(
             layers, pyramid, **{key: first.getint(key) for key in _PATCH_KEYS if key in first}
         )
-    except (ConfigError, ValueError) as exc:  # ValueError covers InvalidInputError
-        raise ConfigError(f"{path}: {exc}") from exc
     final = layer_names[-1]
     for key in ("unit_size", "cell_grid"):
         if key in parser[final] and key not in parser.defaults():

@@ -24,13 +24,6 @@ class DuplicateIdError(InvalidInputError):
 class MissingQueryError(HmpError):
     """Ground-truth queries lack indexed descriptors."""
 
-    def __init__(self, missing_ids):
-        self.missing_ids = sorted(missing_ids)
-        super().__init__(
-            "no descriptor for %d query id(s): %s"
-            % (len(self.missing_ids), ", ".join(self.missing_ids))
-        )
-
 
 class ConfigError(HmpError):
     """A run or architecture configuration is incomplete or inconsistent."""

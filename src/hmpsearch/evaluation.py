@@ -70,9 +70,9 @@ def evaluate(
     maps image id to descriptor."""
     if not gt:
         raise InvalidInputError("ground truth lists no queries")
-    missing = [qid for qid in gt if qid not in descriptors]
+    missing = sorted(qid for qid in gt if qid not in descriptors)
     if missing:
-        raise MissingQueryError(missing)
+        raise MissingQueryError(f"no descriptor for {len(missing)} query id(s): {', '.join(missing)}")
     per_query: list[tuple[str, float, float]] = []
     total = 0.0
     for qid in sorted(gt):

@@ -2,10 +2,15 @@
 
 One policy holds for all of them: a file that cannot be opened, read,
 decoded or written raises an `HmpError` whose message names the path, never
-an `OSError`, `UnicodeDecodeError` or `configparser` error. A write makes
-the file's directory first. The codebook, descriptor and index formats
-share one container: a 4-byte magic, a version byte, then a body that each
-format lays out itself. The manifest and the ground truth share one record:
+an `OSError`, `UnicodeDecodeError`, `struct.error` or `configparser` error.
+A write makes the file's directory first. The codebook, descriptor and
+index formats share one container: a 4-byte magic, a version byte, then a
+body that each format lays out itself. A format parses its body inside
+`with read_container(...) as body:` and a config is read inside
+`with read_config(...) as parser:`. The block's `struct.error` or
+`ValueError` becomes one `DecodeError` naming the path, and a config's
+`ValueError` or `ConfigError` one `ConfigError`, so no reader handles a
+bad file itself. The manifest and the ground truth share one record:
 `<id><TAB><rest>` per line.
 """
 
@@ -15,6 +20,8 @@ import configparser
 import logging
 import os
 import re
+import struct
+from contextlib import contextmanager
 
 from .errors import ConfigError, DecodeError, HmpError, InvalidInputError
 
@@ -30,15 +37,22 @@ def read_bytes(path, what: str) -> bytes:
         raise DecodeError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def read_container(path, magic: bytes, version: int, min_len: int, what: str) -> bytes:
-    """Body of a file that starts with `magic` and the `version` byte; the
-    body must hold at least the `min_len` bytes of the format's header."""
+@contextmanager
+def read_container(path, what: str, magic: bytes, version: int):
+    """Yield the body of a file that starts with `magic` and the `version`
+    byte; a `struct.error` or `ValueError` that parsing it raises in the
+    `with` block is a DecodeError naming the file."""
     raw = read_bytes(path, what)
-    if len(raw) < 5 + min_len or raw[:4] != magic:
+    if len(raw) < 5 or raw[:4] != magic:
         raise DecodeError(f"{path} is not a {what} (bad magic or truncated header)")
     if raw[4] != version:
         raise DecodeError(f"{path}: unsupported {what} version {raw[4]}")
-    return raw[5:]
+    body = raw[5:]
+    del raw  # hold one copy of the file while the block parses it
+    try:
+        yield body
+    except (struct.error, ValueError) as exc:  # ValueError covers bad UTF-8 and InvalidInputError
+        raise DecodeError(f"{path}: truncated or corrupt {what}: {exc}") from exc
 
 
 def write_file(path, what: str, *parts: bytes) -> None:
@@ -88,8 +102,11 @@ def tab_records(path, what: str) -> list[tuple[str, str, str]]:
     return records
 
 
-def read_config(path, what: str, readers: dict[str, set[str]]) -> configparser.ConfigParser:
-    """Parse an INI file, taking `%` in values literally.
+@contextmanager
+def read_config(path, what: str, readers: dict[str, set[str]]):
+    """Yield the parsed INI file, taking `%` in values literally; a
+    `ConfigError` or `ValueError` (a bad number, say) raised in the `with`
+    block is a ConfigError naming the file.
 
     `readers` maps a pattern, matched whole, of the names of the sections
     that some setting reads to the keys read in them. Every other section
@@ -113,4 +130,7 @@ def read_config(path, what: str, readers: dict[str, set[str]]) -> configparser.C
         for key in parser[name]:
             if key not in keys and key not in defaults:
                 log.warning("%s: ignoring [%s] key %r, which no setting reads", path, name, key)
-    return parser
+    try:
+        yield parser
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

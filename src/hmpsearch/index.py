@@ -24,7 +24,7 @@ import numpy as np
 
 from .coding import l2_normalize
 from .encoder import ImageDescriptor
-from .errors import DecodeError, DuplicateIdError, InvalidInputError
+from .errors import DuplicateIdError, InvalidInputError
 from .files import read_container, write_container
 
 _INDEX_MAGIC = b"HMPI"
@@ -187,10 +187,9 @@ def save_index(idx: InvertedIndex, path) -> None:
 
 
 def load_index(path) -> InvertedIndex:
-    body = read_container(path, _INDEX_MAGIC, _INDEX_VERSION, 8, "index file")
-    dimension, doc_count = struct.unpack_from("<II", body)
-    pos = 8
-    try:
+    with read_container(path, "index file", _INDEX_MAGIC, _INDEX_VERSION) as body:
+        dimension, doc_count = struct.unpack_from("<II", body)
+        pos = 8
         ids = []
         for _ in range(doc_count):
             (id_len,) = struct.unpack_from("<I", body, pos)
@@ -224,6 +223,3 @@ def load_index(path) -> InvertedIndex:
         return InvertedIndex(
             dimension, ids, entry_dims, entries["doc"].astype(np.int64), entries["value"], idf
         )
-    except (struct.error, ValueError) as exc:
-        # ValueError covers bad UTF-8, blocks past the end and InvalidInputError
-        raise DecodeError(f"{path}: truncated or corrupt index: {exc}") from exc

@@ -174,6 +174,13 @@ class TestGroundTruthFile:
         with pytest.raises(InvalidInputError):
             load_ground_truth(path)
 
+    def test_rejects_blank_field_after_the_tab(self, tmp_path):
+        path = tmp_path / "gt.tsv"
+        path.write_text("a\t   \n")
+        with pytest.raises(InvalidInputError, match="empty id or empty field") as err:
+            load_ground_truth(path)
+        assert f"{path}:1" in str(err.value)
+
 
 class TestReportFile:
     def test_written_lines(self, tmp_path):

@@ -65,6 +65,42 @@ def test_only_files_module_writes_files_or_makes_directories():
     assert not found, f"write files through hmpsearch.files: {sorted(found)}"
 
 
+def decode_errors_made(source: str) -> list[int]:
+    """Lines of the `DecodeError(...)` calls in `source`."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "DecodeError"
+    ]
+
+
+def struct_errors_caught(source: str) -> list[int]:
+    """Lines of the `except` clauses in `source` that name `struct.error`."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        for sub in ast.walk(node.type)
+        if isinstance(sub, ast.Attribute) and (getattr(sub.value, "id", None), sub.attr) == ("struct", "error")
+    ]
+
+
+def test_only_files_module_reports_unparsable_files():
+    """A format parses inside `read_container` or `read_config`, which name
+    the file; the netpbm and Pillow decoders of images.py read no container,
+    so they may raise DecodeError themselves."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "files.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        lines = struct_errors_caught(source)
+        if path.name != "images.py":
+            lines += decode_errors_made(source)
+        found |= {f"{path.name}:{line}" for line in lines}
+    assert not found, f"parse inside hmpsearch.files.read_container: {sorted(found)}"
+
+
 def test_write_file_makes_missing_directories(tmp_path):
     path = tmp_path / "a" / "b" / "out.bin"
     write_file(path, "test file", b"ab", b"", b"cd")

@@ -319,6 +319,13 @@ class TestManifest:
         with pytest.raises(InvalidInputError):
             read_manifest(manifest)
 
+    def test_rejects_blank_field_after_the_tab(self, tmp_path):
+        manifest = tmp_path / "data.tsv"
+        manifest.write_text("a\t   \n")
+        with pytest.raises(InvalidInputError, match="empty id or empty field") as err:
+            read_manifest(manifest)
+        assert f"{manifest}:1" in str(err.value)
+
 
 class TestResize:
     def test_no_op_when_small_enough(self):
