@@ -14,8 +14,8 @@ nearest atom: for unit-norm atoms |a - y|^2 = 1 + |y|^2 - 2 a^T y, so it
 returns per signal the index of the largest entry of the same `D^T y`,
 ties toward the lowest. Every value that reaches either output is summed
 over D in order by `_products`, the one einsum, which on C-ordered inputs
-is that ordered sum; the codes rely on this order, which numpy does not
-document (numpy 2.4.6 was checked, and the tier-1 test
+is that ordered sum; OMP, VQ's ties and a dense index's scores rely on
+this order, which numpy does not document (numpy 2.4.6 was checked, and
 `test_einsum_products_are_the_ordered_sums` fails on a numpy that sums in
 another order). It pads a K = 1 codebook with a zero column, as einsum
 sums an output of one element in another order. OMP reads `D^T y` and the

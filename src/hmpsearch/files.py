@@ -44,7 +44,8 @@ def read_container(path, what: str, magic: bytes, version: int):
     `with` block is a DecodeError naming the file."""
     raw = read_bytes(path, what)
     if len(raw) < 5 or raw[:4] != magic:
-        raise DecodeError(f"{path} is not a {what} (bad magic or truncated header)")
+        article = "an" if what[0] in "aeiou" else "a"
+        raise DecodeError(f"{path} is not {article} {what} (bad magic or truncated header)")
     if raw[4] != version:
         raise DecodeError(f"{path}: unsupported {what} version {raw[4]}")
     body = raw[5:]

@@ -348,6 +348,14 @@ def postings_of(idx) -> dict[int, list[tuple[str, float]]]:
     return postings
 
 
+def dict_index_of(idx) -> DictIndex:
+    """An array `InvertedIndex`, weighted or not, as a `DictIndex` with the
+    same postings, ids and weights."""
+    oracle = DictIndex(idx.dimension)
+    oracle.postings, oracle.ids, oracle.idf = postings_of(idx), list(idx.ids), idx.idf
+    return oracle
+
+
 def index_add(idx: DictIndex, desc) -> DictIndex:
     assert desc.length == idx.dimension and desc.image_id not in idx.ids
     for i, v in zip(desc.indices, desc.values):

@@ -8,7 +8,7 @@ import pathlib
 import pytest
 
 import hmpsearch
-from hmpsearch import HmpError
+from hmpsearch import DecodeError, HmpError, load_descriptor, load_dictionary, load_index
 from hmpsearch.files import write_file
 
 PACKAGE = pathlib.Path(hmpsearch.__file__).parent
@@ -117,3 +117,15 @@ def test_unwritable_path_raises_hmp_error_naming_it(tmp_path, name):
     with pytest.raises(HmpError, match="cannot write test file") as info:
         write_file(path, "test file", b"x")
     assert path in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "load, named",
+    [(load_index, "an index file"), (load_dictionary, "a codebook file"), (load_descriptor, "a descriptor file")],
+)
+def test_wrong_magic_names_the_kind_of_file_with_its_article(tmp_path, load, named):
+    path = tmp_path / "wrong.bin"
+    path.write_bytes(b"HMPX\x01")
+    with pytest.raises(DecodeError) as info:
+        load(path)
+    assert str(info.value) == f"{path} is not {named} (bad magic or truncated header)"

@@ -3,17 +3,27 @@
 Corpora have ids in random order, exact duplicate documents (tied scores),
 documents with no nonzeros, and queries on dimensions no document has.
 Without IDF the two agree bit for bit; IDF renormalizes documents with a
-sum in another order, so scores there agree within 1e-12.
+sum in another order, so scores there agree within 1e-12, and bit for bit
+against an oracle holding the weighted postings. `query` scores an index at
+least 3/8 dense on its dense view through `index._products`, and a sparser
+one by `bincount` over its postings; `_view` set to None sends an index down
+the `bincount` path instead, and both paths must give the oracle's bits.
 """
 
+import copy
+import importlib
+import tracemalloc
+
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, find, given, settings
 from hypothesis import strategies as st
 
 from hmpsearch import (
     ImageDescriptor,
     apply_idf,
     build_index,
+    coding,
     l2_normalize,
     load_index,
     query,
@@ -21,6 +31,7 @@ from hmpsearch import (
 )
 import oracles
 from oracles import postings_of
+from test_index import index_bytes
 
 SETTINGS = settings(
     max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -36,11 +47,11 @@ def random_descriptor(rng, image_id, dimension):
 
 
 @st.composite
-def corpora(draw):
+def corpora(draw, max_dimension=12):
     """(dimension, documents, queries); a third of the documents copy an
     earlier one, and the first query and about half of the others are
     stored documents."""
-    dimension = draw(st.integers(1, 12))
+    dimension = draw(st.integers(1, max_dimension))
     ids = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=10, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     docs = []
@@ -114,3 +125,156 @@ def test_save_of_load_reproduces_file(tmp_path, corpus, weighted):
     save_index(idx, first)
     save_index(load_index(first), second)
     assert second.read_bytes() == first.read_bytes()
+
+
+index_module = importlib.import_module("hmpsearch.index")
+
+
+def spy_products(monkeypatch):
+    """The `atoms` shapes of every `_products` call that `query` makes."""
+    shapes = []
+
+    def spy(y, atoms):
+        shapes.append(atoms.shape)
+        return coding._products(y, atoms)
+
+    monkeypatch.setattr(index_module, "_products", spy)
+    return shapes
+
+
+def without_view(idx):
+    idx.__dict__["_view"] = None
+    return idx
+
+
+@pytest.mark.parametrize("strategy", [corpora(), corpora(max_dimension=48)], ids=["12-dims", "48-dims"])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("dense", [True, False])
+def test_corpora_reach_both_scoring_paths(strategy, weighted, dense):
+    def takes(corpus):
+        idx = build_index(*corpus[:2])
+        return ((apply_idf(idx) if weighted else idx)._view is not None) == dense
+
+    find(strategy, takes, settings=settings(database=None, derandomize=True, max_examples=1000))
+
+
+@SETTINGS
+@given(
+    corpus=st.one_of(corpora(), corpora(max_dimension=48)),
+    weighted=st.booleans(),
+    top_k=st.one_of(st.none(), st.integers(0, 5)),
+    self_exclude=st.booleans(),
+)
+def test_either_path_matches_oracle_bitwise(corpus, weighted, top_k, self_exclude):
+    dimension, docs, queries = corpus
+    idx, sparse = build_index(dimension, docs), without_view(build_index(dimension, docs))
+    if weighted:
+        idx, sparse = apply_idf(idx), without_view(apply_idf(sparse))
+    oracle = oracles.dict_index_of(idx)
+    for q in queries:
+        want = oracles.index_query(oracle, q, top_k, self_exclude)
+        for got in (query(idx, q, top_k, self_exclude), query(sparse, q, top_k, self_exclude)):
+            assert [i for i, _ in got] == [i for i, _ in want]
+            assert score_bits(got) == score_bits(want)
+
+
+def textures(density, seed=31):
+    """600 bag-of-features-like documents over 256 dimensions, each holding
+    a dimension with probability `density`; a few are empty."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for n in range(600):
+        dims = np.flatnonzero(rng.uniform(size=256) < (density if n % 97 else 0.0))
+        values = l2_normalize(rng.exponential(size=dims.size))
+        docs.append(ImageDescriptor(f"img-{rng.integers(10**6):06d}-{n}", 256, dims, values))
+    return docs
+
+
+@pytest.mark.parametrize("density, dense", [(0.5, True), (0.06, False)])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_large_corpus_matches_oracle_on_its_path(monkeypatch, density, dense, weighted):
+    docs = textures(density)
+    idx = build_index(256, docs)
+    idx = apply_idf(idx) if weighted else idx
+    assert (idx._view is not None) == dense
+    oracle = oracles.dict_index_of(idx)
+    shapes = spy_products(monkeypatch)
+    queries = docs[::40] + textures(density, seed=32)[:5]
+    for q in queries:
+        got = query(idx, q, 10, self_exclude=True)
+        want = oracles.index_query(oracle, q, 10, self_exclude=True)
+        assert [i for i, _ in got] == [i for i, _ in want]
+        assert score_bits(got) == score_bits(want)
+    assert len(shapes) == (len(queries) if dense else 0)
+    assert all(docs_axis == 600 for _, docs_axis in shapes)
+
+
+@pytest.mark.parametrize("density", [0.5, 0.06])
+def test_view_allocates_at_most_the_postings_bytes(density):
+    idx = apply_idf(build_index(256, textures(density)))
+    postings = idx.dims.nbytes + idx.docs.nbytes + idx.values.nbytes
+    tracemalloc.start()
+    try:
+        view = idx._view
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= postings
+    if view is not None:
+        assert sum(part.nbytes for part in view) <= postings
+
+
+def unit(image_id, dimension, pairs):
+    dims, values = zip(*pairs)
+    return ImageDescriptor(image_id, dimension, np.array(dims), l2_normalize(np.array(values)))
+
+
+class TestDenseViewEdges:
+    """Indexes that take the view, each scored as the oracle and the
+    `bincount` path score it."""
+
+    def check(self, monkeypatch, idx, q, self_exclude=False):
+        """The ranking, after checking that the view scored it bit for bit
+        as the oracle and the `bincount` path do."""
+        assert idx._view is not None
+        sparse = without_view(copy.copy(idx))
+        shapes = spy_products(monkeypatch)
+        got = query(idx, q, None, self_exclude)
+        assert shapes == [(shapes[0][0], idx.doc_count)]
+        want = oracles.index_query(oracles.dict_index_of(idx), q, None, self_exclude)
+        for other in (want, query(sparse, q, None, self_exclude)):
+            assert [i for i, _ in got] == [i for i, _ in other]
+            assert score_bits(got) == score_bits(other)
+        return got
+
+    def test_one_document_takes_the_single_atom_pad(self, monkeypatch):
+        idx = build_index(6, [unit("a", 6, [(1, 0.3), (4, -0.7)])])
+        got = self.check(monkeypatch, idx, unit("q", 6, [(0, 1.0), (4, 0.2), (5, 0.1)]))
+        assert [i for i, _ in got] == ["a"]
+
+    def test_index_of_empty_documents_ranks_nothing(self, monkeypatch):
+        idx = build_index(5, [ImageDescriptor(i, 5, [], []) for i in "abc"])
+        assert idx._view[1].shape == (0, 3)
+        assert self.check(monkeypatch, idx, unit("q", 5, [(2, 1.0)])) == []
+
+    def test_query_with_no_row_in_the_index_ranks_nothing(self, monkeypatch):
+        idx = build_index(9, [unit("a", 9, [(2, 1.0), (3, 1.0)]), unit("b", 9, [(3, 1.0)])])
+        q = unit("q", 9, [(0, 0.5), (4, 0.5), (8, 0.5)])
+        assert self.check(monkeypatch, idx, q) == []
+
+    def test_zero_valued_postings_are_candidates(self, monkeypatch, tmp_path):
+        path = tmp_path / "zeros.hmpi"
+        blocks = {1: [(0, 0.0), (1, -0.0), (2, 0.6)], 3: [(1, -0.0), (2, 0.8)]}
+        path.write_bytes(index_bytes(4, ["a", "b", "c"], blocks))
+        idx = load_index(path)
+        got = self.check(monkeypatch, idx, unit("q", 4, [(1, -0.6), (3, 0.8)]))
+        assert [i for i, _ in got] == ["c", "a", "b"]
+        assert score_bits(got[1:]) == score_bits([("a", 0.0), ("b", 0.0)])
+
+    def test_self_exclusion_with_ties(self, monkeypatch):
+        pairs = [(0, 0.5), (2, -0.25), (3, 1.0)]
+        docs = [unit(i, 4, pairs) for i in ("m", "b", "z", "a")] + [unit("c", 4, [(2, 1.0)])]
+        idx = build_index(4, docs)
+        got = self.check(monkeypatch, idx, docs[0], self_exclude=True)
+        assert [i for i, _ in got] == ["a", "b", "z", "c"]
+        assert len(set(score_bits(got[:3]))) == 1
