@@ -5,11 +5,12 @@ postings: parallel `dims`, `docs` and `values` arrays, one entry per
 posting, sorted by dimension and then by document. Documents are numbered
 in ascending id order (`docs` are positions in `ids`), so the posting list
 of dimension d is the run of entries where `dims == d`. Memory follows the
-postings, whatever dimension the index claims; an index at least 3/8 dense
-also keeps a dense rows x documents view of them, built on the first query,
-as 9 bytes a cell then take at most the 24 of a posting. A query scores it
-by `coding._products` over its dimensions' rows, and a sparser index by
-adding up the runs of its dimensions, found by binary search. Both sum each
+postings, whatever dimension the index claims. From its first query an
+index also keeps a dense rows x documents view of them if that takes no
+more bytes than the postings arrays: 9 a cell and its list of rows against
+24 a posting, about 3/8 density and above. A query scores it by
+`coding._products` over its dimensions' rows, and a sparser index by adding
+up the runs of its dimensions, found by binary search. Both sum each
 document's products from zero by ascending dimension, and a cell with no
 posting adds a zero that leaves the sum as it is, so both give the same
 bits; as descriptors are unit vectors, the sums are cosines.
@@ -67,13 +68,16 @@ class InvertedIndex:
     def _view(self):
         """`(rows, values, present)`: the dimensions with postings, then a
         sentinel, and rows x documents matrices of the posting values and of
-        where postings are; None where they would outweigh the postings."""
+        where postings are; None where they would outweigh the postings. No
+        step of building it holds more bytes than the postings arrays."""
         new = np.diff(self.dims, prepend=-1) != 0  # np.unique would import numpy.ma
         rows = np.append(self.dims[new], self.dimension)
-        if 9 * (rows.size - 1) * self.doc_count > 24 * self.dims.size:
+        postings = self.dims.nbytes + self.docs.nbytes + self.values.nbytes
+        if (rows.size - 1) * (8 + 9 * self.doc_count) > postings:  # 8 a row, 9 a cell
             return None
         present = np.zeros((rows.size - 1, self.doc_count), dtype=bool)
         present[np.cumsum(new) - 1, self.docs] = True
+        del new
         values = np.zeros(present.shape)
         values[present] = self.values  # row-major order is the postings' order
         return rows, values, present

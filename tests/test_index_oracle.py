@@ -4,8 +4,8 @@ Corpora have ids in random order, exact duplicate documents (tied scores),
 documents with no nonzeros, and queries on dimensions no document has.
 Without IDF the two agree bit for bit; IDF renormalizes documents with a
 sum in another order, so scores there agree within 1e-12, and bit for bit
-against an oracle holding the weighted postings. `query` scores an index at
-least 3/8 dense on its dense view through `index._products`, and a sparser
+against an oracle holding the weighted postings. `query` scores an index
+about 3/8 dense or more on its dense view through `index._products`, and a sparser
 one by `bincount` over its postings; `_view` set to None sends an index down
 the `bincount` path instead, and both paths must give the oracle's bits.
 """
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from hmpsearch import (
     ImageDescriptor,
+    InvertedIndex,
     apply_idf,
     build_index,
     coding,
@@ -209,9 +210,31 @@ def test_large_corpus_matches_oracle_on_its_path(monkeypatch, density, dense, we
     assert all(docs_axis == 600 for _, docs_axis in shapes)
 
 
-@pytest.mark.parametrize("density", [0.5, 0.06])
-def test_view_allocates_at_most_the_postings_bytes(density):
-    idx = apply_idf(build_index(256, textures(density)))
+def at_the_rule(margin, rows=256, docs=600):
+    """An index whose view would take `margin` postings fewer than the
+    postings arrays' bytes (24 a posting): about 3/8 dense, every row held."""
+    view_bytes = 8 * rows + 9 * rows * docs
+    count = view_bytes // 24 + margin
+    rng = np.random.default_rng(38)
+    firsts = np.arange(rows) * docs
+    others = np.setdiff1d(np.arange(rows * docs), firsts)
+    cells = np.concatenate([firsts, rng.choice(others, count - rows, replace=False)])
+    ids = [f"d{n:04d}" for n in range(docs)]
+    return InvertedIndex(rows, ids, cells // docs, cells % docs, rng.uniform(size=count))
+
+
+@pytest.mark.parametrize(
+    "make, dense",
+    [
+        (lambda: apply_idf(build_index(256, textures(0.5))), True),
+        (lambda: apply_idf(build_index(256, textures(0.06))), False),
+        (lambda: at_the_rule(300), True),
+        (lambda: at_the_rule(-300), False),
+    ],
+    ids=["50%", "6%", "just-above-3/8", "just-below-3/8"],
+)
+def test_view_allocates_at_most_the_postings_bytes(make, dense):
+    idx = make()
     postings = idx.dims.nbytes + idx.docs.nbytes + idx.values.nbytes
     tracemalloc.start()
     try:
@@ -220,6 +243,7 @@ def test_view_allocates_at_most_the_postings_bytes(density):
     finally:
         tracemalloc.stop()
     assert peak <= postings
+    assert (view is not None) == dense
     if view is not None:
         assert sum(part.nbytes for part in view) <= postings
 
