@@ -5,14 +5,13 @@ postings: parallel `dims`, `docs` and `values` arrays, one entry per
 posting, sorted by dimension and then by document. Documents are numbered
 in ascending id order (`docs` are positions in `ids`), so the posting list
 of dimension d is the run of entries where `dims == d`. Memory follows the
-postings, whatever dimension the index claims. From its first query an
-index also keeps a dense rows x documents view of them if that takes no
-more bytes than the postings arrays: 9 a cell and its list of rows against
-24 a posting, about 3/8 density and above. A query scores it by
-`coding._products` over its dimensions' rows, and a sparser index by adding
+postings, whatever dimension the index claims; from its first query an
+index about 3/8 dense or more also keeps a rows x documents view of them,
+as 8 bytes a row and 9 a cell then take at most the 24 of a posting. A
+query scores the view by `coding._products`, and a sparser index by adding
 up the runs of its dimensions, found by binary search. Both sum each
-document's products from zero by ascending dimension, and a cell with no
-posting adds a zero that leaves the sum as it is, so both give the same
+document's products from zero by ascending dimension, a cell with no
+posting adding a zero that leaves the sum as it is, so both give the same
 bits; as descriptors are unit vectors, the sums are cosines.
 `exhaustive_scan` is the brute-force counterpart that scores every stored
 document; on any corpus where each document shares at least one dimension
@@ -66,10 +65,10 @@ class InvertedIndex:
 
     @functools.cached_property
     def _view(self):
-        """`(rows, values, present)`: the dimensions with postings, then a
-        sentinel, and rows x documents matrices of the posting values and of
-        where postings are; None where they would outweigh the postings. No
-        step of building it holds more bytes than the postings arrays."""
+        """`(rows, values, present)`: the dimensions with postings and a
+        sentinel, then rows x documents matrices of the posting values and of
+        where postings are; None where they would outweigh the postings,
+        whose bytes no step of building them exceeds."""
         new = np.diff(self.dims, prepend=-1) != 0  # np.unique would import numpy.ma
         rows = np.append(self.dims[new], self.dimension)
         postings = self.dims.nbytes + self.docs.nbytes + self.values.nbytes
