@@ -46,7 +46,7 @@ from .encoder import (
 )
 from .errors import ConfigError, DecodeError, HmpError, ImageTooSmallError, InvalidInputError
 from .evaluation import evaluate, load_ground_truth, write_report
-from .files import read_bytes, read_config, write_file
+from .files import config_int, read_bytes, read_config, write_file
 from .images import IntensityImage, load_image, read_manifest, resize_max_side
 from .index import apply_idf, build_index, load_index, query, save_index
 
@@ -77,15 +77,15 @@ _RUN_MINIMUMS = dict(seed=0, train_iterations=1, sample_cap=1, resize_max_side=0
 
 
 def load_run_config(path) -> RunConfig:
-    """Read the [run] section; `%` in a value is literal, and a number below
-    its minimum is a ConfigError naming the file."""
+    """Read the [run] section; `%` in a value is literal, and a non-integer
+    or a number below its minimum is a ConfigError naming the file and key."""
     keys = {field.name for field in fields(RunConfig)} - {"baseline"}
     with read_config(path, "run config", {"run": keys}) as parser:
         if not parser.has_section("run"):
             raise ConfigError("missing [run] section")
         section = parser["run"]
         cfg = RunConfig(**{
-            key: section.getint(key) if key in _RUN_MINIMUMS else section[key]
+            key: config_int("run", key, section[key]) if key in _RUN_MINIMUMS else section[key]
             for key in keys if key in section
         })
         base = os.path.dirname(os.path.abspath(path))

@@ -235,9 +235,9 @@ def vq_encode_batch(dictionary: Dictionary, signals: np.ndarray) -> np.ndarray:
     The nearest unit-norm atom is the one of largest correlation with the
     signal, as `_products`, the ordered sum OMP reads, computes it; ties
     break toward the lowest atom index, so a zero signal takes atom 0. One
-    BLAS product screens the atoms and only rows left with more than one
-    candidate are read from `_products`, so the result is its argmax bit
-    for bit, whatever the batch or the number of BLAS threads.
+    BLAS product screens the atoms by two argmax passes, and only rows whose
+    runner-up is within rounding of the maximum are read from `_products`,
+    so the result is its argmax bit for bit, whatever the batch or threads.
     """
     y = _check_signals(dictionary, signals)
     # The BLAS and ordered products both lie within D eps/2 sum_d |y_d a_dk|
@@ -246,15 +246,17 @@ def vq_encode_batch(dictionary: Dictionary, signals: np.ndarray) -> np.ndarray:
     # unit atoms have |a_dk| <= 1 + 1e-9, so the ordered winner scores
     # within tol of the product's row maximum. 1e-300 covers underflow; the
     # ell1 norm does not underflow where the squared ell2 norm would. A row
-    # that could overflow gets a NaN threshold: every atom is a candidate.
+    # that could overflow gets a NaN threshold; any other has one candidate,
+    # its first maximum, unless its runner-up (-inf for K = 1) is within tol.
     with np.errstate(over="ignore", invalid="ignore"):
         approx = y @ dictionary.atoms
         l1 = np.sum(np.abs(y), axis=1)
         tol = 4 * y.shape[1] * np.finfo(np.float64).eps * l1 + 1e-300
-        threshold = np.where(l1 < 1e307, np.max(approx, axis=1) - tol, np.nan)
-        candidates = ~(approx < threshold[:, None])
-        nearest = np.argmax(candidates, axis=1)
-        ties = np.flatnonzero(np.count_nonzero(candidates, axis=1) > 1)
+        rows = np.arange(y.shape[0])
+        nearest = np.argmax(approx, axis=1)
+        threshold = np.where(l1 < 1e307, approx[rows, nearest] - tol, np.nan)
+        approx[rows, nearest] = -np.inf
+        ties = np.flatnonzero(~(approx[rows, np.argmax(approx, axis=1)] < threshold))
         if ties.size:  # the exact maximum and every atom tied with it are candidates
             nearest[ties] = np.argmax(_products(y[ties], dictionary.atoms), axis=1)
     return nearest

@@ -38,7 +38,7 @@ import numpy as np
 
 from .coding import UNIT_NORM_TOL, Dictionary, l2_normalize, omp_encode_batch, vq_encode_batch
 from .errors import ConfigError, ImageTooSmallError, InvalidInputError
-from .files import read_config, read_container, write_container
+from .files import config_int, read_config, read_container, write_container
 from .images import FeatureGrid, IntensityImage, extract_patches, unit_cells
 
 _DESC_MAGIC = b"HMPV"
@@ -382,14 +382,15 @@ def _layer_from_section(section, depth: int, total: int) -> LayerConfig:
         unit_size=DEFAULT_UNIT_SIZES[min(depth, len(DEFAULT_UNIT_SIZES)) - 1],
         cell_grid=DEFAULT_CELL_GRIDS[min(depth, len(DEFAULT_CELL_GRIDS)) - 1],
     )
-    values.update((f.name, section.getint(f.name)) for f in fields(LayerConfig) if f.name in section)
+    given = [f.name for f in fields(LayerConfig) if f.name in section]
+    values.update((key, config_int(section.name, key, section[key])) for key in given)
     return LayerConfig(**values)
 
 
 def load_architecture(path) -> ArchitectureConfig:
     """Read a layered architecture from a key/value config file with one
     [layerN] section per layer and an optional [pyramid] section; any bad
-    value, a non-number included, is a ConfigError naming the file."""
+    value is a ConfigError naming the file, and a non-integer its key too."""
     with read_config(path, "architecture config", _ARCH_READERS) as parser:
         found = [name for name in parser.sections() if re.fullmatch(_LAYER_SECTION, name)]
         layer_names = [f"layer{i}" for i in range(1, len(found) + 1)]
@@ -398,19 +399,18 @@ def load_architecture(path) -> ArchitectureConfig:
         if set(found) != set(layer_names):
             raise ConfigError(f"layer sections must be consecutive starting at [layer1], got {found}")
         text = parser.get("pyramid", "grids", fallback="1")
-        pyramid = [int(tok) for tok in text.replace(",", " ").split()]
+        pyramid = [config_int("pyramid", "grids", tok) for tok in text.replace(",", " ").split()]
         layers = [
             _layer_from_section(parser[name], depth, len(layer_names))
             for depth, name in enumerate(layer_names, start=1)
         ]
         for name in layer_names[1:]:
             for key in _PATCH_KEYS:
-                if parser[name].getint(key, 1) != 1:
+                if config_int(name, key, parser[name].get(key, "1")) != 1:
                     raise ConfigError(f"[{name}] {key} must be 1: only layer 1 cuts patches")
         first = parser["layer1"]
-        arch = ArchitectureConfig(
-            layers, pyramid, **{key: first.getint(key) for key in _PATCH_KEYS if key in first}
-        )
+        patch = {key: config_int("layer1", key, first[key]) for key in _PATCH_KEYS if key in first}
+        arch = ArchitectureConfig(layers, pyramid, **patch)
     final = layer_names[-1]
     for key in ("unit_size", "cell_grid"):
         if key in parser[final] and key not in parser.defaults():

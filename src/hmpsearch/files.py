@@ -135,3 +135,12 @@ def read_config(path, what: str, readers: dict[str, set[str]]):
         yield parser
     except (ConfigError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def config_int(section: str, key: str, text: str) -> int:
+    """`text`, read from `[section] key`, as an integer; a ConfigError
+    naming the section and key if it is not one."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key}: {text!r} is not an integer") from None

@@ -173,10 +173,9 @@ def extract_patches(img: IntensityImage, patch_size: int, stride: int = 1) -> Fe
     flat = windows.reshape(rows * cols, patch_size * patch_size)
     flat = flat - flat.mean(axis=1, keepdims=True)
     half = (patch_size - 1) / 2.0
-    rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-    centers = np.stack(
-        [rr.ravel() * stride + half, cc.ravel() * stride + half], axis=1
-    ).astype(np.float64)
+    centers = np.empty((rows * cols, 2))
+    centers[:, 0] = np.repeat(np.arange(rows) * stride + half, cols)
+    centers[:, 1] = np.tile(np.arange(cols) * stride + half, rows)
     return FeatureGrid(centers, flat, (img.height, img.width))
 
 

@@ -120,6 +120,12 @@ def query(
     ties broken by ascending image id. With `self_exclude`, a stored
     document whose id equals the query's is dropped.
     """
+    ranked, scores = _rank(idx, q, top_k, self_exclude)
+    return [(idx.ids[n], score) for n, score in zip(ranked.tolist(), scores.tolist())]
+
+
+def _rank(idx: InvertedIndex, q: ImageDescriptor, top_k, self_exclude: bool):
+    """`query`'s ranking as positions in `idx.ids` and their scores."""
     if q.length != idx.dimension:
         raise InvalidInputError(
             f"query length {q.length} does not match index dimension {idx.dimension}"
@@ -149,7 +155,7 @@ def query(
     if self_exclude and idx.ids[n : n + 1] == [q.image_id]:
         ranked = ranked[ranked != n]
     ranked = ranked[: None if top_k is None else max(int(top_k), 0)]
-    return [(idx.ids[n], score) for n, score in zip(ranked.tolist(), scores[ranked].tolist())]
+    return ranked, scores[ranked]
 
 
 def exhaustive_scan(

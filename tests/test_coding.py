@@ -722,6 +722,43 @@ def test_vq_screen_sends_only_near_ties_to_the_loop(monkeypatch):
     assert len(rows) == 2 and rows[1].tobytes() == np.ascontiguousarray(huge.T).tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), single=st.booleans())
+def test_vq_screen_loops_over_exactly_the_rows_with_several_candidates(seed, single):
+    # the candidates by the full-matrix rule, an atom within tol of the row
+    # maximum of the BLAS product, against the rows vq_encode_batch settles
+    # by its two argmax passes
+    rng = np.random.default_rng(seed)
+    dim, size, count = int(rng.integers(1, 26)), 1 if single else int(rng.integers(2, 41)), 40
+    d = with_duplicates(rng, random_dictionary(rng, dim, size))
+    i, j = rng.integers(0, size, (2, count))
+    kind = rng.integers(0, 4, count)
+    signals = rng.standard_normal((dim, count))
+    signals[:, kind == 1] = d.atoms[:, i[kind == 1]]
+    signals[:, kind == 2] = (d.atoms[:, i] + d.atoms[:, j])[:, kind == 2]
+    signals[:, kind == 3] = 0.0
+    signals[:, rng.uniform(size=count) < 0.2] *= 10.0 ** rng.uniform(305.5, 307)
+    y = np.ascontiguousarray(signals.T)
+    with np.errstate(all="ignore"):
+        approx = y @ d.atoms
+        l1 = np.sum(np.abs(y), axis=1)
+        tol = 4 * dim * np.finfo(np.float64).eps * l1 + 1e-300
+        several = np.count_nonzero(approx >= (np.max(approx, axis=1) - tol)[:, None], axis=1) > 1
+    want = np.flatnonzero(several | (l1 >= 1e307))
+    rows, products = [], coding._products
+
+    def spy(y, atoms):
+        rows.append(y.copy())
+        return products(y, atoms)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coding, "_products", spy)
+        got = vq_encode_batch(d, signals)
+    assert [r.tobytes() for r in rows] == ([y[want].tobytes()] if want.size else [])
+    with np.errstate(all="ignore"):
+        assert got.tobytes() == vq_exact(d, signals).tobytes()
+
+
 def test_vq_overflowing_ties_raise_no_warning():
     # finite columns whose correlations overflow: every atom stays a
     # candidate, and the exact products run under the screen's errstate

@@ -489,6 +489,10 @@ class TestDescriptorFile:
             load_descriptor(path)
 
 
+# every integer key of a [layerN] section
+LAYER_INTEGERS = ("codebook_size", "sparsity", "unit_size", "cell_grid", "patch_size", "stride")
+
+
 class TestArchitectureFile:
     def test_parse_two_layers(self, tmp_path):
         cfg = tmp_path / "arch.cfg"
@@ -586,6 +590,21 @@ class TestArchitectureFile:
         with pytest.raises(ConfigError) as err:
             load_architecture(cfg)
         assert str(cfg) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [(name, key) for name in ("layer1", "layer2") for key in LAYER_INTEGERS] + [("pyramid", "grids")],
+    )
+    def test_non_integer_names_file_section_and_key(self, tmp_path, section, key):
+        sections = {"layer1": {"codebook_size": "8"}, "layer2": {"codebook_size": "8"}, "pyramid": {}}
+        sections[section][key] = "1 x3" if key == "grids" else "2.5"
+        cfg = tmp_path / "arch.cfg"
+        lines = [[f"[{name}]"] + [f"{k} = {v}" for k, v in keys.items()] for name, keys in sections.items()]
+        cfg.write_text("\n".join(sum(lines, [])) + "\n")
+        with pytest.raises(ConfigError) as err:
+            load_architecture(cfg)
+        bad = "x3" if key == "grids" else "2.5"
+        assert str(err.value) == f"{cfg}: [{section}] {key}: {bad!r} is not an integer"
 
     def test_layer_beyond_the_last_is_an_error_not_ignored(self, tmp_path, caplog):
         cfg = tmp_path / "arch.cfg"

@@ -1,20 +1,27 @@
 """Metric tests: average precision against hand computations, mAP plumbing."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmpsearch import (
     ImageDescriptor,
     InvalidInputError,
     MissingQueryError,
+    apply_idf,
     average_precision,
     build_index,
     evaluate,
     exhaustive_scan,
     l2_normalize,
     load_ground_truth,
+    query,
     write_report,
 )
+from test_index_oracle import corpora, without_view
 
 
 def unit_descriptor(image_id, length, pairs):
@@ -147,6 +154,35 @@ class TestEvaluate:
             ranked = exhaustive_scan(list(docs.values()), docs[qid], None, True)
             total += average_precision([image_id for image_id, _ in ranked], gt[qid])
         assert evaluate(idx, docs, gt).mean_ap == total / len(gt)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    corpus=st.one_of(corpora(), corpora(max_dimension=48)),
+    weighted=st.booleans(),
+    view=st.booleans(),
+    data=st.data(),
+)
+def test_each_ap_is_average_precision_of_the_query_ranking_bitwise(corpus, weighted, view, data):
+    # corpora reach both sides of the dense-view rule, and `view` off sends
+    # a dense index down the bincount path too; relevant ids may be missing
+    # from the index, and queries may be unindexed or share no dimension
+    dimension, docs, queries = corpus
+    idx = build_index(dimension, docs)
+    idx = apply_idf(idx) if weighted else idx
+    idx = idx if view else without_view(idx)
+    queries = queries + [
+        ImageDescriptor("~unindexed", dimension, docs[0].indices, docs[0].values),
+        ImageDescriptor("~empty", dimension, [], []),
+    ]
+    descriptors = {q.image_id: q for q in queries}
+    pool = [doc.image_id for doc in docs] + ["~absent", "~missing"]
+    gt = {qid: set(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))) for qid in descriptors}
+    report = evaluate(idx, descriptors, gt)
+    assert [qid for qid, _, _ in report.per_query] == sorted(gt)
+    for qid, ap, _ in report.per_query:
+        ranked = [image_id for image_id, _ in query(idx, descriptors[qid], None, True)]
+        assert struct.pack("<d", ap) == struct.pack("<d", average_precision(ranked, gt[qid]))
 
 
 class TestGroundTruthFile:

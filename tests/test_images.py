@@ -6,6 +6,8 @@ import types
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmpsearch import (
     DecodeError,
@@ -220,6 +222,23 @@ class TestExtractPatches:
         grid = extract_patches(img, 5, 1)
         npt.assert_allclose(grid.centers[0], [2.0, 2.0])
         npt.assert_allclose(grid.centers[-1], [3.0, 3.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        height=st.integers(1, 40),
+        width=st.integers(1, 40),
+        patch=st.integers(1, 40),
+        stride=st.integers(1, 9),
+    )
+    def test_centers_equal_the_meshgrid_formula(self, height, width, patch, stride):
+        patch = min(patch, height, width)
+        grid = extract_patches(IntensityImage(np.full((height, width), 0.5)), patch, stride)
+        rows, cols = (height - patch) // stride + 1, (width - patch) // stride + 1
+        half = (patch - 1) / 2.0
+        rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
+        want = np.stack([rr.ravel() * stride + half, cc.ravel() * stride + half], axis=1)
+        assert grid.centers.dtype == np.float64 and grid.centers.shape == (rows * cols, 2)
+        assert grid.centers.tobytes() == want.astype(np.float64).tobytes()
 
     def test_patch_size_below_one_rejected(self):
         img = IntensityImage(np.full((4, 4), 0.5))
