@@ -13,8 +13,9 @@ decoding any image or the index, so a stale one ends the stage naming its
 file. The run file is the one source of every run setting, the seed included.
 `--baseline`, given to every stage, codes with the one-layer
 `encoder.baseline_architecture`; `build-index --idf` weights the index.
-HMPSEARCH_LOG sets the root logger's level (default warning); every record
-hmpsearch logs is a warning, so `error` hides them all.
+HMPSEARCH_LOG sets the root logger's level (default warning, also for a
+value that names no level); every record hmpsearch logs is a warning, so
+`error` hides them all.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ _RUN_MINIMUMS = dict(seed=0, train_iterations=1, sample_cap=1, resize_max_side=0
 
 def load_run_config(path) -> RunConfig:
     """Read the [run] section; `%` in a value is literal, and a non-integer
-    or a number below its minimum is a ConfigError naming the file and key."""
+    or a number below its minimum is a ConfigError naming the file, section
+    and key."""
     keys = {field.name for field in fields(RunConfig)} - {"baseline"}
     with read_config(path, "run config", {"run": keys}) as parser:
         if not parser.has_section("run"):
@@ -98,7 +100,7 @@ def load_run_config(path) -> RunConfig:
         for key, low in _RUN_MINIMUMS.items():
             value = getattr(cfg, key)
             if value < low:
-                raise ConfigError(f"{key} must be >= {low}, got {value}")
+                raise ConfigError(f"[run] {key} must be >= {low}, got {value}")
     return cfg
 
 
@@ -331,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("HMPSEARCH_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = getattr(logging, os.environ.get("HMPSEARCH_LOG", "warning").upper(), None)
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
     args = build_parser().parse_args(argv)
     try:
         cfg = replace(load_run_config(args.config), baseline=args.baseline)

@@ -90,7 +90,8 @@ class LayerConfig:
 class ArchitectureConfig:
     """Ordered coding layers, the whole-image pyramid grids, and how layer 1
     cuts its `patch_size` patches every `stride` pixels; each higher layer
-    codes the pooled features of the layer below, one at a time."""
+    codes the pooled features of the layer below, one at a time. An error
+    about one value names its architecture-file section and key."""
 
     layers: list[LayerConfig]
     pyramid: list[int] = field(default_factory=lambda: [1])
@@ -101,19 +102,20 @@ class ArchitectureConfig:
         if not 1 <= len(self.layers) <= MAX_LAYERS:
             raise InvalidInputError(f"expected 1 to {MAX_LAYERS} layers, got {len(self.layers)}")
         if not self.pyramid:
-            raise InvalidInputError("pyramid must not be empty")
+            raise InvalidInputError("[pyramid] grids must not be empty")
         if len(set(self.pyramid)) != len(self.pyramid) or any(
             g not in (1, 2, 3) for g in self.pyramid
         ):
             raise InvalidInputError(
-                f"pyramid grids must be distinct values from {{1, 2, 3}}, got {self.pyramid}"
+                f"[pyramid] grids must be distinct values from {{1, 2, 3}}, got {self.pyramid}"
             )
         if self.patch_size < 1 or self.stride < 1:
-            raise InvalidInputError("patch_size and stride must be >= 1")
-        for layer in self.layers[:-1]:
+            raise InvalidInputError("[layer1] patch_size and stride must be >= 1")
+        for depth, layer in enumerate(self.layers[:-1], start=1):
             if layer.unit_size % layer.cell_grid != 0:
                 raise InvalidInputError(
-                    f"unit_size {layer.unit_size} is not divisible by cell_grid {layer.cell_grid}"
+                    f"[layer{depth}] unit_size {layer.unit_size} is not divisible by "
+                    f"cell_grid {layer.cell_grid}"
                 )
 
     @property
@@ -376,7 +378,7 @@ _ARCH_READERS = {
 
 def _layer_from_section(section, depth: int, total: int) -> LayerConfig:
     if "codebook_size" not in section:
-        raise ConfigError(f"layer {depth}: codebook_size is required")
+        raise ConfigError(f"[{section.name}] codebook_size is required")
     values = dict(
         sparsity=DEFAULT_FINAL_SPARSITY if depth == total else DEFAULT_HIDDEN_SPARSITY,
         unit_size=DEFAULT_UNIT_SIZES[min(depth, len(DEFAULT_UNIT_SIZES)) - 1],
@@ -384,13 +386,17 @@ def _layer_from_section(section, depth: int, total: int) -> LayerConfig:
     )
     given = [f.name for f in fields(LayerConfig) if f.name in section]
     values.update((key, config_int(section.name, key, section[key])) for key in given)
-    return LayerConfig(**values)
+    try:
+        return LayerConfig(**values)
+    except InvalidInputError as exc:
+        raise ConfigError(f"[{section.name}] {exc}") from None
 
 
 def load_architecture(path) -> ArchitectureConfig:
     """Read a layered architecture from a key/value config file with one
     [layerN] section per layer and an optional [pyramid] section; any bad
-    value is a ConfigError naming the file, and a non-integer its key too."""
+    value is a ConfigError naming the file, and a value that is not an
+    integer or is out of range its section and key too."""
     with read_config(path, "architecture config", _ARCH_READERS) as parser:
         found = [name for name in parser.sections() if re.fullmatch(_LAYER_SECTION, name)]
         layer_names = [f"layer{i}" for i in range(1, len(found) + 1)]

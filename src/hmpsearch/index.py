@@ -4,15 +4,17 @@ The index is an immutable dimensions x documents sparse matrix held as its
 postings: parallel `dims`, `docs` and `values` arrays, one entry per
 posting, sorted by dimension and then by document. Documents are numbered
 in ascending id order (`docs` are positions in `ids`), so the posting list
-of dimension d is the run of entries where `dims == d`. Memory follows the
-postings, whatever dimension the index claims; from its first query an
-index about 3/8 dense or more also keeps a rows x documents view of them,
-as 8 bytes a row and 9 a cell then take at most the 24 of a posting. A
-query scores the view by `coding._products`, and a sparser index by adding
-up the runs of its dimensions, found by binary search. Both sum each
-document's products from zero by ascending dimension, a cell with no
-posting adding a zero that leaves the sum as it is, so both give the same
-bits; as descriptors are unit vectors, the sums are cosines.
+of dimension d is the run of entries where `dims == d`. A row table names
+the runs: `rows`, the dimensions with postings, then `dimension` as a
+sentinel, and `starts`, where each run begins, then the posting count.
+Memory follows the postings, whatever dimension the index claims; from its
+first query an index about 3/8 dense or more also keeps a rows x documents
+view of them, as 8 bytes a row and 9 a cell then take at most the 24 of a
+posting. A query binary-searches `rows` for its dimensions, then scores the
+view by `coding._products`, or a sparser index by adding up the runs.
+Both sum each document's products from zero by ascending dimension, a cell
+with no posting adding a zero that leaves the sum as it is, so both give
+the same bits; as descriptors are unit vectors, the sums are cosines.
 `exhaustive_scan` is the brute-force counterpart that scores every stored
 document; on any corpus where each document shares at least one dimension
 with the query the two return identical rankings. An index file is an
@@ -56,8 +58,12 @@ class InvertedIndex:
         docs = np.argsort(order)[docs]  # the given ordinals, renumbered in id order
         order = np.lexsort((docs, entry_dims))
         self.dims, self.docs, self.values = entry_dims[order], docs[order], values[order]
-        if np.any((np.diff(self.dims) == 0) & (np.diff(self.docs) == 0)):
+        new = np.ones(self.dims.size, dtype=bool)  # where a dimension's postings begin
+        np.not_equal(self.dims[1:], self.dims[:-1], out=new[1:])
+        if np.any(~new[1:] & (self.docs[1:] == self.docs[:-1])):
             raise InvalidInputError("a posting list names a document twice")
+        self.starts = np.append(np.flatnonzero(new), self.dims.size)
+        self.rows = np.append(self.dims[self.starts[:-1]], self.dimension)
 
     @property
     def doc_count(self) -> int:
@@ -65,21 +71,18 @@ class InvertedIndex:
 
     @functools.cached_property
     def _view(self):
-        """`(rows, values, present)`: the dimensions with postings and a
-        sentinel, then rows x documents matrices of the posting values and of
-        where postings are; None where they would outweigh the postings,
-        whose bytes no step of building them exceeds."""
-        new = np.diff(self.dims, prepend=-1) != 0  # np.unique would import numpy.ma
-        rows = np.append(self.dims[new], self.dimension)
+        """`(values, present)`: rows x documents matrices of the posting values
+        and of where they are, row r holding dimension `rows[r]`; None where
+        they outweigh the postings, whose bytes no step of building exceeds."""
+        shape = (self.rows.size - 1, self.doc_count)
         postings = self.dims.nbytes + self.docs.nbytes + self.values.nbytes
-        if (rows.size - 1) * (8 + 9 * self.doc_count) > postings:  # 8 a row, 9 a cell
+        if shape[0] * (8 + 9 * shape[1]) > postings:  # 8 a row, 9 a cell
             return None
-        present = np.zeros((rows.size - 1, self.doc_count), dtype=bool)
-        present[np.cumsum(new) - 1, self.docs] = True
-        del new
-        values = np.zeros(present.shape)
+        present = np.zeros(shape, dtype=bool)
+        present[np.repeat(np.arange(shape[0]), np.diff(self.starts)), self.docs] = True
+        values = np.zeros(shape)
         values[present] = self.values  # row-major order is the postings' order
-        return rows, values, present
+        return values, present
 
 
 def build_index(dimension: int, descriptors) -> InvertedIndex:
@@ -98,14 +101,6 @@ def build_index(dimension: int, descriptors) -> InvertedIndex:
         np.repeat(np.arange(len(descriptors)), [desc.nnz for desc in descriptors]),
         np.concatenate([np.empty(0)] + [desc.values for desc in descriptors]),
     )
-
-
-def _ranked(scores: dict[str, float], top_k, exclude: str | None):
-    items = [(i, s) for i, s in scores.items() if i != exclude]
-    items.sort(key=lambda entry: (-entry[1], entry[0]))
-    if top_k is not None:
-        items = items[: max(int(top_k), 0)]
-    return items
 
 
 def query(
@@ -133,15 +128,16 @@ def _rank(idx: InvertedIndex, q: ImageDescriptor, top_k, self_exclude: bool):
     indices, values = q.indices, q.values
     if idx.idf is not None:  # weight the query as the stored documents were
         values = l2_normalize(values * idx.idf[indices])
+    at = np.searchsorted(idx.rows, indices)
+    held = idx.rows[at] == indices
+    at, values = at[held], values[held]
     if idx._view is not None:
-        rows, matrix, present = idx._view
-        at = np.searchsorted(rows, indices)
-        held = rows[at] == indices
-        scores = _products(values[held][None], matrix[at[held]])[0]
-        candidates = np.flatnonzero(present[at[held]].any(axis=0))
+        matrix, present = idx._view
+        scores = _products(values[None], matrix[at])[0]
+        candidates = np.flatnonzero(present[at].any(axis=0))
     else:
-        lo, hi = np.searchsorted(idx.dims, indices), np.searchsorted(idx.dims, indices, side="right")
-        lengths = hi - lo
+        lo = idx.starts[at]
+        lengths = idx.starts[at + 1] - lo
         take = np.arange(lengths.sum()) + np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
         docs = idx.docs[take]
         # bincount adds in input order from 0.0: each score sums by ascending dimension
@@ -175,7 +171,9 @@ def exhaustive_scan(
                 f"descriptor {desc.image_id!r} has length {desc.length}, query has {q.length}"
             )
         scores[desc.image_id] = float(q_dense[desc.indices] @ desc.values)
-    return _ranked(scores, top_k, q.image_id if self_exclude else None)
+    items = [(i, s) for i, s in scores.items() if not (self_exclude and i == q.image_id)]
+    items.sort(key=lambda entry: (-entry[1], entry[0]))
+    return items[: None if top_k is None else max(int(top_k), 0)]
 
 
 def apply_idf(idx: InvertedIndex) -> InvertedIndex:
@@ -190,9 +188,8 @@ def apply_idf(idx: InvertedIndex) -> InvertedIndex:
         raise InvalidInputError("cannot weight an empty index")
     if idx.idf is not None:
         raise InvalidInputError("the index is already IDF-weighted")
-    rows, df = np.unique(idx.dims, return_counts=True)
     weights = np.zeros(idx.dimension)
-    weights[rows] = [math.log(idx.doc_count / count) for count in df.tolist()]
+    weights[idx.rows[:-1]] = [math.log(idx.doc_count / df) for df in np.diff(idx.starts).tolist()]
     scaled = idx.values * weights[idx.dims]
     # each document's squared norm, summed in ascending dimension order
     norms = np.sqrt(np.bincount(idx.docs, weights=scaled * scaled, minlength=idx.doc_count))
@@ -212,10 +209,8 @@ def save_index(idx: InvertedIndex, path) -> None:
     for image_id in idx.ids:
         encoded = image_id.encode("utf-8")
         parts += [struct.pack("<I", len(encoded)), encoded]
-    rows, starts = np.unique(idx.dims, return_index=True)
-    bounds = starts.tolist() + [len(idx.dims)]
-    parts.append(struct.pack("<I", len(rows)))
-    for dim, lo, hi in zip(rows.tolist(), bounds, bounds[1:]):
+    parts.append(struct.pack("<I", idx.rows.size - 1))
+    for dim, lo, hi in zip(idx.rows.tolist(), idx.starts.tolist(), idx.starts[1:].tolist()):
         parts += [struct.pack("<II", dim, hi - lo), entries[lo:hi].tobytes()]
     parts.append(struct.pack("<B", idx.idf is not None))
     if idx.idf is not None:

@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline tests on a small synthetic corpus."""
 
+import logging
 import os
 import resource
 import struct
@@ -664,3 +665,14 @@ class TestOutputPaths:
         printed = capsys.readouterr().out.strip().splitlines()[-1]
         report = (tmp_path / "reports" / "run1" / "report.txt").read_text().splitlines()
         assert printed.startswith("mAP ") and report[-1] == printed
+
+
+@pytest.mark.parametrize("name", ["basic_format", "warnnig"])
+def test_log_setting_that_names_no_level_falls_back_to_warning(tmp_path, capsys, monkeypatch, name):
+    # logging.BASIC_FORMAT is a string: handed to basicConfig as a level it raised
+    monkeypatch.setenv("HMPSEARCH_LOG", name)
+    monkeypatch.setattr(logging.root, "handlers", [])  # so basicConfig applies the level
+    monkeypatch.setattr(logging.root, "level", logging.root.level)
+    assert main(["--config", str(tmp_path / "absent.cfg"), "train-dict"]) == 2
+    assert logging.root.level == logging.WARNING
+    assert "absent.cfg" in capsys.readouterr().err

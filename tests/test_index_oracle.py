@@ -8,6 +8,8 @@ against an oracle holding the weighted postings. `query` scores an index
 about 3/8 dense or more on its dense view through `index._products`, and a sparser
 one by `bincount` over its postings; `_view` set to None sends an index down
 the `bincount` path instead, and both paths must give the oracle's bits.
+The row table, which both paths, IDF weighting and the index file read,
+must name the runs of `dims` that `np.unique` finds.
 """
 
 import copy
@@ -126,6 +128,46 @@ def test_save_of_load_reproduces_file(tmp_path, corpus, weighted):
     save_index(idx, first)
     save_index(load_index(first), second)
     assert second.read_bytes() == first.read_bytes()
+
+
+def assert_row_table(idx):
+    """`rows` and `starts` name the runs of `dims`, each with its sentinel."""
+    rows, counts = np.unique(idx.dims, return_counts=True)
+    assert idx.rows.tolist() == rows.tolist() + [idx.dimension]
+    assert idx.starts[0] == 0 and idx.starts[-1] == idx.dims.size
+    assert np.diff(idx.starts).tolist() == counts.tolist()
+
+
+@SETTINGS
+@given(corpus=st.one_of(corpora(), corpora(max_dimension=48)))
+def test_row_table_names_the_runs_of_the_postings(tmp_path, corpus):
+    dimension, docs, _ = corpus
+    path = tmp_path / "table.hmpi"
+    built = build_index(dimension, docs)
+    for idx in (built, apply_idf(built)):
+        save_index(idx, path)
+        assert_row_table(idx)
+        assert_row_table(load_index(path))
+
+
+@pytest.mark.parametrize(
+    "make, ranked",
+    [
+        (lambda: build_index(7, []), []),
+        (lambda: build_index(7, [ImageDescriptor(i, 7, [], []) for i in "ab"]), []),
+        (lambda: apply_idf(build_index(7, [ImageDescriptor(i, 7, [3], [1.0]) for i in "ab"])), []),
+        (lambda: build_index(7, [ImageDescriptor("a", 7, [2, 6], [0.6, 0.8])]), [("a", 0.6 * 0.6)]),
+    ],
+    ids=["no-documents", "empty-documents", "weighted-to-nothing", "one-document"],
+)
+def test_row_table_of_small_indexes(tmp_path, make, ranked):
+    idx = make()
+    save_index(idx, tmp_path / "small.hmpi")
+    loaded = load_index(tmp_path / "small.hmpi")
+    q = ImageDescriptor("q", 7, [2, 3], [0.6, 0.8])
+    for index in (idx, loaded, without_view(copy.copy(loaded))):
+        assert_row_table(index)
+        assert query(index, q) == ranked
 
 
 index_module = importlib.import_module("hmpsearch.index")
