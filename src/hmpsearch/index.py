@@ -1,24 +1,25 @@
 """Inverted-file search over sparse descriptors.
 
-The index is an immutable dimensions x documents sparse matrix held as its
-postings: parallel `dims`, `docs` and `values` arrays, one entry per
-posting, sorted by dimension and then by document. Documents are numbered
-in ascending id order (`docs` are positions in `ids`), so the posting list
-of dimension d is the run of entries where `dims == d`. A row table names
-the runs: `rows`, the dimensions with postings, then `dimension` as a
-sentinel, and `starts`, where each run begins, then the posting count.
-Memory follows the postings, whatever dimension the index claims; from its
-first query an index about 3/8 dense or more also keeps a rows x documents
-view of them, as 8 bytes a row and 9 a cell then take at most the 24 of a
-posting. A query binary-searches `rows` for its dimensions, then scores the
-view by `coding._products`, or a sparser index by adding up the runs.
-Both sum each document's products from zero by ascending dimension, a cell
-with no posting adding a zero that leaves the sum as it is, so both give
-the same bits; as descriptors are unit vectors, the sums are cosines.
-`exhaustive_scan` is the brute-force counterpart that scores every stored
-document; on any corpus where each document shares at least one dimension
-with the query the two return identical rankings. An index file is an
-`HMPI` container of `hmpsearch.files`.
+The index is an immutable dimensions x documents sparse matrix in
+compressed sparse row form. Documents are numbered in ascending id order;
+`docs` and `values` hold the postings, one entry each, sorted by dimension
+and then by document (`docs` are positions in `ids`). A row table names
+each dimension's run of them: `rows`, the dimensions with postings, then
+`dimension` as a sentinel, and `starts`, where each run begins, then the
+posting count. Memory follows the postings, whatever dimension the index
+claims, except that an IDF-weighted index keeps one weight per dimension.
+From its first query an index about 3/8 dense or more also keeps a rows x
+documents view of them, as 8 bytes a row and 9 a cell then take at most 24
+a posting; the view scores a half-dense bag-of-features index three times
+as fast as adding up its runs does. A query binary-searches `rows` for its
+dimensions, then scores the view by `coding._products`, or a sparser index
+by adding up the runs. Both sum each document's products from zero by
+ascending dimension, a cell with no posting adding a zero that leaves the
+sum as it is, so both give the same bits; as descriptors are unit vectors,
+the sums are cosines. `exhaustive_scan` is the brute-force counterpart
+that scores every stored document by the same sums, so it gives `query`'s
+bits for every document that shares a dimension with the query, and 0 for
+any other. An index file is an `HMPI` container of `hmpsearch.files`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ _POSTING_DTYPE = np.dtype([("doc", "<u4"), ("value", "<f8")])
 
 
 class InvertedIndex:
-    """Posting lists over a fixed descriptor dimension, as arrays."""
+    """A dimensions x documents matrix in compressed sparse row form."""
 
     def __init__(self, dimension: int, ids: list[str], entry_dims, docs, values, idf=None):
         """Store postings given as parallel (dimension, position in `ids`,
@@ -57,13 +58,13 @@ class InvertedIndex:
             raise InvalidInputError("a posting has a dimension or doc ordinal out of range")
         docs = np.argsort(order)[docs]  # the given ordinals, renumbered in id order
         order = np.lexsort((docs, entry_dims))
-        self.dims, self.docs, self.values = entry_dims[order], docs[order], values[order]
-        new = np.ones(self.dims.size, dtype=bool)  # where a dimension's postings begin
-        np.not_equal(self.dims[1:], self.dims[:-1], out=new[1:])
+        dims, self.docs, self.values = entry_dims[order], docs[order], values[order]
+        new = np.ones(dims.size, dtype=bool)  # where a dimension's postings begin
+        np.not_equal(dims[1:], dims[:-1], out=new[1:])
         if np.any(~new[1:] & (self.docs[1:] == self.docs[:-1])):
             raise InvalidInputError("a posting list names a document twice")
-        self.starts = np.append(np.flatnonzero(new), self.dims.size)
-        self.rows = np.append(self.dims[self.starts[:-1]], self.dimension)
+        self.starts = np.append(np.flatnonzero(new), dims.size)
+        self.rows = np.append(dims[self.starts[:-1]], self.dimension)
 
     @property
     def doc_count(self) -> int:
@@ -73,10 +74,9 @@ class InvertedIndex:
     def _view(self):
         """`(values, present)`: rows x documents matrices of the posting values
         and of where they are, row r holding dimension `rows[r]`; None where
-        they outweigh the postings, whose bytes no step of building exceeds."""
+        they outweigh 24 bytes a posting, which no step of building exceeds."""
         shape = (self.rows.size - 1, self.doc_count)
-        postings = self.dims.nbytes + self.docs.nbytes + self.values.nbytes
-        if shape[0] * (8 + 9 * shape[1]) > postings:  # 8 a row, 9 a cell
+        if shape[0] * (8 + 9 * shape[1]) > 24 * self.values.size:  # 8 a row, 9 a cell
             return None
         present = np.zeros(shape, dtype=bool)
         present[np.repeat(np.arange(shape[0]), np.diff(self.starts)), self.docs] = True
@@ -160,17 +160,17 @@ def exhaustive_scan(
     top_k: int | None = None,
     self_exclude: bool = False,
 ) -> list[tuple[str, float]]:
-    """Brute-force oracle: exact cosine against every document, same ordering
-    and tie rules as `query`. Documents sharing nothing score 0."""
-    q_dense = np.zeros(q.length)
-    q_dense[q.indices] = q.values
+    """Brute-force oracle: every document's cosine, summed as `query` sums
+    it, with the same ordering and tie rules. Documents sharing nothing score 0."""
     scores: dict[str, float] = {}
     for desc in descriptors:
         if desc.length != q.length:
             raise InvalidInputError(
                 f"descriptor {desc.image_id!r} has length {desc.length}, query has {q.length}"
             )
-        scores[desc.image_id] = float(q_dense[desc.indices] @ desc.values)
+        _, mine, theirs = np.intersect1d(q.indices, desc.indices, assume_unique=True, return_indices=True)
+        products = np.concatenate(([0.0], q.values[mine] * desc.values[theirs]))
+        scores[desc.image_id] = float(np.add.accumulate(products)[-1])
     items = [(i, s) for i, s in scores.items() if not (self_exclude and i == q.image_id)]
     items.sort(key=lambda entry: (-entry[1], entry[0]))
     return items[: None if top_k is None else max(int(top_k), 0)]
@@ -190,14 +190,13 @@ def apply_idf(idx: InvertedIndex) -> InvertedIndex:
         raise InvalidInputError("the index is already IDF-weighted")
     weights = np.zeros(idx.dimension)
     weights[idx.rows[:-1]] = [math.log(idx.doc_count / df) for df in np.diff(idx.starts).tolist()]
-    scaled = idx.values * weights[idx.dims]
+    dims = np.repeat(idx.rows[:-1], np.diff(idx.starts))  # each posting's dimension
+    scaled = idx.values * weights[dims]
     # each document's squared norm, summed in ascending dimension order
     norms = np.sqrt(np.bincount(idx.docs, weights=scaled * scaled, minlength=idx.doc_count))
-    keep = (weights[idx.dims] != 0.0) & (norms[idx.docs] > 0.0)
+    keep = (weights[dims] != 0.0) & (norms[idx.docs] > 0.0)
     docs = idx.docs[keep]
-    return InvertedIndex(
-        idx.dimension, idx.ids, idx.dims[keep], docs, scaled[keep] / norms[docs], weights
-    )
+    return InvertedIndex(idx.dimension, idx.ids, dims[keep], docs, scaled[keep] / norms[docs], weights)
 
 
 def save_index(idx: InvertedIndex, path) -> None:

@@ -343,7 +343,8 @@ class DictIndex:
 def postings_of(idx) -> dict[int, list[tuple[str, float]]]:
     """The posting lists of an array `InvertedIndex` in the `DictIndex.postings` layout."""
     postings: dict[int, list[tuple[str, float]]] = {}
-    for dim, doc, value in zip(idx.dims.tolist(), idx.docs.tolist(), idx.values.tolist()):
+    dims = np.repeat(idx.rows[:-1], np.diff(idx.starts))
+    for dim, doc, value in zip(dims.tolist(), idx.docs.tolist(), idx.values.tolist()):
         postings.setdefault(dim, []).append((idx.ids[doc], value))
     return postings
 

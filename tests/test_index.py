@@ -72,7 +72,7 @@ class TestIndexAdd:
         rng = np.random.default_rng(0)
         docs = random_corpus(rng, 100)
         idx = indexed(docs)
-        assert idx.docs.size == idx.dims.size == sum(d.nnz for d in docs)
+        assert idx.docs.size == idx.values.size == sum(d.nnz for d in docs)
         assert idx.doc_count == 100
 
     def test_posting_lists_sorted_by_id(self):
@@ -104,7 +104,7 @@ class TestIndexAdd:
         desc = ImageDescriptor("a", 2**32 - 1, np.array([2**32 - 2]), np.ones(1))
         idx, peak = traced_peak(build_index, 2**32 - 1, [desc])
         assert peak < 2**20
-        assert idx.dims.tolist() == [2**32 - 2]
+        assert postings_of(idx) == {2**32 - 2: [("a", 1.0)]}
 
 
 @settings(max_examples=50, deadline=None)
@@ -160,7 +160,7 @@ class TestQuery:
 
     def test_dimensions_past_the_last_row_match_nothing(self):
         idx = build_index(8, [sparse_descriptor("a", 8, [(0, 1.0), (2, 1.0)])])
-        assert idx.dims.tolist() == [0, 2]
+        assert idx.rows.tolist() == [0, 2, 8]
         hits = query(idx, sparse_descriptor("q", 8, [(2, 1.0), (3, 1.0), (7, 1.0)]))
         assert hits == [("a", pytest.approx(0.5 / math.sqrt(1.5)))]
 
@@ -225,6 +225,13 @@ class TestExhaustiveScan:
         docs = [sparse_descriptor("a", 8, [(1, 1.0)]), sparse_descriptor("b", 16, [(1, 1.0)])]
         with pytest.raises(InvalidInputError, match="'b' has length 16, query has 8"):
             exhaustive_scan(docs, sparse_descriptor("q", 8, [(1, 1.0)]))
+
+    def test_claimed_length_allocates_nothing(self):
+        doc = ImageDescriptor("a", 2**32 - 1, np.array([5, 2**32 - 2]), np.full(2, math.sqrt(0.5)))
+        q = ImageDescriptor("q", 2**32 - 1, np.array([2**32 - 2]), np.ones(1))
+        hits, peak = traced_peak(exhaustive_scan, [doc], q)
+        assert peak < 2**20
+        assert hits == [("a", math.sqrt(0.5))]
 
     def test_matches_query_on_random_corpora(self):
         rng = np.random.default_rng(7)
@@ -395,13 +402,13 @@ class TestMalformedIndexFile:
         path.write_bytes(index_bytes(2**32 - 1, [], {}))
         assert len(path.read_bytes()) == 18
         idx = load_index(path)
-        assert (idx.dimension, idx.dims.size) == (2**32 - 1, 0)
+        assert (idx.dimension, idx.values.size) == (2**32 - 1, 0)
         assert query(idx, ImageDescriptor("q", 2**32 - 1, np.array([2**32 - 2]), np.ones(1))) == []
         path.write_bytes(index_bytes(2**32 - 1, ["a"], {2**32 - 2: [(0, 1.0)]}))
         assert len(path.read_bytes()) == 43
         idx, peak = traced_peak(load_index, path)
         assert peak < 2**20
-        assert idx.dims.tolist() == [2**32 - 2]
+        assert postings_of(idx) == {2**32 - 2: [("a", 1.0)]}
         q = ImageDescriptor("q", 2**32 - 1, np.array([3, 2**32 - 2]), np.full(2, math.sqrt(0.5)))
         assert query(idx, q) == [("a", math.sqrt(0.5))]
 

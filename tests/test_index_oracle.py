@@ -9,7 +9,9 @@ about 3/8 dense or more on its dense view through `index._products`, and a spars
 one by `bincount` over its postings; `_view` set to None sends an index down
 the `bincount` path instead, and both paths must give the oracle's bits.
 The row table, which both paths, IDF weighting and the index file read,
-must name the runs of `dims` that `np.unique` finds.
+must name the oracle's posting lists, and beside it an index holds only
+`docs` and `values`, one entry a posting, and an IDF index its weights.
+`exhaustive_scan` sums as `query` does and must give its bits.
 """
 
 import copy
@@ -27,6 +29,7 @@ from hmpsearch import (
     apply_idf,
     build_index,
     coding,
+    exhaustive_scan,
     l2_normalize,
     load_index,
     query,
@@ -130,43 +133,67 @@ def test_save_of_load_reproduces_file(tmp_path, corpus, weighted):
     assert second.read_bytes() == first.read_bytes()
 
 
-def assert_row_table(idx):
-    """`rows` and `starts` name the runs of `dims`, each with its sentinel."""
-    rows, counts = np.unique(idx.dims, return_counts=True)
-    assert idx.rows.tolist() == rows.tolist() + [idx.dimension]
-    assert idx.starts[0] == 0 and idx.starts[-1] == idx.dims.size
-    assert np.diff(idx.starts).tolist() == counts.tolist()
+def built_and_weighted(dimension, docs):
+    """The index of `docs` and its IDF weighting, each with its oracle."""
+    idx, oracle = build_index(dimension, docs), dict_index(dimension, docs)
+    return [(idx, oracle), (apply_idf(idx), oracles.index_apply_idf(oracle))]
+
+
+def assert_row_table(idx, oracle):
+    """`rows` and `starts` name the oracle's posting lists by ascending
+    dimension, each with its sentinel."""
+    dims = sorted(oracle.postings)
+    assert idx.rows.tolist() == dims + [idx.dimension]
+    assert idx.starts.tolist() == np.cumsum([0] + [len(oracle.postings[d]) for d in dims]).tolist()
 
 
 @SETTINGS
 @given(corpus=st.one_of(corpora(), corpora(max_dimension=48)))
 def test_row_table_names_the_runs_of_the_postings(tmp_path, corpus):
-    dimension, docs, _ = corpus
     path = tmp_path / "table.hmpi"
-    built = build_index(dimension, docs)
-    for idx in (built, apply_idf(built)):
+    for idx, oracle in built_and_weighted(*corpus[:2]):
         save_index(idx, path)
-        assert_row_table(idx)
-        assert_row_table(load_index(path))
+        assert_row_table(idx, oracle)
+        assert_row_table(load_index(path), oracle)
+
+
+@SETTINGS
+@given(corpus=st.one_of(corpora(), corpora(max_dimension=48)))
+def test_index_holds_its_rows_and_postings_only(tmp_path, corpus):
+    """Built, weighted or loaded, an index holds `docs` and `values`, one
+    entry a posting, `rows` and `starts`, one entry a row and one for the
+    sentinel, and a weighted index its weights: no dimension per posting."""
+    path = tmp_path / "held.hmpi"
+    for idx, oracle in built_and_weighted(*corpus[:2]):
+        save_index(idx, path)
+        postings, rows = sum(map(len, oracle.postings.values())), len(oracle.postings) + 1
+        want = dict(docs=postings, values=postings, rows=rows, starts=rows)
+        if idx.idf is not None:
+            want["idf"] = idx.dimension
+        for index in (idx, load_index(path)):
+            held = {name: a.size for name, a in vars(index).items() if isinstance(a, np.ndarray)}
+            assert held == want
 
 
 @pytest.mark.parametrize(
-    "make, ranked",
+    "docs, weighted, ranked",
     [
-        (lambda: build_index(7, []), []),
-        (lambda: build_index(7, [ImageDescriptor(i, 7, [], []) for i in "ab"]), []),
-        (lambda: apply_idf(build_index(7, [ImageDescriptor(i, 7, [3], [1.0]) for i in "ab"])), []),
-        (lambda: build_index(7, [ImageDescriptor("a", 7, [2, 6], [0.6, 0.8])]), [("a", 0.6 * 0.6)]),
+        ([], False, []),
+        ([ImageDescriptor(i, 7, [], []) for i in "ab"], False, []),
+        ([ImageDescriptor(i, 7, [3], [1.0]) for i in "ab"], True, []),
+        ([ImageDescriptor("a", 7, [2, 6], [0.6, 0.8])], False, [("a", 0.6 * 0.6)]),
     ],
     ids=["no-documents", "empty-documents", "weighted-to-nothing", "one-document"],
 )
-def test_row_table_of_small_indexes(tmp_path, make, ranked):
-    idx = make()
+def test_row_table_of_small_indexes(tmp_path, docs, weighted, ranked):
+    idx, oracle = build_index(7, docs), dict_index(7, docs)
+    if weighted:
+        idx, oracle = apply_idf(idx), oracles.index_apply_idf(oracle)
     save_index(idx, tmp_path / "small.hmpi")
     loaded = load_index(tmp_path / "small.hmpi")
     q = ImageDescriptor("q", 7, [2, 3], [0.6, 0.8])
     for index in (idx, loaded, without_view(copy.copy(loaded))):
-        assert_row_table(index)
+        assert_row_table(index, oracle)
         assert query(index, q) == ranked
 
 
@@ -219,6 +246,23 @@ def test_either_path_matches_oracle_bitwise(corpus, weighted, top_k, self_exclud
         for got in (query(idx, q, top_k, self_exclude), query(sparse, q, top_k, self_exclude)):
             assert [i for i, _ in got] == [i for i, _ in want]
             assert score_bits(got) == score_bits(want)
+
+
+@SETTINGS
+@given(corpus=st.one_of(corpora(), corpora(max_dimension=48)), self_exclude=st.booleans())
+def test_exhaustive_scan_scores_as_query_bitwise(corpus, self_exclude):
+    """On either scoring path, the scan ranks `query`'s candidates as it
+    does, with its score bits, and scores every other document +0.0."""
+    dimension, docs, queries = corpus
+    for idx in (build_index(dimension, docs), without_view(build_index(dimension, docs))):
+        for q in queries:
+            got = query(idx, q, None, self_exclude)
+            scan = exhaustive_scan(docs, q, None, self_exclude)
+            candidates = {i for i, _ in got}
+            shared = [hit for hit in scan if hit[0] in candidates]
+            assert [i for i, _ in shared] == [i for i, _ in got]
+            assert score_bits(shared) == score_bits(got)
+            assert set(score_bits([hit for hit in scan if hit[0] not in candidates])) <= {0}
 
 
 def textures(density, seed=31):
@@ -277,7 +321,7 @@ def at_the_rule(margin, rows=256, docs=600):
 )
 def test_view_allocates_at_most_the_postings_bytes(make, dense):
     idx = make()
-    postings = idx.dims.nbytes + idx.docs.nbytes + idx.values.nbytes
+    postings = 24 * idx.values.size
     tracemalloc.start()
     try:
         view = idx._view
