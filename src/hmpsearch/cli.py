@@ -15,7 +15,8 @@ file. The run file is the one source of every run setting, the seed included.
 `encoder.baseline_architecture`; `build-index --idf` weights the index.
 HMPSEARCH_LOG sets the root logger's level (default warning, also for a
 value that names no level); every record hmpsearch logs is a warning, so
-`error` hides them all.
+`error` hides them all. A descriptor file is named by `safe_filename` of
+its id, so no two ids share one, even on a case-insensitive file system.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import hashlib
 import logging
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -105,7 +105,10 @@ def load_run_config(path) -> RunConfig:
 
 
 def safe_filename(image_id: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]", "_", image_id)
+    """The id's UTF-8 bytes, each outside `[a-z0-9._-]` written `%XX` in
+    upper-case hex: distinct ids get names that differ even case-folded."""
+    kept = b"abcdefghijklmnopqrstuvwxyz0123456789._-"
+    return "".join(chr(b) if b in kept else f"%{b:02X}" for b in image_id.encode("utf-8"))
 
 
 def _read_image(cfg: RunConfig, path) -> IntensityImage:
@@ -212,11 +215,6 @@ def cmd_encode(cfg: RunConfig) -> int:
     arch = _architecture(cfg)
     encode = _encoder(cfg, arch)
     images = _load_corpus(cfg, arch)
-    owners: dict[str, str] = {}
-    for image_id, _ in images:
-        name = safe_filename(image_id) + ".hmpv"
-        if owners.setdefault(name, image_id) != image_id:
-            raise InvalidInputError(f"image ids {owners[name]!r} and {image_id!r} share {name}")
     total_nnz = 0
     for image_id, path in images:
         desc = encode(image_id, _read_image(cfg, path))

@@ -47,8 +47,8 @@ class InvertedIndex:
     def __init__(self, dimension: int, ids: list[str], entry_dims, docs, values, idf=None):
         """Store postings given as parallel (dimension, position in `ids`,
         value) arrays in any order; a document may appear once per dimension."""
-        if dimension < 1:
-            raise InvalidInputError(f"dimension must be >= 1, got {dimension}")
+        if not 1 <= dimension < 2**32:  # the file's u32; bounds the sort key
+            raise InvalidInputError(f"dimension must be in [1, 2**32), got {dimension}")
         order = sorted(range(len(ids)), key=ids.__getitem__)
         self.dimension, self.ids, self.idf = int(dimension), [ids[n] for n in order], idf
         repeated = sorted({a for a, b in zip(self.ids, self.ids[1:]) if a == b})
@@ -57,7 +57,8 @@ class InvertedIndex:
         if np.any((entry_dims < 0) | (entry_dims >= dimension) | (docs < 0) | (docs >= len(ids))):
             raise InvalidInputError("a posting has a dimension or doc ordinal out of range")
         docs = np.argsort(order)[docs]  # the given ordinals, renumbered in id order
-        order = np.lexsort((docs, entry_dims))
+        # one uint64 key a posting, freed before the gathers; timsort passes once over keys in order
+        order = np.argsort(entry_dims.astype(np.uint64) * len(ids) + docs.astype(np.uint64), kind="stable")
         dims, self.docs, self.values = entry_dims[order], docs[order], values[order]
         new = np.ones(dims.size, dtype=bool)  # where a dimension's postings begin
         np.not_equal(dims[1:], dims[:-1], out=new[1:])

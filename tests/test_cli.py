@@ -6,10 +6,13 @@ import resource
 import struct
 import subprocess
 import sys
+import urllib.parse
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hmpsearch
 from hmpsearch import (
@@ -363,23 +366,69 @@ class TestEncode:
             assert got.indices.tolist() == want.indices.tolist()
             assert got.values.tobytes() == want.values.tobytes()
 
-    def test_ids_sharing_a_descriptor_file_rejected(self, tmp_path, capsys):
+    def test_ids_once_sharing_a_descriptor_file_name_each_get_one(self, tmp_path, capsys):
+        # `_` for every other byte would give the first three one file, and
+        # a case-insensitive file system does not tell the last two apart
         cfg = make_workspace(tmp_path)
+        names = {"a/b": "a%2Fb", "a_b": "a_b", "a b": "a%20b", "Img": "%49mg", "img": "img"}
+        groups = [[f"g{g}m0", f"g{g}m1", image_id] for g, image_id in enumerate(names)]
+        with open(tmp_path / "manifest.tsv", "a") as fh:
+            fh.writelines(f"{ids[2]}\timages/{ids[0]}.pgm\n" for ids in groups)
+        (tmp_path / "gt.tsv").write_text(
+            "".join(f"{q}\t{','.join(i for i in ids if i != q)}\n" for ids in groups for q in ids)
+        )
+        for stage in ("train-dict", "encode", "build-index", "evaluate"):
+            assert run_cli(cfg, stage) == 0
+        for image_id, name in names.items():
+            assert cli.safe_filename(image_id) == name
+            assert load_descriptor(tmp_path / "descriptors" / f"{name}.hmpv").image_id == image_id
+        assert len(os.listdir(tmp_path / "descriptors")) == load_index(tmp_path / "corpus.hmpi").doc_count == 15
+        assert capsys.readouterr().out.strip().splitlines()[-1] == "mAP 1.000000"
+
+    def test_descriptor_file_name_from_before_escaping_stops_build_index(self, tmp_path, capsys):
+        # a directory encoded when "x y" was written to x_y.hmpv, encoded again
+        cfg = make_workspace(tmp_path)
+        with open(tmp_path / "manifest.tsv", "a") as fh:
+            fh.write("x y\timages/g0m0.pgm\n")
         assert run_cli(cfg, "train-dict") == 0
-        manifest = tmp_path / "manifest.tsv"
-        lines = manifest.read_text().splitlines()
-        lines += ["a/b\timages/g0m0.pgm", "a_b\timages/g1m0.pgm", "a b\timages/g2m0.pgm"]
-        manifest.write_text("\n".join(lines) + "\n")
+        assert run_cli(cfg, "encode") == 0
+        new, old = tmp_path / "descriptors" / "x%20y.hmpv", tmp_path / "descriptors" / "x_y.hmpv"
+        old.write_bytes(new.read_bytes())
+        assert run_cli(cfg, "build-index") == 2
+        assert f"{old} repeats image id 'x y' of {new}" in capsys.readouterr().err
+
+    def test_id_too_long_for_a_descriptor_file_name_stops_encode_at_it(self, tmp_path, capsys):
+        # 100 two-byte characters make a 600-byte name, past the 255 of
+        # common file systems
+        cfg = make_workspace(tmp_path)
+        with open(tmp_path / "manifest.tsv", "a") as fh:
+            fh.write("é" * 100 + "\timages/g0m0.pgm\n")
+        assert run_cli(cfg, "train-dict") == 0
         assert run_cli(cfg, "encode") == 2
         err = capsys.readouterr().err
-        assert "'a/b'" in err and "'a_b'" in err and "a_b.hmpv" in err
-        assert not (tmp_path / "descriptors").exists()
+        assert f"cannot write descriptor file {tmp_path / 'descriptors' / '%C3%A9'}" in err
+        assert len(os.listdir(tmp_path / "descriptors")) == 10
 
     def test_missing_dictionary_is_config_error(self, tmp_path, capsys):
         cfg = make_workspace(tmp_path)
         assert run_cli(cfg, "encode") == 2
         assert "train-dict" in capsys.readouterr().err
         assert not (tmp_path / "descriptors").exists()
+
+
+@given(
+    ids=st.lists(
+        st.text(st.sampled_from("/%_ .Aaé") | st.characters(), min_size=1),
+        min_size=2,
+        max_size=2,
+        unique=True,
+    )
+)
+def test_descriptor_file_names_are_lossless_and_case_safe(ids):
+    names = [cli.safe_filename(image_id) for image_id in ids]
+    assert names[0].casefold() != names[1].casefold()
+    for image_id, name in zip(ids, names):
+        assert urllib.parse.unquote_to_bytes(name) == image_id.encode("utf-8")
 
 
 class TestStaleCodebooks:

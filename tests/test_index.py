@@ -100,6 +100,20 @@ class TestIndexAdd:
         with pytest.raises(InvalidInputError):
             InvertedIndex(4, ["a", "b"], np.array([dim]), np.array([doc]), np.array([1.0]))
 
+    @pytest.mark.parametrize("dimension", [0, 2**32], ids=["zero", "past-u32"])
+    def test_constructor_rejects_dimension_a_file_cannot_hold(self, dimension):
+        empty = np.empty(0, np.int64)
+        with pytest.raises(InvalidInputError, match="dimension"):
+            InvertedIndex(dimension, [], empty, empty, np.empty(0))
+
+    def test_build_weight_and_load_sort_without_lexsort(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(np, "lexsort", lambda *args, **kwargs: calls.append(args))
+        docs = random_corpus(np.random.default_rng(4), 20)
+        save_index(apply_idf(indexed(docs)), tmp_path / "idf.hmpi")
+        assert postings_of(load_index(tmp_path / "idf.hmpi")) == postings_of(apply_idf(indexed(docs)))
+        assert calls == []
+
     def test_descriptor_length_allocates_nothing(self):
         desc = ImageDescriptor("a", 2**32 - 1, np.array([2**32 - 2]), np.ones(1))
         idx, peak = traced_peak(build_index, 2**32 - 1, [desc])
