@@ -84,7 +84,8 @@ def read_text(path, what: str, error: type[Exception] = DecodeError) -> str:
 def tab_records(path, what: str) -> list[tuple[str, str, str]]:
     """`(where, id, rest)` of each nonblank `<id><TAB><rest>` line, fields
     stripped and `where` being `path:line`. A line without a tab, with an
-    empty field or with an id seen before raises InvalidInputError."""
+    empty field, with an id seen before or with an id holding a comma, which
+    separates the ground truth's relevant ids, raises InvalidInputError."""
     records: list[tuple[str, str, str]] = []
     seen: set[str] = set()
     for lineno, line in enumerate(read_text(path, what).split("\n"), start=1):
@@ -96,6 +97,8 @@ def tab_records(path, what: str) -> list[tuple[str, str, str]]:
         ident, rest = (part.strip() for part in line.split("\t", 1))
         if not ident or not rest:
             raise InvalidInputError(f"{where}: empty id or empty field after the tab")
+        if "," in ident:
+            raise InvalidInputError(f"{where}: id {ident!r} holds a comma, which separates relevant ids")
         if ident in seen:
             raise InvalidInputError(f"{where}: duplicate id {ident!r}")
         seen.add(ident)

@@ -19,7 +19,8 @@ sum as it is, so both give the same bits; as descriptors are unit vectors,
 the sums are cosines. `exhaustive_scan` is the brute-force counterpart
 that scores every stored document by the same sums, so it gives `query`'s
 bits for every document that shares a dimension with the query, and 0 for
-any other. An index file is an `HMPI` container of `hmpsearch.files`.
+any other. An index file is an `HMPI` container of `hmpsearch.files` that
+holds `rows`, the row lengths, `docs` and `values` as one run each.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from .errors import DuplicateIdError, InvalidInputError
 from .files import read_container, write_container
 
 _INDEX_MAGIC = b"HMPI"
-_INDEX_VERSION = 1
-_POSTING_DTYPE = np.dtype([("doc", "<u4"), ("value", "<f8")])
+_INDEX_VERSION = 2
 
 
 class InvertedIndex:
@@ -201,17 +201,16 @@ def apply_idf(idx: InvertedIndex) -> InvertedIndex:
 
 
 def save_index(idx: InvertedIndex, path) -> None:
-    """Write the index: magic, version, u32 dimension and doc count, the id
-    table in ascending id order, one (dimension, length, entries) block per
-    dimension that has postings, then an optional weight trailer."""
-    entries = np.rec.fromarrays([idx.docs, idx.values], dtype=_POSTING_DTYPE)
-    parts = [struct.pack("<II", idx.dimension, idx.doc_count)]
+    """Write the index as the matrix it holds: magic, version, u32
+    dimension, doc count and row count, the id table in ascending id order,
+    u32 `rows[:-1]`, u32 row lengths, u32 `docs`, f64 `values`, then the
+    IDF flag and an optional weight trailer."""
+    parts = [struct.pack("<III", idx.dimension, idx.doc_count, idx.rows.size - 1)]
     for image_id in idx.ids:
         encoded = image_id.encode("utf-8")
         parts += [struct.pack("<I", len(encoded)), encoded]
-    parts.append(struct.pack("<I", idx.rows.size - 1))
-    for dim, lo, hi in zip(idx.rows.tolist(), idx.starts.tolist(), idx.starts[1:].tolist()):
-        parts += [struct.pack("<II", dim, hi - lo), entries[lo:hi].tobytes()]
+    parts += [array.astype("<u4").tobytes() for array in (idx.rows[:-1], np.diff(idx.starts), idx.docs)]
+    parts.append(idx.values.astype("<f8").tobytes())
     parts.append(struct.pack("<B", idx.idf is not None))
     if idx.idf is not None:
         parts.append(np.asarray(idx.idf, dtype="<f8").tobytes())
@@ -220,25 +219,22 @@ def save_index(idx: InvertedIndex, path) -> None:
 
 def load_index(path) -> InvertedIndex:
     with read_container(path, "index file", _INDEX_MAGIC, _INDEX_VERSION) as body:
-        dimension, doc_count = struct.unpack_from("<II", body)
-        pos = 8
+        dimension, doc_count, row_count = struct.unpack_from("<III", body)
+        pos = 12
         ids = []
         for _ in range(doc_count):
             (id_len,) = struct.unpack_from("<I", body, pos)
             ids.append(body[pos + 4 : pos + 4 + id_len].decode("utf-8"))
             pos += 4 + id_len
-        (n_blocks,) = struct.unpack_from("<I", body, pos)
-        pos += 4
-        dims, blocks = [], [np.empty(0, dtype=_POSTING_DTYPE)]
-        for _ in range(n_blocks):
-            dim, n_entries = struct.unpack_from("<II", body, pos)
-            if dims and dim <= dims[-1]:
-                raise InvalidInputError(f"posting block for dimension {dim} is out of order")
-            blocks.append(np.frombuffer(body, dtype=_POSTING_DTYPE, count=n_entries, offset=pos + 8))
-            dims.append(dim)
-            pos += 8 + 12 * n_entries
-        entries = np.concatenate(blocks)
-        if not np.all(np.isfinite(entries["value"])):
+        rows, lengths = np.frombuffer(body, dtype="<u4", count=2 * row_count, offset=pos).reshape(2, -1)
+        pos += 8 * row_count
+        if np.any(rows[1:] <= rows[:-1]):
+            raise InvalidInputError("the row dimensions do not ascend")
+        postings = int(lengths.sum())
+        docs = np.frombuffer(body, dtype="<u4", count=postings, offset=pos)
+        values = np.frombuffer(body, dtype="<f8", count=postings, offset=pos + 4 * postings)
+        pos += 12 * postings
+        if not np.all(np.isfinite(values)):
             raise InvalidInputError("a posting has a non-finite value")
         (has_idf,) = struct.unpack_from("<B", body, pos)
         pos += 1
@@ -251,7 +247,4 @@ def load_index(path) -> InvertedIndex:
                 raise InvalidInputError(f"weights outside [0, ln {doc_count}], the range IDF weighting writes")
         if pos != len(body):
             raise InvalidInputError(f"{len(body) - pos} trailing bytes after the weight flag or weights")
-        entry_dims = np.repeat(np.array(dims, dtype=np.int64), [len(b) for b in blocks[1:]])
-        return InvertedIndex(
-            dimension, ids, entry_dims, entries["doc"].astype(np.int64), entries["value"], idf
-        )
+        return InvertedIndex(dimension, ids, np.repeat(rows, lengths), docs, values, idf)

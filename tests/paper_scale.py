@@ -7,9 +7,11 @@ pools them over 16 px units in 4 x 4 cells; layer 2 codes those 4096-long
 features with 1000 atoms at sparsity 10. Ten groups of four images are
 shifted, brightness-changed crops of one texture each, every image's group
 mates being its relevant set. The stages run in this process through
-`hmpsearch.cli.main` in a temporary directory. The script prints each
-stage's wall and CPU time, codebook training's time per signal per K-SVD
-iteration, encode's time per image, the mAP, and a sha256 over the
+`hmpsearch.cli.main` in a temporary directory, then one CLI `query` of
+the first image, which codes it and computes the layer-2 Gram again. The
+script prints the wall and CPU time of each stage and of the query,
+codebook training's time per signal per K-SVD iteration, encode's time
+per image, the mAP, and a sha256 over the
 codebook and descriptor files: each file in sorted order within `dicts/`
 then `descriptors/`, as `<dir>/<name>` NUL bytes NUL. A change that keeps
 every codebook and descriptor byte keeps the hash on the same host.
@@ -106,9 +108,11 @@ def main() -> int:
         images = write_corpus(work)
         config = os.path.join(work, "run.cfg")
         wall = {}
-        for stage in ("train-dict", "encode", "build-index", "evaluate"):  # evaluate prints the mAP
+        query = ["--top-k", "1", os.path.join(work, "images", "t000m0.pgm")]
+        # evaluate prints the mAP, query its best match
+        for stage, *args in (["train-dict"], ["encode"], ["build-index"], ["evaluate"], ["query", *query]):
             wall0, cpu0 = time.perf_counter(), time.process_time()
-            status = hmpsearch.cli.main(["--config", config, stage])
+            status = hmpsearch.cli.main(["--config", config, stage, *args])
             wall[stage] = time.perf_counter() - wall0
             print(f"{stage}: wall {wall[stage]:.2f} s, cpu {time.process_time() - cpu0:.2f} s")
             if status != 0:

@@ -30,6 +30,7 @@ from hmpsearch import (
 )
 from hmpsearch.cli import load_run_config, main
 from conftest import outputs_under_blas_threads, random_dictionary, texture_image
+from test_index import index_bytes
 
 ARCH_ONE_LAYER = """\
 [layer1]
@@ -189,6 +190,17 @@ class TestInputFiles:
         assert run_cli(cfg, "train-dict") == 2
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err
+
+    def test_manifest_id_holding_a_comma_exits_2_naming_the_line(self, tmp_path, capsys):
+        # the ground truth splits relevant ids on commas, so it could never name this one
+        cfg = make_workspace(tmp_path)
+        manifest = tmp_path / "manifest.tsv"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines + ["a,b\timages/g0m0.pgm"]) + "\n")
+        assert run_cli(cfg, "train-dict") == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}:{len(lines) + 1}: id 'a,b' holds a comma" in err and "Traceback" not in err
+        assert not (tmp_path / "dicts").exists()
 
     def test_percent_in_a_value_is_literal(self, tmp_path):
         cfg = make_workspace(tmp_path)
@@ -418,7 +430,8 @@ class TestEncode:
 
 @given(
     ids=st.lists(
-        st.text(st.sampled_from("/%_ .Aaé") | st.characters(), min_size=1),
+        # ids come from manifests read as strict UTF-8, so none holds a lone surrogate
+        st.text(st.sampled_from("/%_ .Aaé") | st.characters(codec="utf-8"), min_size=1),
         min_size=2,
         max_size=2,
         unique=True,
@@ -534,11 +547,32 @@ class TestIndexAndQuery:
         cfg = make_workspace(tmp_path)
         assert run_cli(cfg, "train-dict") == 0
         # 43 bytes: dimension 2^32 - 1, id "a" with one posting at 2^32 - 2
-        body = struct.pack("<3I1s4IdB", 2**32 - 1, 1, 1, b"a", 1, 2**32 - 2, 1, 0, 1.0, 0)
-        (tmp_path / "corpus.hmpi").write_bytes(b"HMPI\x01" + body)
+        (tmp_path / "corpus.hmpi").write_bytes(index_bytes(2**32 - 1, ["a"], {2**32 - 2: [(0, 1.0)]}))
         assert run_cli(cfg, "query", str(tmp_path / "images" / "g0m0.pgm")) == 2
         err = capsys.readouterr().err
         assert "does not match index dimension 4294967295" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("stage", ["evaluate", "query"])
+    def test_index_file_of_version_1_exits_2_naming_it(self, pipeline, capsys, stage):
+        cfg, root = pipeline
+        # the version 1 layout: one (dimension, length, entries) block a row
+        body = struct.pack("<3I4s3IIdB", 32, 1, 4, b"g0m0", 1, 5, 1, 0, 1.0, 0)
+        (root / "corpus.hmpi").write_bytes(b"HMPI\x01" + body)
+        capsys.readouterr()
+        args = [str(root / "images" / "g0m0.pgm")] if stage == "query" else []
+        assert run_cli(cfg, stage, *args) == 2
+        err = capsys.readouterr().err
+        assert f"{root / 'corpus.hmpi'}: unsupported index file version 1" in err and "Traceback" not in err
+
+    def test_ground_truth_query_id_holding_a_comma_exits_2_naming_the_line(self, pipeline, capsys):
+        cfg, root = pipeline
+        gt = root / "gt.tsv"
+        lines = gt.read_text().splitlines()
+        gt.write_text("\n".join(lines + ["g0m0,g0m1\tg1m0"]) + "\n")
+        capsys.readouterr()
+        assert run_cli(cfg, "evaluate") == 2
+        err = capsys.readouterr().err
+        assert f"{gt}:{len(lines) + 1}: id 'g0m0,g0m1' holds a comma" in err and "Traceback" not in err
 
     def test_query_ranks_itself_first_without_exclusion(self, pipeline, capsys):
         cfg, root = pipeline

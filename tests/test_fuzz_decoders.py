@@ -69,7 +69,7 @@ def valid_files(tmp_path_factory):
 
 
 LOADERS = [load_descriptor, load_index, load_dictionary]
-MAGIC = {load_descriptor: b"HMPV\x01", load_index: b"HMPI\x01", load_dictionary: b"HMPD\x01"}
+MAGIC = {load_descriptor: b"HMPV\x01", load_index: b"HMPI\x02", load_dictionary: b"HMPD\x01"}
 
 
 def load_or_error(loader, path, raw, error=DecodeError):

@@ -362,15 +362,16 @@ class TestPersistence:
         save_index(idx, path)
         raw = path.read_bytes()
         assert raw[:4] == b"HMPI"
-        assert raw[4] == 1
-        assert int.from_bytes(raw[5:9], "little") == 6
-        assert int.from_bytes(raw[9:13], "little") == 1
-        assert int.from_bytes(raw[13:17], "little") == 2  # id length
-        assert raw[17:19] == b"ab"
+        assert raw[4] == 2
+        assert struct.unpack_from("<III", raw, 5) == (6, 1, 1)  # dimension, doc count, row count
+        assert int.from_bytes(raw[17:21], "little") == 2  # id length
+        assert raw[21:23] == b"ab"
+        # rows, row lengths, docs, values, then no weights
+        assert struct.unpack("<IIId", raw[23:-1]) == (2, 1, 0, 1.0) and raw[-1] == 0
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bad.hmpi"
-        path.write_bytes(b"HMPI" + bytes([1]) + b"\x01\x00\x00\x00\x05\x00\x00\x00")
+        path.write_bytes(b"HMPI" + bytes([2]) + b"\x01\x00\x00\x00\x05\x00\x00\x00")
         from hmpsearch import DecodeError
 
         with pytest.raises(DecodeError):
@@ -379,16 +380,19 @@ class TestPersistence:
 
 def index_bytes(dimension, ids, blocks, idf=None):
     """An index file: `blocks` maps a dimension to (doc ordinal, value) pairs,
-    as a dict or as a list of (dimension, pairs) in file order; ids may be
-    given as raw bytes."""
-    out = b"HMPI\x01" + struct.pack("<II", dimension, len(ids))
+    as a dict or as a list of (dimension, pairs) in file order, written as
+    the rows, their lengths, the ordinals and the values; ids may be given
+    as raw bytes."""
+    rows = list(blocks.items()) if isinstance(blocks, dict) else blocks
+    out = b"HMPI\x02" + struct.pack("<III", dimension, len(ids), len(rows))
     for image_id in ids:
         raw = image_id if isinstance(image_id, bytes) else image_id.encode()
         out += struct.pack("<I", len(raw)) + raw
-    out += struct.pack("<I", len(blocks))
-    for dim, entries in blocks.items() if isinstance(blocks, dict) else blocks:
-        out += struct.pack("<II", dim, len(entries))
-        out += b"".join(struct.pack("<Id", doc, value) for doc, value in entries)
+    postings = [entry for _, entries in rows for entry in entries]
+    out += struct.pack(f"<{len(rows)}I", *(dim for dim, _ in rows))
+    out += struct.pack(f"<{len(rows)}I", *(len(entries) for _, entries in rows))
+    out += struct.pack(f"<{len(postings)}I", *(doc for doc, _ in postings))
+    out += struct.pack(f"<{len(postings)}d", *(value for _, value in postings))
     if idf is None:
         return out + b"\x00"
     return out + b"\x01" + np.asarray(idf, dtype="<f8").tobytes()
@@ -445,6 +449,10 @@ class TestMalformedIndexFile:
             index_bytes(4, ["a", "b"], {1: [(0, 0.6), (0, 0.8)]}),
             index_bytes(4, ["a"], [(2, [(0, 0.6)]), (1, [(0, 0.8)])]),
             index_bytes(4, ["a", "b"], [(1, [(0, 0.6)]), (1, [(1, 0.8)])]),
+            # row 1 claims 5 postings where the body holds 1
+            b"HMPI\x02" + struct.pack("<IIII1sIIIdB", 4, 1, 1, 1, b"a", 1, 5, 0, 1.0, 0),
+            b"HMPI\x02" + struct.pack("<IIII1sB", 4, 1, 0, 100, b"a", 0),
+            b"HMPI\x02" + struct.pack("<IIIB", 4, 0, 2**32 - 1, 0),
         ],
         ids=[
             "block-past-end",
@@ -463,11 +471,19 @@ class TestMalformedIndexFile:
             "ordinal-repeated-in-block",
             "dimensions-descending",
             "dimension-repeated",
+            "lengths-past-end",
+            "id-length-past-end",
+            "row-count-past-end",
         ],
     )
     def test_rejected_with_path(self, tmp_path, raw):
         path = tmp_path / "bad.hmpi"
         path.write_bytes(raw)
-        with pytest.raises(DecodeError, match="bad.hmpi"):
-            load_index(path)
+
+        def rejected():
+            with pytest.raises(DecodeError, match="bad.hmpi"):
+                load_index(path)
+
+        # a count the body cannot hold fails before anything is allocated
+        assert traced_peak(rejected)[1] < 2**20
 
