@@ -33,12 +33,9 @@ from .encoder import (
 from .errors import (
     ConfigError,
     DecodeError,
-    DuplicateIdError,
     HmpError,
     ImageTooSmallError,
     InvalidInputError,
-    MissingQueryError,
-    UnsupportedFormatError,
 )
 from .evaluation import EvalReport, average_precision, evaluate, load_ground_truth, write_report
 from .images import (

@@ -13,18 +13,6 @@ class DecodeError(HmpError):
     """A file could not be read or parsed; the message names the path."""
 
 
-class UnsupportedFormatError(DecodeError):
-    """The file format is recognized as one this package does not handle."""
-
-
-class DuplicateIdError(InvalidInputError):
-    """An image id is given twice where ids must be unique, as in an index."""
-
-
-class MissingQueryError(HmpError):
-    """Ground-truth queries lack indexed descriptors."""
-
-
 class ConfigError(HmpError):
     """A run or architecture configuration is incomplete or inconsistent."""
 

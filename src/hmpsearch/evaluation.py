@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, MissingQueryError
+from .errors import InvalidInputError
 from .files import tab_records, write_file
 # query is unused but stays bound: perfbench's selftest checks that its tracer patches it here
 from .index import InvertedIndex, _rank, query  # noqa: F401
@@ -77,7 +77,7 @@ def evaluate(
         raise InvalidInputError("ground truth lists no queries")
     missing = sorted(qid for qid in gt if qid not in descriptors)
     if missing:
-        raise MissingQueryError(f"no descriptor for {len(missing)} query id(s): {', '.join(missing)}")
+        raise InvalidInputError(f"no descriptor for {len(missing)} query id(s): {', '.join(missing)}")
     per_query: list[tuple[str, float, float]] = []
     total, ordinals = 0.0, dict(zip(index.ids, range(index.doc_count)))
     for qid in sorted(gt):

@@ -73,9 +73,10 @@ def write_container(path, what: str, magic: bytes, version: int, *parts: bytes) 
 
 
 def read_text(path, what: str, error: type[Exception] = DecodeError) -> str:
-    """The file as UTF-8 text, newlines normalized; a failure raises `error`."""
+    """The file as UTF-8 text, one leading byte-order mark dropped and
+    newlines normalized; a failure raises `error`."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or a NUL in the path
         raise error(f"cannot read {what} {path}: {exc}") from exc

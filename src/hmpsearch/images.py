@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecodeError, InvalidInputError, UnsupportedFormatError
+from .errors import DecodeError, InvalidInputError
 from .files import read_bytes, tab_records
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
@@ -103,9 +103,7 @@ def _pillow_decode(path) -> IntensityImage:
     try:
         from PIL import Image
     except ImportError:
-        raise UnsupportedFormatError(
-            f"{path}: not a P5/P6 netpbm file and Pillow is not installed"
-        ) from None
+        raise DecodeError(f"{path}: not a P5/P6 netpbm file and Pillow is not installed") from None
     try:
         with Image.open(path) as img:
             if img.mode in _GRAY_FULL_SCALE:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .coding import _products, l2_normalize
 from .encoder import ImageDescriptor
-from .errors import DuplicateIdError, InvalidInputError
+from .errors import InvalidInputError
 from .files import read_container, write_container
 
 _INDEX_MAGIC = b"HMPI"
@@ -53,7 +53,7 @@ class InvertedIndex:
         self.dimension, self.ids, self.idf = int(dimension), [ids[n] for n in order], idf
         repeated = sorted({a for a, b in zip(self.ids, self.ids[1:]) if a == b})
         if repeated:
-            raise DuplicateIdError(f"image id(s) {repeated} listed more than once")
+            raise InvalidInputError(f"image id(s) {repeated} listed more than once")
         if np.any((entry_dims < 0) | (entry_dims >= dimension) | (docs < 0) | (docs >= len(ids))):
             raise InvalidInputError("a posting has a dimension or doc ordinal out of range")
         docs = np.argsort(order)[docs]  # the given ordinals, renumbered in id order

@@ -264,6 +264,15 @@ class TestTrainDict:
         assert run_cli(cfg, "train-dict") == 2
 
 
+    def test_image_neither_netpbm_nor_readable_without_pillow_is_skipped(self, tmp_path, caplog, monkeypatch):
+        cfg = make_workspace(tmp_path)
+        photo = tmp_path / "images" / "g0m0.pgm"
+        photo.write_bytes(b"\xff\xd8\xff\xe0 not really a jpeg")
+        monkeypatch.setitem(sys.modules, "PIL", None)
+        assert run_cli(cfg, "train-dict") == 0
+        [skip] = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert skip == f"skipping g0m0: {photo}: not a P5/P6 netpbm file and Pillow is not installed"
+
     def test_header_field_beyond_int_digit_limit_skipped(self, tmp_path, caplog):
         cfg = make_workspace(tmp_path)
         bad = tmp_path / "images" / "g0m0.pgm"
@@ -574,6 +583,15 @@ class TestIndexAndQuery:
         err = capsys.readouterr().err
         assert f"{gt}:{len(lines) + 1}: id 'g0m0,g0m1' holds a comma" in err and "Traceback" not in err
 
+    def test_query_without_a_descriptor_exits_2_listing_the_ids(self, pipeline, capsys):
+        cfg, root = pipeline
+        for name in ("g3m1", "g0m0"):
+            (root / "descriptors" / f"{name}.hmpv").unlink()
+        capsys.readouterr()
+        assert run_cli(cfg, "evaluate") == 2
+        err = capsys.readouterr().err
+        assert "error: no descriptor for 2 query id(s): g0m0, g3m1" in err and "Traceback" not in err
+
     def test_query_ranks_itself_first_without_exclusion(self, pipeline, capsys):
         cfg, root = pipeline
         capsys.readouterr()
@@ -622,6 +640,19 @@ class TestEvaluate:
         assert report[-1] == "mAP 1.000000"
         # one line per query plus fingerprint header and summary
         assert len(report) == 10 + 2
+
+    def test_manifest_and_ground_truth_saved_with_a_byte_order_mark(self, tmp_path, capsys):
+        # the mAP and report of test_identical_group_members_give_perfect_map
+        cfg = make_workspace(tmp_path)
+        for name in ("manifest.tsv", "gt.tsv"):
+            path = tmp_path / name
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        for stage in ("train-dict", "encode", "build-index", "evaluate"):
+            assert run_cli(cfg, stage) == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1] == "mAP 1.000000"
+        assert (tmp_path / "descriptors" / "g0m0.hmpv").exists()
+        report = (tmp_path / "corpus.hmpi.report.txt").read_text().splitlines()
+        assert [line.split("\t")[0] for line in report[1:3]] == ["g0m0", "g0m1"]
 
     def test_full_pipeline_deterministic_across_directories(self, tmp_path, capsys):
         reports = []

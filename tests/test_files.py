@@ -9,7 +9,7 @@ import pytest
 
 import hmpsearch
 from hmpsearch import DecodeError, HmpError, load_descriptor, load_dictionary, load_index
-from hmpsearch.files import write_file
+from hmpsearch.files import read_text, write_file
 
 PACKAGE = pathlib.Path(hmpsearch.__file__).parent
 
@@ -99,6 +99,12 @@ def test_only_files_module_reports_unparsable_files():
             lines += decode_errors_made(source)
         found |= {f"{path.name}:{line}" for line in lines}
     assert not found, f"parse inside hmpsearch.files.read_container: {sorted(found)}"
+
+
+def test_read_text_drops_one_leading_byte_order_mark_and_nothing_else(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfa\xef\xbb\xbfb\r\n")
+    assert read_text(path, "text file") == "\ufeffa\ufeffb\n"
 
 
 def test_write_file_makes_missing_directories(tmp_path):

@@ -13,7 +13,6 @@ from hmpsearch import (
     DecodeError,
     IntensityImage,
     InvalidInputError,
-    UnsupportedFormatError,
     extract_patches,
     load_image,
     read_manifest,
@@ -117,7 +116,7 @@ class TestLoadImage:
         path.write_bytes(b"\xff\xd8\xff\xe0 not really a jpeg")
         monkeypatch.setitem(sys.modules, "PIL", None)
         monkeypatch.setitem(sys.modules, "PIL.Image", None)
-        with pytest.raises(UnsupportedFormatError):
+        with pytest.raises(DecodeError, match="photo.jpg: not a P5/P6 netpbm file and Pillow is not installed$"):
             load_image(path)
 
     @pytest.mark.parametrize(
@@ -325,6 +324,11 @@ class TestManifest:
         assert records[0][0] == "a"
         assert records[0][1] == str(tmp_path / "imgs/a.pgm")
         assert records[1][1] == "/abs/b.pgm"
+
+    def test_byte_order_mark_is_not_part_of_the_first_id(self, tmp_path):
+        manifest = tmp_path / "data.tsv"
+        manifest.write_bytes(b"\xef\xbb\xbfimg1\ta.pgm\nimg2\tb.pgm\n")
+        assert [image_id for image_id, _ in read_manifest(manifest)] == ["img1", "img2"]
 
     def test_rejects_duplicate_ids(self, tmp_path):
         manifest = tmp_path / "data.tsv"

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from hmpsearch import (
     DecodeError,
-    DuplicateIdError,
     ImageDescriptor,
     InvalidInputError,
     InvertedIndex,
@@ -86,7 +85,7 @@ class TestIndexAdd:
 
     def test_duplicate_id_rejected(self):
         docs = [sparse_descriptor("a", 4, [(0, 1.0)]), sparse_descriptor("a", 4, [(1, 1.0)])]
-        with pytest.raises(DuplicateIdError):
+        with pytest.raises(InvalidInputError, match=r"^image id\(s\) \['a'\] listed more than once$"):
             build_index(4, docs)
 
     def test_dimension_mismatch_rejected(self):

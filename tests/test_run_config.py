@@ -4,8 +4,10 @@ number that is not an integer is an error naming the file, section and key."""
 
 import pytest
 
-from hmpsearch import ConfigError
+from hmpsearch import ConfigError, load_architecture
 from hmpsearch.cli import _RUN_MINIMUMS, RunConfig, load_run_config
+
+BOM = b"\xef\xbb\xbf"
 
 
 def test_unset_keys_take_the_defaults_with_paths_under_the_run_file(tmp_path):
@@ -30,3 +32,12 @@ def test_non_integer_names_file_section_and_key(tmp_path, key):
     with pytest.raises(ConfigError) as err:
         load_run_config(run)
     assert str(err.value) == f"{run}: [run] {key}: '1e3' is not an integer"
+
+
+def test_run_and_architecture_files_saved_with_a_byte_order_mark_load(tmp_path):
+    run, arch = tmp_path / "run.cfg", tmp_path / "arch.cfg"
+    run.write_bytes(BOM + b"[run]\nmanifest = images.tsv\narchitecture = arch.cfg\nseed = 3\n")
+    arch.write_bytes(BOM + b"[layer1]\ncodebook_size = 8\nsparsity = 2\n")
+    assert load_run_config(run).seed == 3
+    [layer] = load_architecture(arch).layers
+    assert (layer.codebook_size, layer.sparsity) == (8, 2)
