@@ -181,15 +181,15 @@ def _codebooks(cfg: RunConfig, arch: ArchitectureConfig):
 def cmd_train_dict(cfg: RunConfig) -> int:
     arch = _architecture(cfg)
     images = _load_corpus(cfg, arch)
-    lines = []
-    codebooks = []  # the layers above code their inputs with these
+    lines, codebooks = [], []  # saved after the last layer trains: a failure keeps the old set
     for label, _, seed, layer in _codebooks(cfg, arch):
         signals = _layer_training_signals(cfg, arch, images, codebooks, np.random.default_rng(seed))
         dictionary, trace = train(signals, layer, cfg.train_iterations, seed)
-        save_dictionary(dictionary, _dict_path(cfg, label))
         lines.extend(f"{label}\t{i}\t{obj:.6f}\n" for i, obj in enumerate(trace))
         print(f"trained {label} codebook: {dictionary.size} atoms from {signals.shape[1]} signals")
         codebooks.append(dictionary)
+    for (label, *_), dictionary in zip(_codebooks(cfg, arch), codebooks):
+        save_dictionary(dictionary, _dict_path(cfg, label))
     write_file(os.path.join(cfg.dictionary_dir, "training.log"), "training log", "".join(lines).encode())
     return 0
 

@@ -73,6 +73,20 @@ class FeatureGrid:
         return self.vectors.shape[0]
 
 
+def _intensities(samples: np.ndarray, full_scale: float) -> IntensityImage:
+    """The image of height x width x 1 gray or x 3 RGB `samples`: divided by
+    `full_scale`, RGB weighted by LUMA_WEIGHTS and summed R, G, B one channel
+    plane at a time (two float planes at most), then clipped to [0, 1]."""
+    gray, part = np.divide(samples[:, :, 0], full_scale), None
+    if samples.shape[2] == 3:
+        gray *= LUMA_WEIGHTS[0]
+        for channel in (1, 2):
+            part = np.divide(samples[:, :, channel], full_scale, out=part)
+            gray += np.multiply(part, LUMA_WEIGHTS[channel], out=part)
+    del part  # before IntensityImage copies gray
+    return IntensityImage(np.clip(gray, 0.0, 1.0, out=gray))
+
+
 def _parse_netpbm(raw: bytes, path) -> IntensityImage:
     header = _NETPBM_HEADER.match(raw)
     if header is None:
@@ -82,21 +96,11 @@ def _parse_netpbm(raw: bytes, path) -> IntensityImage:
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise DecodeError(f"{path}: invalid netpbm dimensions {width}x{height} maxval {maxval}")
     channels = 3 if raw[:2] == b"P6" else 1
-    wide = maxval > 255
-    sample_bytes = 2 if wide else 1
-    need = width * height * channels * sample_bytes
-    data = raw[pos : pos + need]
-    if len(data) < need:
-        raise DecodeError(f"{path}: truncated pixel data ({len(data)} of {need} bytes)")
-    dtype = ">u2" if wide else np.uint8
-    values = np.frombuffer(data, dtype=dtype).astype(np.float64) / float(maxval)
-    if channels == 3:
-        rgb = values.reshape(height, width, 3)
-        r, g, b = LUMA_WEIGHTS
-        gray = r * rgb[:, :, 0] + g * rgb[:, :, 1] + b * rgb[:, :, 2]
-    else:
-        gray = values.reshape(height, width)
-    return IntensityImage(np.clip(gray, 0.0, 1.0))
+    need = width * height * channels * (2 if maxval > 255 else 1)
+    if len(raw) - pos < need:
+        raise DecodeError(f"{path}: truncated pixel data ({len(raw) - pos} of {need} bytes)")
+    samples = np.frombuffer(raw, ">u2" if maxval > 255 else np.uint8, width * height * channels, pos)
+    return _intensities(samples.reshape(height, width, channels), float(maxval))
 
 
 def _pillow_decode(path) -> IntensityImage:
@@ -106,15 +110,11 @@ def _pillow_decode(path) -> IntensityImage:
         raise DecodeError(f"{path}: not a P5/P6 netpbm file and Pillow is not installed") from None
     try:
         with Image.open(path) as img:
-            if img.mode in _GRAY_FULL_SCALE:
-                gray = np.asarray(img, dtype=np.float64) / _GRAY_FULL_SCALE[img.mode]
-            else:
-                rgb = np.asarray(img.convert("RGB"), dtype=np.float64) / 255.0
-                r, g, b = LUMA_WEIGHTS
-                gray = r * rgb[:, :, 0] + g * rgb[:, :, 1] + b * rgb[:, :, 2]
+            full_scale = _GRAY_FULL_SCALE.get(img.mode, 255.0)
+            samples = np.asarray(img if img.mode in _GRAY_FULL_SCALE else img.convert("RGB"))
     except Exception as exc:
         raise DecodeError(f"{path}: cannot decode image: {exc}") from exc
-    return IntensityImage(np.clip(gray, 0.0, 1.0))
+    return _intensities(np.atleast_3d(samples), full_scale)
 
 
 def load_image(path) -> IntensityImage:

@@ -17,7 +17,9 @@ bit at sparsity 1, where each reconstruction has one nonzero term.
 Pooling loops over points, cells and regions, pooling dense code rows one
 at a time. The inverted file is a dict of (id, value) posting lists grown
 one descriptor at a time, and `to_dense` expands a descriptor for dense
-comparisons. Tests hold the array implementations
+comparisons. `intensities` turns decoded samples into pixels as both image
+decoders once did, all samples scaled at once and the three weighted
+channels summed in one expression. Tests hold the array implementations
 in `hmpsearch.coding`, `hmpsearch.dictionary`, `hmpsearch.images`,
 `hmpsearch.encoder` and `hmpsearch.index` to them.
 """
@@ -260,6 +262,17 @@ def signed_max_pool(codes, code_length: int) -> np.ndarray:
             slot = m if value > 0.0 else m + code_length
             out[slot] = max(out[slot], abs(value))
     return out
+
+
+def intensities(samples, full_scale) -> np.ndarray:
+    """Pixels of (height, width) gray or (height, width, 3) RGB samples:
+    divided by `full_scale`, RGB weighted 0.299/0.587/0.114, clipped to
+    [0, 1]."""
+    values = np.asarray(samples, dtype=np.float64) / float(full_scale)
+    if values.ndim == 3:
+        r, g, b = 0.299, 0.587, 0.114
+        values = r * values[:, :, 0] + g * values[:, :, 1] + b * values[:, :, 2]
+    return np.clip(values, 0.0, 1.0)
 
 
 def assign_to_cells(centers, region_size, cell_grid, origin=(0.0, 0.0)) -> list[list[int]]:

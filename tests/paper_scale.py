@@ -10,8 +10,9 @@ mates being its relevant set. The stages run in this process through
 `hmpsearch.cli.main` in a temporary directory, then one CLI `query` of
 the first image, which codes it and computes the layer-2 Gram again. The
 script prints the wall and CPU time of each stage and of the query,
-codebook training's time per signal per K-SVD iteration, encode's time
-per image, the mAP, and a sha256 over the
+codebook training's time per signal per K-SVD iteration, the seconds each
+stage spends in `omp_encode_batch` per codebook (128 atoms for layer 1,
+1000 for layer 2), encode's time per image, the mAP, and a sha256 over the
 codebook and descriptor files: each file in sorted order within `dicts/`
 then `descriptors/`, as `<dir>/<name>` NUL bytes NUL. A change that keeps
 every codebook and descriptor byte keeps the hash on the same host.
@@ -31,6 +32,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import hmpsearch.cli  # noqa: E402
+import hmpsearch.coding  # noqa: E402
+import hmpsearch.dictionary  # noqa: E402
+import hmpsearch.encoder  # noqa: E402
 from conftest import texture_image  # noqa: E402
 from workloads import TEXTURE_GAINS, TEXTURE_SHIFTS, write_images  # noqa: E402
 
@@ -95,7 +99,9 @@ def artifact_hash(work) -> str:
 
 def main() -> int:
     trained = []  # (signals, K-SVD seconds) of each codebook trained
-    train = hmpsearch.cli.train
+    omp = {}  # (stage, atoms) -> seconds in omp_encode_batch
+    stage = None  # the stage the loop below is running
+    train, omp_encode_batch = hmpsearch.cli.train, hmpsearch.coding.omp_encode_batch
 
     def timed_train(signals, *args):
         start = time.perf_counter()
@@ -103,7 +109,16 @@ def main() -> int:
         trained.append((signals.shape[1], time.perf_counter() - start))
         return result
 
+    def timed_omp(dictionary, *args):
+        start = time.perf_counter()
+        result = omp_encode_batch(dictionary, *args)
+        key = (stage, dictionary.size)
+        omp[key] = omp.get(key, 0.0) + time.perf_counter() - start
+        return result
+
     hmpsearch.cli.train = timed_train
+    # where the encoder (layer inputs, descriptors) and K-SVD's code pass bind it
+    hmpsearch.encoder.omp_encode_batch = hmpsearch.dictionary.omp_encode_batch = timed_omp
     with tempfile.TemporaryDirectory() as work:
         images = write_corpus(work)
         config = os.path.join(work, "run.cfg")
@@ -120,6 +135,8 @@ def main() -> int:
         for layer, (signals, seconds) in enumerate(trained, start=1):
             per = seconds / (signals * ITERATIONS) * 1e3
             print(f"layer{layer} K-SVD: {seconds:.2f} s, {per:.3f} ms per signal per iteration")
+        for (name, atoms), seconds in omp.items():
+            print(f"{name} OMP at {atoms} atoms: {seconds:.2f} s")
         print(f"encode: {wall['encode'] / images:.3f} s per {SIDE} px image")
         print(f"hash {artifact_hash(work)}")
     return 0

@@ -226,6 +226,26 @@ class TestTrainDict:
         run_cli(cfg, "train-dict")
         assert (tmp_path / "dicts" / "layer1.hmpd").read_bytes() == first
 
+    def test_failure_in_a_later_layer_keeps_the_previous_codebook_set(self, tmp_path, monkeypatch):
+        cfg = make_workspace(tmp_path, groups=3, members=1, side=36, arch=ARCH_TWO_LAYER)
+        assert run_cli(cfg, "train-dict") == 0
+        paths = [tmp_path / "dicts" / f"layer{d}.hmpd" for d in (1, 2)]
+        before = [path.read_bytes() for path in paths]
+        trained = []
+
+        def train_then_fail(*args):
+            trained.append(args)
+            if len(trained) == 2:
+                raise hmpsearch.HmpError("layer 2 could not be trained")
+            return cli_train(*args)
+
+        cli_train = cli.train
+        monkeypatch.setattr(cli, "train", train_then_fail)
+        set_run_key(cfg, "seed", 5)
+        assert run_cli(cfg, "train-dict") == 2
+        assert len(trained) == 2
+        assert [path.read_bytes() for path in paths] == before
+
     def test_empty_manifest_fails_fast(self, tmp_path, capsys):
         cfg = make_workspace(tmp_path)
         (tmp_path / "manifest.tsv").write_text("\n")

@@ -6,7 +6,7 @@ import types
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hmpsearch import (
@@ -19,6 +19,8 @@ from hmpsearch import (
     resize_max_side,
 )
 from hmpsearch.images import unit_cells
+from oracles import intensities
+from test_index import traced_peak
 
 
 def write_p5(path, width, height, samples, maxval=255):
@@ -159,6 +161,47 @@ class TestLoadImage:
         png.write_bytes(b"\x89PNG not decoded by the stub")
         with pytest.raises(DecodeError, match=r"photo\.png: cannot decode image: cannot identify"):
             load_image(png)
+
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_decoders_give_the_oracle_bytes(self, tmp_path, monkeypatch, data):
+        rgb = data.draw(st.booleans())
+        maxval = data.draw(st.one_of(st.sampled_from([1, 255, 256, 65535]), st.integers(1, 65535)))
+        shape = (data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))) + ((3,) if rgb else ())
+        dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+        # any sample the width holds, so some lie above maxval
+        values = st.integers(0, np.iinfo(dtype).max)
+        count = int(np.prod(shape))
+        samples = np.array(data.draw(st.lists(values, min_size=count, max_size=count)), dtype)
+        samples = samples.reshape(shape)
+        path = tmp_path / "photo.pnm"
+        header = f"{'P6' if rgb else 'P5'}\n{shape[1]} {shape[0]}\n{maxval}\n"
+        path.write_bytes(header.encode() + samples.tobytes())
+        want = intensities(samples, maxval).tobytes()
+        assert load_image(path).pixels.tobytes() == want
+        # the Pillow modes that hold these samples decode to the same bytes
+        mode = {(False, 255): "L", (False, 65535): "I;16", (True, 255): "RGB"}.get((rgb, maxval))
+        if mode is not None:
+            native = samples.astype(dtype.newbyteorder("="))
+            stub_pillow(monkeypatch, lambda path: StubImage(mode, native, shape))
+            png = tmp_path / "photo.png"
+            png.write_bytes(b"\x89PNG not decoded by the stub")
+            assert load_image(png).pixels.tobytes() == want
+
+    @pytest.mark.parametrize("magic, bound", [("P5", 2.5), ("P6", 3.0)])
+    def test_decoding_holds_few_float_planes(self, tmp_path, magic, bound):
+        # the traced peak of decoding a 1000 x 1500 image, in planes of the
+        # pixels returned: the file's bytes, the gray plane, for P6 one
+        # channel plane, and the copy IntensityImage keeps
+        channels = 3 if magic == "P6" else 1
+        samples = np.random.default_rng(0).integers(0, 256, 1000 * 1500 * channels, dtype=np.uint8)
+        path = tmp_path / "large.pnm"
+        path.write_bytes(f"{magic}\n1500 1000\n255\n".encode() + samples.tobytes())
+        img, peak = traced_peak(load_image, path)
+        assert (img.height, img.width) == (1000, 1500)
+        assert peak < bound * img.pixels.nbytes
 
     def test_determinism(self, tmp_path):
         path = tmp_path / "img.pgm"

@@ -1,9 +1,12 @@
 """The README's library example runs, its config examples load as
-written, and it documents the run keys and flags the CLI has."""
+written, it documents the run keys and flags the CLI has, and the
+paper-scale script it names still loads."""
 
 import argparse
 import logging
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -68,3 +71,17 @@ def test_run_keys_and_flags_match_the_cli(tmp_path, monkeypatch):
     cli_section = text[text.index("\n## CLI\n") : text.index("\n## Benchmark\n")]
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", cli_section))
     assert named and named <= parser_options(build_parser())
+
+
+def test_paper_scale_script_loads():
+    # pytest does not collect the script, so a rename in `src` or in the
+    # modules it imports would otherwise break it unseen. It is loaded as
+    # `python3 tests/paper_scale.py` loads it, with `tests` first on the
+    # path, in a process of its own so that its imports stay out of this one.
+    script = README.parent / "tests" / "paper_scale.py"
+    code = f"import runpy; print(callable(runpy.run_path({str(script)!r}, run_name='paper_scale')['main']))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=script.parent, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\n"
